@@ -146,9 +146,11 @@ class BlowupMember:
         base = self.psi.raw_value(y, **kwargs) if y > 1.0 else self.psi.value(y)
         return self.j**self.s.s * base
 
-    def caputo_value(self, x: float) -> float:
-        """D_{-j}^s v_j(x) through the exact scaling identity."""
-        return float(self.psi.caputo_value(x / self.j + 1.0))
+    def caputo_value(self, x):
+        """D_{-j}^s v_j(x) through the exact scaling identity (scalar or array x)."""
+        xa = np.asarray(x, dtype=float)
+        out = self.psi.caputo_value(xa / self.j + 1.0)
+        return out if isinstance(x, np.ndarray) else float(out)
 
     def caputo_value_direct(self, x: float, n: int = 128) -> float:
         """D_{-j}^s v_j(x) evaluated directly on the v_j side.

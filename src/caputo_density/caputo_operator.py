@@ -99,11 +99,19 @@ def caputo_derivative(
 
 
 def caputo_residual(u, a: float, s: FractionalOrder | float, grid, **kwargs) -> ResidualReport:
-    """Residual table |D_a^s u| over a grid of points > a."""
+    """Residual table |D_a^s u| over a grid of points > a.
+
+    Objects with their own ``caputo_value`` are evaluated in one array
+    call over the grid; everything else point by point.
+    """
     xs = np.asarray(grid, dtype=float)
     if xs.size == 0:
         raise ValueError("residual grid must be nonempty")
     if np.any(xs <= a):
         raise ValueError("all residual grid points must lie right of the initial point")
-    values = np.array([caputo_derivative(u, a, s, float(x), **kwargs) for x in xs])
+    own = _own_caputo(u, float(a), FractionalOrder.of(s))
+    if own is not None:
+        values = np.asarray(own(xs), dtype=float)
+    else:
+        values = np.array([caputo_derivative(u, a, s, float(x), **kwargs) for x in xs])
     return ResidualReport(xs=xs, values=values)

@@ -140,7 +140,7 @@ def _cmd_derivative(config: RunConfig) -> int:
         sol = solve_extension(profile, s, **_solver_kwargs(config, max(grid)))
         if np.any(grid <= profile.a):
             raise ValueError("grid points must lie right of the initial point")
-        values = np.array([sol.caputo_value(float(x)) for x in grid])
+        values = sol.caputo_value(grid)
     else:
         if config.profile is None and config.poly is None:
             config = dataclasses.replace(config, profile="linear")
@@ -174,7 +174,7 @@ def _cmd_extend(config: RunConfig) -> int:
     sol = solve_extension(profile, s, **_solver_kwargs(config, float(max(grid))))
     u = sol.value(grid)
     g = sol.g_value(grid)
-    residual = np.array([sol.caputo_value(float(x)) for x in grid])
+    residual = sol.caputo_value(grid)
     _write_csv(config.out, config, ["x", "u", "g", "residual"], [grid, u, g, residual])
 
     report: dict = {

@@ -179,11 +179,11 @@ class JetCombination:
         """v(x) through fresh representation-formula quadrature (certificate path)."""
         return float(sum(c * mem.value_raw(x) for c, mem in zip(self.coefficients, self.members)))
 
-    def caputo_value(self, x: float) -> float:
-        """D_{-R}^s v(x), exact linearity over the members."""
-        return float(
-            sum(c * mem.caputo_value(x) for c, mem in zip(self.coefficients, self.members))
-        )
+    def caputo_value(self, x):
+        """D_{-R}^s v(x), exact linearity over the members (scalar or array x)."""
+        xa = np.asarray(x, dtype=float)
+        out = sum(c * mem.caputo_value(xa) for c, mem in zip(self.coefficients, self.members))
+        return out if isinstance(x, np.ndarray) else float(out)
 
 
 def _solve_single_point(matrix: np.ndarray, m: int, rcond: float):
@@ -323,12 +323,15 @@ class MonomialApproximant:
             )
         return out if isinstance(x, np.ndarray) else float(out)
 
-    def caputo_value(self, x: float) -> float:
-        """D_a^s u(x) = m! delta^(s-m) D_{-R}^s v(delta x + p)."""
+    def caputo_value(self, x):
+        """D_a^s u(x) = m! delta^(s-m) D_{-R}^s v(delta x + p) (scalar or array x)."""
+        xa = np.asarray(x, dtype=float)
         if self.jet is None:
-            return 0.0
-        scale = math.factorial(self.m) * self.delta ** (self.jet.s.s - self.m)
-        return scale * self.jet.caputo_value(self.delta * float(x) + self.jet.p)
+            out = np.zeros_like(xa)
+        else:
+            scale = math.factorial(self.m) * self.delta ** (self.jet.s.s - self.m)
+            out = scale * self.jet.caputo_value(self.delta * xa + self.jet.p)
+        return out if isinstance(x, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)
@@ -530,8 +533,10 @@ class CombinedApproximant:
         out = sum(c * piece.derivative(l, xa) for c, piece in self.pieces)
         return out if isinstance(x, np.ndarray) else float(out)
 
-    def caputo_value(self, x: float) -> float:
-        return float(sum(c * piece.caputo_value(x) for c, piece in self.pieces))
+    def caputo_value(self, x):
+        xa = np.asarray(x, dtype=float)
+        out = sum(c * piece.caputo_value(xa) for c, piece in self.pieces)
+        return out if isinstance(x, np.ndarray) else float(out)
 
 
 def _ck_grid_error(target, approx, k: int, n_points: int = GRID_POINTS) -> tuple[float, list[float]]:
@@ -614,7 +619,7 @@ def approximate_function(
     combined = CombinedApproximant(pieces=tuple(pieces))
     achieved, sups = _ck_grid_error(target, combined, k)
     res_xs = np.linspace(0.0, 1.0, residual_points)
-    res_vals = np.array([combined.caputo_value(float(x)) for x in res_xs])
+    res_vals = combined.caputo_value(res_xs)
 
     report = ApproximationReport(
         target=getattr(target, "description", type(target).__name__),

@@ -33,6 +33,7 @@ from .piecewise import MAX_DEGREE
 from .profiles import CausalProfile
 from .singular_quadrature import (
     GradedMesh,
+    abel_unit_rule,
     gauss_ladder,
     integrate_singular,
     poly_abel_integral,
@@ -50,6 +51,8 @@ __all__ = [
 
 MAX_DERIVATIVE_ORDER = 8
 _JUNCTION_GUARD = 1e-3
+# table reads per block of the batched Caputo residual; bounds its memory
+_BLOCK_NODES = 8192
 
 
 class JunctionProximityError(ValueError):
@@ -182,7 +185,12 @@ class ExtensionSolution:
 
     Immutable after construction; the Chebyshev tables for value and first
     derivative are built eagerly, higher orders on first use. Evaluators
-    are reentrant and safely shareable across threads.
+    are reentrant and safely shareable across threads. The quadrature
+    rules behind the tables and the Caputo residual live in the pure,
+    bounded caches of ``singular_quadrature`` (one rule per s, panel count
+    and grade, read-only) and are shared by every solution. Evaluators
+    accept scalars or arrays; ``caputo_value`` applies one rule to all
+    points of an array.
     """
 
     def __init__(
@@ -309,12 +317,15 @@ class ExtensionSolution:
             self._ensure_coverage(float(np.max(xi)))
             coefs = self._tables[n]
         idx = np.clip(np.searchsorted(self._edges, xi, side="right") - 1, 0, coefs.shape[0] - 1)
+        order = np.argsort(idx)
+        panels, starts = np.unique(idx[order], return_index=True)
+        stops = np.append(starts[1:], idx.size)
         out = np.empty_like(xi)
-        for p in np.unique(idx):
-            m = idx == p
+        for p, lo, hi in zip(panels, starts, stops):
             e0, e1 = self._edges[p], self._edges[p + 1]
-            w = (2.0 * xi[m] - e0 - e1) / (e1 - e0)
-            out[m] = np.polynomial.chebyshev.chebval(w, coefs[p])
+            at = order[lo:hi]
+            w = (2.0 * xi[at] - e0 - e1) / (e1 - e0)
+            out[at] = np.polynomial.chebyshev.chebval(w, coefs[p])
         return out
 
     # -- evaluation ---------------------------------------------------------
@@ -409,30 +420,44 @@ class ExtensionSolution:
         """Ascending coefficients in (x-b) of the closed-form junction polynomial."""
         return self._poly.copy()
 
-    def caputo_value(self, x: float, n: int = 192) -> float:
-        """D_a^s u(x) of the delivered solution (0 for x <= a by causality)."""
-        x = float(x)
+    def caputo_value(self, x, n: int = 192):
+        """D_a^s u(x) of the delivered solution (0 for x <= a by causality).
+
+        x may be a scalar (a float is returned) or an array. Beyond b the
+        extension contributes the junction polynomial in closed form plus
+        int_b^x (t-b)^(s-1) (x-t)^(-s) H_1(t-b) dt, which w = (t-b)/(x-b)
+        turns into int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw: one cached
+        rule per (s, n) for every x, applied in blocks of table reads.
+        Each point's sum is reduced on its own, so a value does not depend
+        on the other points of the array.
+        """
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
         s = self.s.s
-        if x <= self.a:
-            return 0.0
-        data_part = poly_abel_integral(self.profile.derivative_pieces(), x, -s)
-        if x <= self.b:
-            return data_part / gamma(1.0 - s)
-        ext = 0.0
+        out = np.zeros_like(xa)
+        live = xa > self.a
+        if np.any(live):
+            out[live] = poly_abel_integral(self.profile.derivative_pieces(), xa[live], -s)
+        ext = xa > self.b
+        if np.any(ext):
+            out[ext] += self._extension_caputo(xa[ext] - self.b, n)
+        out /= gamma(1.0 - s)
+        return out if isinstance(x, np.ndarray) else float(out[0])
+
+    def _extension_caputo(self, xi: np.ndarray, n: int) -> np.ndarray:
+        """int_b^x u'(t) (x-t)^(-s) dt of the extension part for x = b + xi > b."""
+        s = self.s.s
+        out = np.zeros_like(xi)
         dpoly = np.polynomial.polynomial.polyder(self._poly)
-        if np.any(dpoly):
-            for k in range(dpoly.size):
-                if dpoly[k] != 0.0:
-                    ext += dpoly[k] * (x - self.b) ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
-        mid = 0.5 * (self.b + x)
-        h1 = lambda t: self.smooth_factor(1, t - self.b)
-        ext += integrate_singular(
-            lambda t: h1(t) * (x - t) ** (-s), self.b, mid, s - 1.0, "left", n=n
-        )
-        ext += integrate_singular(
-            lambda t: (t - self.b) ** (s - 1.0) * h1(t), mid, x, -s, "right", n=n
-        )
-        return (data_part + ext) / gamma(1.0 - s)
+        for k in range(dpoly.size):
+            if dpoly[k] != 0.0:
+                out += dpoly[k] * xi ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
+        nodes, weights = abel_unit_rule(s, int(n))
+        rows = max(1, _BLOCK_NODES // nodes.size)
+        for start in range(0, xi.size, rows):
+            block = xi[start : start + rows]
+            h1 = self.smooth_factor(1, (block[:, None] * nodes).ravel())
+            out[start : start + rows] += np.sum(h1.reshape(block.size, -1) * weights, axis=1)
+        return out
 
 
 def solve_extension(profile: CausalProfile, s: FractionalOrder | float, **kwargs) -> ExtensionSolution:

@@ -14,10 +14,16 @@ Far from the singularity the moments are computed through a binomial
 series in (panel width)/(2 * distance) -- the direct power-difference
 form loses digits there -- and near it through the plain power rule.
 Both paths are exact to rounding.
+
+Rules on a default graded mesh depend only on (lo, hi, exponent,
+singular_end, n, grade). They are built on first use, kept in bounded
+module-level caches and handed out as read-only arrays, so one rule
+serves every integrand and every thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +40,8 @@ __all__ = [
     "default_grade",
     "poly_abel_integral",
     "gauss_ladder",
+    "graded_rule",
+    "abel_unit_rule",
 ]
 
 _PANEL_REF = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
@@ -73,13 +81,19 @@ class GradedMesh:
     def breakpoints(self) -> np.ndarray:
         frac = (np.arange(self.n + 1) / self.n) ** self.grade
         span = self.hi - self.lo
+        offsets = span * frac
+        # strong grading pushes the first offsets from the singular end far
+        # below float resolution (down to 1e-230 at grade 100); collapsing
+        # them merges those panels into the next one, which is exact to
+        # rounding. Below a quarter ulp of the span an offset already rounds
+        # into any endpoint of magnitude >= span, so only meshes that start
+        # near 0 are changed by doing it here rather than through np.unique.
+        offsets[offsets < 0.25 * np.finfo(float).eps * span] = 0.0
         if self.singular_end == "left":
-            bp = self.lo + span * frac
+            bp = self.lo + offsets
         else:
-            bp = self.hi - span * frac[::-1]
+            bp = self.hi - offsets[::-1]
         bp[0], bp[-1] = self.lo, self.hi
-        # strong grading can push the first offsets below float resolution;
-        # collapsing those panels is exact to rounding
         return np.unique(bp)
 
 
@@ -148,17 +162,56 @@ def _panel_rule(u_edges: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _resolve_mesh(mesh, lo, hi, exponent, singular_end, n, grade) -> np.ndarray:
-    if mesh is None:
-        q = default_grade(exponent) if grade is None else float(grade)
-        mesh = GradedMesh(lo, hi, n, q, singular_end)
-    if isinstance(mesh, GradedMesh):
-        bp = mesh.breakpoints()
-    else:
-        bp = np.asarray(mesh, dtype=float)
+def _mesh_rule(bp, lo, hi, exponent, singular_end) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights, each (panels, 4), of the rule on breakpoints bp."""
     if bp[0] != lo or bp[-1] != hi or np.any(np.diff(bp) <= 0.0):
         raise ValueError("mesh breakpoints must increase strictly from lo to hi")
-    return bp
+    if singular_end == "left":
+        u_edges = bp - lo
+    else:
+        u_edges = (hi - bp)[::-1]
+    nodes_u, weights = _panel_rule(u_edges, exponent)
+    t = lo + nodes_u if singular_end == "left" else hi - nodes_u
+    return t, weights
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def graded_rule(
+    lo: float, hi: float, exponent: float, singular_end: str, n: int, grade: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cached rule on GradedMesh(lo, hi, n, grade, singular_end): nodes t and
+    weights, each (panels, 4) and read-only, for the weight |x_s - t|^exponent."""
+    bp = GradedMesh(lo, hi, n, grade, singular_end).breakpoints()
+    return _read_only(*_mesh_rule(bp, lo, hi, exponent, singular_end))
+
+
+@functools.lru_cache(maxsize=16)
+def abel_unit_rule(s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(s-1) (1-w)^(-s) f(w) dw.
+
+    The interval is split at 1/2 and each half gets the default graded
+    rule with n panels toward its singular end; the other, smooth factor
+    of the kernel is folded into the weights. Both arrays are flat and
+    read-only; f must be smooth on [0, 1].
+    """
+    t_left, w_left = graded_rule(0.0, 0.5, s - 1.0, "left", n, default_grade(s - 1.0))
+    t_right, w_right = graded_rule(0.5, 1.0, -s, "right", n, default_grade(-s))
+    nodes = np.concatenate([t_left.ravel(), t_right.ravel()])
+    weights = np.concatenate(
+        [(w_left * (1.0 - t_left) ** -s).ravel(), (w_right * t_right ** (s - 1.0)).ravel()]
+    )
+    return _read_only(nodes, weights)
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
 def integrate_singular(
@@ -175,7 +228,9 @@ def integrate_singular(
 
     f must accept an ndarray of nodes and return values elementwise; it is
     never evaluated at the singular endpoint itself. Panel contributions
-    are summed in ascending distance order for reproducibility.
+    are summed in ascending distance order for reproducibility. Without
+    an explicit mesh the rule comes from ``graded_rule`` and is built
+    once per (lo, hi, exponent, singular_end, n, grade).
     """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
@@ -185,13 +240,12 @@ def integrate_singular(
     if singular_end not in ("left", "right"):
         raise ValueError("singular_end must be 'left' or 'right'")
 
-    bp = _resolve_mesh(mesh, lo, hi, exponent, singular_end, n, grade)
-    if singular_end == "left":
-        u_edges = bp - lo
+    if mesh is None:
+        q = default_grade(exponent) if grade is None else float(grade)
+        t, weights = graded_rule(lo, hi, float(exponent), singular_end, int(n), q)
     else:
-        u_edges = (hi - bp)[::-1]
-    nodes_u, weights = _panel_rule(u_edges, exponent)
-    t = lo + nodes_u if singular_end == "left" else hi - nodes_u
+        bp = mesh.breakpoints() if isinstance(mesh, GradedMesh) else np.asarray(mesh, dtype=float)
+        t, weights = _mesh_rule(bp, lo, hi, exponent, singular_end)
     fv = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
     return float(np.sum(np.sum(fv * weights, axis=1)))
 
@@ -270,7 +324,7 @@ def gauss_ladder(f, lo: float, hi: float, first_width: float, n_gl: int = 16) ->
         w *= 2.0
     edges.append(span)
     edges = lo + np.asarray(edges)
-    gx, gw = np.polynomial.legendre.leggauss(n_gl)
+    gx, gw = _gauss_legendre(n_gl)
     a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)

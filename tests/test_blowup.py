@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ def test_member_residual(psi_half):
     member = BlowupMember(8, psi_half)
     grid = np.linspace(0.25, 4.0, 9)
     assert max(abs(member.caputo_value_direct(float(x))) for x in grid) <= 1e-5
+
+
+def test_direct_residual_finite_at_small_order(psi0_default):
+    # the direct path integrates from 0; at s = 0.02 its mesh grading (100)
+    # once left sub-1e-200 panels there and the value came out NaN
+    member = BlowupMember(4, build_psi(0.02, psi0_default))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = member.caputo_value_direct(1.0)
+    assert math.isfinite(value)
+    assert abs(value) <= 1e-5  # v_j is stationary: the exact value is 0
 
 
 # -- kappa ---------------------------------------------------------------------------

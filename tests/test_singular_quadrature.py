@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,20 @@ def test_cubic_exactness_on_coarse_mesh(exponent, end):
     ref = algebraic_quad(f, 0.0, 2.0, exponent, end)
     val = integrate_singular(f, 0.0, 2.0, exponent, end, n=4, grade=1.0)
     assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_strong_grading_from_zero_is_finite():
+    # grade 2/(1-0.98) = 100 from lo = 0 once kept panels of width ~1e-230,
+    # whose moments overflowed to NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = integrate_singular(lambda t: 1.0 + 0.0 * t, 0.0, 0.5, -0.98, "left")
+    assert val == pytest.approx(0.5**0.02 / 0.02, rel=1e-12)
+
+
+def test_strong_grading_collapses_sub_resolution_panels():
+    bp = GradedMesh(0.0, 0.5, 256, 100.0, "left").breakpoints()
+    assert bp[0] == 0.0 and np.all(np.diff(bp) >= 0.25 * np.finfo(float).eps * 0.5)
 
 
 def test_refinement_order_at_least_two():
