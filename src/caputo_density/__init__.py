@@ -10,12 +10,12 @@ tolerance of a smooth target on [0, 1].
 
 from .blowup import (
     BlowupMember,
+    Combination,
     KappaEstimate,
     Psi0Profile,
     build_psi,
     check_blowup_convergence,
     estimate_kappa,
-    eval_vj,
 )
 from .caputo_operator import ResidualReport, caputo_derivative, caputo_residual
 from .density_builder import (
@@ -30,7 +30,6 @@ from .extension_solver import (
     ExtensionSolution,
     JunctionProximityError,
     compute_g,
-    extension_derivative,
     solve_extension,
 )
 from .piecewise import PiecewisePoly
@@ -39,7 +38,6 @@ from .singular_quadrature import (
     GradedMesh,
     integrate_singular,
     kernel_identity_check,
-    kernel_identity_reference,
 )
 from .special_functions import FractionalOrder, beta, gamma, reflection
 
@@ -51,7 +49,6 @@ __all__ = [
     "GradedMesh",
     "integrate_singular",
     "kernel_identity_check",
-    "kernel_identity_reference",
     "PiecewisePoly",
     "CausalProfile",
     "ramp_profile",
@@ -63,13 +60,12 @@ __all__ = [
     "ExtensionSolution",
     "solve_extension",
     "compute_g",
-    "extension_derivative",
     "JunctionProximityError",
     "Psi0Profile",
+    "Combination",
     "BlowupMember",
     "KappaEstimate",
     "build_psi",
-    "eval_vj",
     "estimate_kappa",
     "check_blowup_convergence",
     "JetCombination",

@@ -13,11 +13,13 @@ against the two analytic candidates
 
 which differ by the normalization prefactor of the representation
 formula; the fit is the arbiter and both are always reported.
+Members and all approximants built from them are ``Combination``s.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +32,11 @@ from .special_functions import FractionalOrder, beta, gamma
 
 __all__ = [
     "Psi0Profile",
+    "Combination",
     "BlowupMember",
     "KappaEstimate",
     "BlowupConvergence",
     "build_psi",
-    "eval_vj",
     "estimate_kappa",
     "check_blowup_convergence",
     "DEFAULT_J_LIST",
@@ -89,68 +91,129 @@ class Psi0Profile:
         return self.to_causal_profile().fingerprint()
 
 
-_PSI_CACHE: dict[tuple, ExtensionSolution] = {}
+# solved psi per (profile, s, solver options); the least recently used
+# goes first beyond this many, which still holds every order of a sweep
+_PSI_CACHE_SIZE = 8
+_PSI_CACHE: OrderedDict[tuple, ExtensionSolution] = OrderedDict()
 
 
-def build_psi(
-    s: FractionalOrder | float, profile: Psi0Profile, *, cached: bool = True, **kwargs
-) -> ExtensionSolution:
-    """Solve D_0^s psi = 0 on (1, inf) with psi = psi_0 on (-inf, 1]."""
+def build_psi(s: FractionalOrder | float, profile: Psi0Profile, **kwargs) -> ExtensionSolution:
+    """Solve D_0^s psi = 0 on (1, inf) with psi = psi_0 on (-inf, 1] (cached)."""
     s = FractionalOrder.of(s)
     key = (profile.fingerprint(), s.s, tuple(sorted(kwargs.items())))
-    if cached and key in _PSI_CACHE:
+    if key in _PSI_CACHE:
+        _PSI_CACHE.move_to_end(key)
         return _PSI_CACHE[key]
     sol = solve_extension(profile.to_causal_profile(), s, **kwargs)
-    if cached:
-        _PSI_CACHE[key] = sol
+    _PSI_CACHE[key] = sol
+    if len(_PSI_CACHE) > _PSI_CACHE_SIZE:
+        _PSI_CACHE.popitem(last=False)
     return sol
 
 
-@dataclass(frozen=True)
-class BlowupMember:
-    """One rescaling v_j(x) = j^s psi(x/j + 1), causal from -j."""
+@dataclass(frozen=True, eq=False)
+class Combination:
+    """u(x) = c0 + sum_i A_i psi(alpha_i x + beta_i), alpha_i > 0; psi is None without terms.
 
-    j: int
-    psi: ExtensionSolution
+    Members, jets, rescaled monomials and their sums all have this form.
+    Term i is causal from (a_psi - beta_i)/alpha_i, and u^(l) and D^s u
+    weigh it by alpha_i^l and alpha_i^s (the exact scaling identity), so
+    u is stationary from ``initial_point`` right of psi's junction. Each
+    evaluator makes one psi call over all (point, term) pairs and sums
+    each point's row on its own, so no value depends on the batch.
+    """
+
+    psi: ExtensionSolution | None
+    A: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    c0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.j < 1 or int(self.j) != self.j:
-            raise ValueError("j must be a positive integer")
+        for name in ("A", "alpha", "beta"):
+            arr = np.array(getattr(self, name), dtype=float).reshape(-1)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if not (self.A.size == self.alpha.size == self.beta.size and np.all(self.alpha > 0.0)):
+            raise ValueError("need one A, one alpha > 0 and one beta per term")
+
+    @classmethod
+    def sum(cls, pieces, **fields) -> "Combination":
+        """sum_k w_k u_k for (w_k, u_k) pairs sharing one psi: the terms concatenated."""
+        pieces = [(float(w), u) for w, u in pieces]
+        psi = next((u.psi for _, u in pieces if u.psi is not None), None)
+        if any(u.psi not in (None, psi) for _, u in pieces):
+            raise ValueError("combined terms must share one psi")
+        return cls(
+            psi,
+            np.concatenate([[]] + [w * u.A for w, u in pieces]),
+            np.concatenate([[]] + [u.alpha for _, u in pieces]),
+            np.concatenate([[]] + [u.beta for _, u in pieces]),
+            sum(w * u.c0 for w, u in pieces),
+            **fields,
+        )
+
+    def rescaled(self, scale: float, delta: float, p: float) -> "Combination":
+        """x -> scale * u(delta x + p), again a combination of the same psi."""
+        alpha, beta = delta * self.alpha, self.alpha * p + self.beta
+        return Combination(self.psi, scale * self.A, alpha, beta, scale * self.c0)
 
     @property
-    def s(self) -> FractionalOrder:
-        return self.psi.s
+    def s(self) -> FractionalOrder | None:
+        return None if self.psi is None else self.psi.s
 
     @property
     def initial_point(self) -> float:
-        return -float(self.j)
+        """min_i (a_psi - beta_i)/alpha_i; -1 for a bare constant."""
+        return float(np.min((self.psi.a - self.beta) / self.alpha)) if self.A.size else -1.0
+
+    def _apply(self, f, power: float, c0: float, x):
+        """c0 + sum_i A_i alpha_i^power f(alpha_i x + beta_i), one f call for all pairs."""
+        xa = np.asarray(x, dtype=float)
+        flat = xa.reshape(-1)
+        out = np.full(flat.size, c0)
+        if self.A.size and flat.size:
+            # term-major: each term's points reach psi in the caller's order,
+            # which keeps psi's sort of table reads by panel cheap
+            y = self.alpha[:, None] * flat + self.beta[:, None]
+            vals = np.ascontiguousarray(np.reshape(f(y.ravel()), y.shape).T)
+            out += np.sum(vals * (self.A * self.alpha**power), axis=1)
+        return out.reshape(xa.shape) if isinstance(x, np.ndarray) else float(out[0])
 
     def value(self, x):
-        """v_j(x) on all of R (data region included)."""
-        xa = np.asarray(x, dtype=float)
-        out = self.j**self.s.s * self.psi.value(xa / self.j + 1.0)
-        return out if isinstance(x, np.ndarray) else float(out)
+        """u(x) on all of R (psi's data region included)."""
+        return self._apply(lambda y: self.psi.value(y), 0.0, self.c0, x)
 
-    def derivative(self, l: int, x: float) -> float:
-        """v_j^(l)(x) = j^(s-l) psi^(l)(x/j + 1) for x > 0 (fresh quadrature)."""
-        return self.j ** (self.s.s - l) * self.psi.derivative(l, x / self.j + 1.0)
-
-    def derivative_fast(self, l: int, x):
-        xa = np.asarray(x, dtype=float)
-        out = self.j ** (self.s.s - l) * self.psi.derivative_fast(l, xa / self.j + 1.0)
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def value_raw(self, x: float, **kwargs) -> float:
-        """v_j(x) through the representation-formula quadrature (no tables)."""
-        y = x / self.j + 1.0
-        base = self.psi.raw_value(y, **kwargs) if y > 1.0 else self.psi.value(y)
-        return self.j**self.s.s * base
+    def derivative(self, l: int, x):
+        """u^(l)(x) from psi's tables; for l >= 1 every argument must lie right of b."""
+        if l == 0:
+            return self.value(x)
+        return self._apply(lambda y: self.psi.derivative_fast(l, y), l, 0.0, x)
 
     def caputo_value(self, x):
-        """D_{-j}^s v_j(x) through the exact scaling identity (scalar or array x)."""
-        xa = np.asarray(x, dtype=float)
-        out = self.psi.caputo_value(xa / self.j + 1.0)
-        return out if isinstance(x, np.ndarray) else float(out)
+        """D^s u(x) from ``initial_point``, by the scaling identity per term."""
+        s = 0.0 if self.psi is None else self.psi.s.s
+        return self._apply(lambda y: self.psi.caputo_value(y), s, 0.0, x)
+
+    def value_raw(self, x: float) -> float:
+        """u(x) by fresh representation-formula quadrature per term (certificate path)."""
+        y = self.alpha * float(x) + self.beta
+        return self.c0 + float(np.sum(self.A * [self.psi.raw_value(v) for v in y]))
+
+
+class BlowupMember(Combination):
+    """One rescaling v_j(x) = j^s psi(x/j + 1), causal from -j."""
+
+    j: int
+
+    def __init__(self, j: int, psi: ExtensionSolution):
+        if j < 1 or int(j) != j:
+            raise ValueError("j must be a positive integer")
+        super().__init__(psi, [j**psi.s.s], [1.0 / j], [1.0])
+        object.__setattr__(self, "j", j)
+
+    # the same evaluator, bound here too so that traces name member residuals
+    caputo_value = Combination.caputo_value
 
     def caputo_value_direct(self, x: float, n: int = 128) -> float:
         """D_{-j}^s v_j(x) evaluated directly on the v_j side.
@@ -187,11 +250,6 @@ class BlowupMember:
                 lambda t: t ** (s - 1.0) * h1(t), mid, x, -s, "right", n=n
             )
         return total / gamma(1.0 - s)
-
-
-def eval_vj(member: BlowupMember, x):
-    """v_j(x); zero on [-j/4, 0], j^s psi_0(0) left of -j."""
-    return member.value(x)
 
 
 @dataclass(frozen=True)

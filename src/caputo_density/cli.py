@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -48,6 +49,8 @@ from .special_functions import FractionalOrder
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_TARGET_MISSED = 3
+# largest grid or sample count a run may ask for
+MAX_POINTS = 1_000_000
 
 
 @dataclass
@@ -84,15 +87,22 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _check_count(name: str, n) -> int:
+    """The one check of every point count: an integer in 2..MAX_POINTS."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= MAX_POINTS:
+        raise ValueError(f"{name} must be an integer in 2..{MAX_POINTS}, got {n!r}")
+    return n
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ValueError(f"grid must be lo:hi:n, got {spec!r}") from None
-    if not (lo < hi and n >= 2):
-        raise ValueError("grid requires lo < hi and n >= 2")
-    return np.linspace(lo, hi, n)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"grid bounds must be finite with lo < hi, got {spec!r}")
+    return np.linspace(lo, hi, _check_count("grid point count n", n))
 
 
 def _fmt(v: float) -> str:
@@ -187,7 +197,8 @@ def _cmd_extend(config: RunConfig) -> int:
     if oracle is not None:
         report["oracle_deviation"] = float(np.max(np.abs(u - oracle(grid))))
     code = EXIT_OK
-    if report["residual_max"] > config.tol:
+    # written so that a NaN misses the gate
+    if not report["residual_max"] <= config.tol:
         report["exit_reason"] = f"residual {report['residual_max']:.3e} above tol {config.tol:g}"
         code = EXIT_TARGET_MISSED
     else:
@@ -318,7 +329,7 @@ def _cmd_approximate(config: RunConfig) -> int:
     reasons = []
     if not rep.epsilon_achieved < config.eps:
         reasons.append(f"epsilon_achieved {rep.epsilon_achieved:.3e} >= eps {config.eps:g}")
-    if rep.residual_max > config.residual_tol:
+    if not rep.residual_max <= config.residual_tol:
         reasons.append(
             f"residual {rep.residual_max:.3e} above residual-tol {config.residual_tol:g}"
         )
@@ -403,6 +414,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         FractionalOrder(config.s)
+        _check_count("--n-points", config.n_points)
         return _HANDLERS[args.command](config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

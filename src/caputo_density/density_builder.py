@@ -10,6 +10,9 @@ with C^k error O(delta), and finally assemble any smooth target from a
 Chebyshev polynomial fit, one rescaled jet per monomial. Stationarity
 survives every stage by linearity and the exact rescaling identity
 D_a^s u(x) = delta^(s-m) D_{-R}^s v(delta x + p), a = (-p-R)/delta.
+Every stage is a ``Combination`` of affine rescalings of psi: a jet
+concatenates members, a monomial rescales a jet, and the final sum
+concatenates monomials.
 
 The jet matrices are Vandermonde-like and genuinely ill conditioned
 (rows of v_j^(l)(p) collapse onto the jet of kappa x^s as j grows), so
@@ -20,17 +23,19 @@ computed from plain values of v, independent of the derivative formula.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import BlowupMember, Psi0Profile, build_psi
+from .blowup import BlowupMember, Combination, Psi0Profile, build_psi
 from .special_functions import FractionalOrder
 
 __all__ = [
     "JetCombination",
-    "MonomialApproximant",
+    "CombinedApproximant",
     "MonomialReport",
     "ApproximationReport",
     "jet_matrix",
@@ -111,7 +116,8 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
     """Rows (member, point)-major of (v_j(x), v_j'(x), ..., v_j^(m)(x)).
 
     Entries come from the chain rule v_j^(l)(x) = j^(s-l) psi^(l)(x/j+1)
-    with psi^(l) from the interior-derivative formula.
+    with psi^(l) from the interior-derivative formula (fresh quadrature,
+    not the tables).
     """
     members = list(members)
     points = [float(x) for x in points]
@@ -121,69 +127,38 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
         raise ValueError("jet points must be positive")
     rows = []
     for member in members:
+        j, s = member.j, member.s.s
         for x in points:
-            rows.append([member.derivative(l, x) for l in range(m + 1)])
+            rows.append([j ** (s - l) * member.psi.derivative(l, x / j + 1.0) for l in range(m + 1)])
     return np.asarray(rows)
 
 
-@dataclass(frozen=True)
-class JetCombination:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class JetCombination(Combination):
     """v = sum_i c_i v_{j_i} with a prescribed jet at p.
 
     Caputo-stationary on (0, inf) with initial point -R, R = max j: each
     member is constant on (-inf, -j], so treating them all as causal from
     -R changes nothing. The combination vanishes on [-min j/4, 0] (the
     smallest member's vanishing interval); the single-function theorem's
-    [-R/4, 0] becomes this under combination bookkeeping.
+    [-R/4, 0] becomes this under combination bookkeeping. Member j has
+    alpha = 1/j.
     """
 
-    members: tuple[BlowupMember, ...]
-    coefficients: np.ndarray
     p: float
     m: int
     jet_residual: float
     condition_number: float
-    fd_jet_errors: tuple[float, ...] = field(default=())
+    fd_jet_errors: tuple[float, ...] = ()
 
     @property
     def R(self) -> float:
-        return float(max(member.j for member in self.members))
+        return float(np.max(1.0 / self.alpha))
 
     @property
     def vanishing_radius(self) -> float:
         """v is identically zero on [-vanishing_radius, 0]."""
-        return float(min(member.j for member in self.members)) / 4.0
-
-    @property
-    def initial_point(self) -> float:
-        return -self.R
-
-    @property
-    def s(self) -> FractionalOrder:
-        return self.members[0].s
-
-    def value(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = sum(c * mem.value(xa) for c, mem in zip(self.coefficients, self.members))
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def derivative(self, l: int, x):
-        """v^(l)(x) for x > 0 from the members' cached tables (vectorized)."""
-        xa = np.asarray(x, dtype=float)
-        out = sum(
-            c * mem.derivative_fast(l, xa) for c, mem in zip(self.coefficients, self.members)
-        )
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def value_raw(self, x: float) -> float:
-        """v(x) through fresh representation-formula quadrature (certificate path)."""
-        return float(sum(c * mem.value_raw(x) for c, mem in zip(self.coefficients, self.members)))
-
-    def caputo_value(self, x):
-        """D_{-R}^s v(x), exact linearity over the members (scalar or array x)."""
-        xa = np.asarray(x, dtype=float)
-        out = sum(c * mem.caputo_value(xa) for c, mem in zip(self.coefficients, self.members))
-        return out if isinstance(x, np.ndarray) else float(out)
+        return float(np.min(1.0 / self.alpha)) / 4.0
 
 
 def _solve_single_point(matrix: np.ndarray, m: int, rcond: float):
@@ -239,99 +214,34 @@ def prescribe_jet(
             f"(condition number {cond:.3e})"
         )
 
-    combo = JetCombination(
-        members=members,
-        coefficients=coef,
-        p=p,
-        m=m,
-        jet_residual=residual,
-        condition_number=cond,
+    combo = JetCombination.sum(
+        zip(coef, members), p=p, m=m, jet_residual=residual, condition_number=cond
     )
     if verify:
         # step balances stencil truncation against the nonsmooth part of the
         # quadrature noise, which the 1/h^l weights amplify
         h = fd_step if fd_step is not None else 0.06 * min(p, 1.0)
-        cache: dict[float, float] = {}
-
-        def v_raw(x: float) -> float:
-            if x not in cache:
-                cache[x] = combo.value_raw(x)
-            return cache[x]
-
-        fd_errors = []
-        for l in range(m + 1):
-            est = fd_derivative(v_raw, p, l, h, half_width=6)
-            fd_errors.append(abs(est - (1.0 if l == m else 0.0)))
-        combo = JetCombination(
-            members=members,
-            coefficients=coef,
-            p=p,
-            m=m,
-            jet_residual=residual,
-            condition_number=cond,
-            fd_jet_errors=tuple(fd_errors),
+        v_raw = functools.cache(combo.value_raw)  # the stencils share nodes
+        fd_errors = tuple(
+            abs(fd_derivative(v_raw, p, l, h, half_width=6) - (1.0 if l == m else 0.0))
+            for l in range(m + 1)
         )
+        combo = dataclasses.replace(combo, fd_jet_errors=fd_errors)
     return combo
 
 
 # -- rescaled monomials -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialApproximant:
+def _monomial(jet: JetCombination | None, m: int, delta: float | None) -> Combination:
     """u(x) = m! v(delta x + p)/delta^m, tracking x^m on [0, 1].
 
-    m = 0 is the exact constant 1 (constants are stationary for any
-    initial point); it carries no jet and no delta.
+    Without a jet (m = 0) it is the exact constant 1: constants are
+    stationary for any initial point.
     """
-
-    m: int
-    jet: JetCombination | None
-    delta: float | None
-
-    @property
-    def initial_point(self) -> float:
-        if self.jet is None:
-            return -1.0
-        return (-self.jet.p - self.jet.R) / self.delta
-
-    @property
-    def s(self) -> FractionalOrder | None:
-        return None if self.jet is None else self.jet.s
-
-    def value(self, x):
-        xa = np.asarray(x, dtype=float)
-        if self.jet is None:
-            out = np.ones_like(xa)
-        else:
-            out = (
-                math.factorial(self.m)
-                * self.jet.value(self.delta * xa + self.jet.p)
-                / self.delta**self.m
-            )
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def derivative(self, l: int, x):
-        xa = np.asarray(x, dtype=float)
-        if self.jet is None:
-            out = np.ones_like(xa) if l == 0 else np.zeros_like(xa)
-        else:
-            out = (
-                math.factorial(self.m)
-                * self.delta ** (l - self.m)
-                * self.jet.derivative(l, self.delta * xa + self.jet.p)
-            )
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def caputo_value(self, x):
-        """D_a^s u(x) = m! delta^(s-m) D_{-R}^s v(delta x + p) (scalar or array x)."""
-        xa = np.asarray(x, dtype=float)
-        if self.jet is None:
-            out = np.zeros_like(xa)
-        else:
-            scale = math.factorial(self.m) * self.delta ** (self.jet.s.s - self.m)
-            out = scale * self.jet.caputo_value(self.delta * xa + self.jet.p)
-        return out if isinstance(x, np.ndarray) else float(out)
+    if jet is None:
+        return Combination(None, (), (), (), 1.0)
+    return jet.rescaled(math.factorial(m) / delta**m, delta, jet.p)
 
 
 @dataclass(frozen=True)
@@ -350,15 +260,8 @@ class MonomialReport:
 def monomial_ck_errors(jet: JetCombination | None, m: int, k: int, delta: float | None,
                        n_points: int = GRID_POINTS) -> np.ndarray:
     """sup_[0,1] |u^(l) - (x^m)^(l)| for l = 0..k at the given delta."""
-    xs = np.linspace(0.0, 1.0, n_points)
-    approx = MonomialApproximant(m=m, jet=jet, delta=delta)
-    errs = []
-    for l in range(k + 1):
-        target = (
-            math.factorial(m) / math.factorial(m - l) * xs ** (m - l) if l <= m else np.zeros_like(xs)
-        )
-        errs.append(float(np.max(np.abs(approx.derivative(l, xs) - target))))
-    return np.asarray(errs)
+    monomial = PolyTarget([0.0] * m + [1.0])
+    return np.asarray(_ck_grid_error(monomial, _monomial(jet, m, delta), k, n_points)[1])
 
 
 def approximate_monomial(
@@ -370,7 +273,7 @@ def approximate_monomial(
     *,
     jet: JetCombination | None = None,
     **jet_options,
-) -> tuple[MonomialApproximant, MonomialReport]:
+) -> tuple[Combination, MonomialReport]:
     """Stationary u with ||u - x^m||_{C^k([0,1])} < eps, by delta halving.
 
     The jet residual is amplified by delta^(l-m) for l < m, so delta
@@ -388,7 +291,7 @@ def approximate_monomial(
             errors_per_derivative=tuple(0.0 for _ in range(k + 1)),
             achieved=0.0, jet_residual=0.0, fd_jet_errors=(), halvings=0,
         )
-        return MonomialApproximant(m=0, jet=None, delta=None), report
+        return _monomial(None, 0, None), report
 
     if jet is None:
         jet = prescribe_jet(s, profile, m, **jet_options)
@@ -413,7 +316,7 @@ def approximate_monomial(
         achieved=achieved, jet_residual=jet.jet_residual,
         fd_jet_errors=jet.fd_jet_errors, halvings=halvings,
     )
-    return MonomialApproximant(m=m, jet=jet, delta=delta), report
+    return _monomial(jet, m, delta), report
 
 
 # -- targets -------------------------------------------------------------------
@@ -469,8 +372,8 @@ class SampledTarget:
 
 
 def as_target(f):
-    """Coerce a target: objects with .eval pass through; callables must be
-    polynomial-like only if they carry .coefficients; otherwise unsupported."""
+    """Return f if it exposes eval(x, order); anything else, a plain callable
+    included, raises TypeError."""
     if hasattr(f, "eval"):
         return f
     raise TypeError(
@@ -506,37 +409,8 @@ class ApproximationReport:
         return self.epsilon_achieved < self.eps_requested
 
 
-@dataclass(frozen=True)
-class CombinedApproximant:
-    """Weighted sum of monomial approximants; stationary by linearity."""
-
-    pieces: tuple[tuple[float, MonomialApproximant], ...]
-
-    @property
-    def initial_point(self) -> float:
-        return min(piece.initial_point for _, piece in self.pieces)
-
-    @property
-    def s(self) -> FractionalOrder | None:
-        for _, piece in self.pieces:
-            if piece.s is not None:
-                return piece.s
-        return None
-
-    def value(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = sum(c * piece.value(xa) for c, piece in self.pieces)
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def derivative(self, l: int, x):
-        xa = np.asarray(x, dtype=float)
-        out = sum(c * piece.derivative(l, xa) for c, piece in self.pieces)
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def caputo_value(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = sum(c * piece.caputo_value(xa) for c, piece in self.pieces)
-        return out if isinstance(x, np.ndarray) else float(out)
+# the density result: a sum of monomial approximants, stationary by linearity
+CombinedApproximant = Combination
 
 
 def _ck_grid_error(target, approx, k: int, n_points: int = GRID_POINTS) -> tuple[float, list[float]]:
@@ -596,7 +470,7 @@ def approximate_function(
     coefs[: power.coef.size] = power.coef
     scale = max(1.0, float(np.max(np.abs(coefs))))
 
-    pieces: list[tuple[float, MonomialApproximant]] = []
+    pieces: list[tuple[float, Combination]] = []
     budgets: dict[int, float] = {}
     deltas: dict[int, float | None] = {}
     reports: list[MonomialReport] = []
@@ -616,7 +490,7 @@ def approximate_function(
         deltas[m] = rep.delta
         reports.append(rep)
 
-    combined = CombinedApproximant(pieces=tuple(pieces))
+    combined = CombinedApproximant.sum(pieces)
     achieved, sups = _ck_grid_error(target, combined, k)
     res_xs = np.linspace(0.0, 1.0, residual_points)
     res_vals = combined.caputo_value(res_xs)

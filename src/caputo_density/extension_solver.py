@@ -44,7 +44,6 @@ __all__ = [
     "ExtensionSolution",
     "solve_extension",
     "compute_g",
-    "extension_derivative",
     "JunctionProximityError",
     "MAX_DERIVATIVE_ORDER",
 ]
@@ -183,9 +182,11 @@ class _Forcing:
 class ExtensionSolution:
     """A solved extension: data on (-inf, b], stationary solution on (b, inf).
 
-    Immutable after construction; the Chebyshev tables for value and first
-    derivative are built eagerly, higher orders on first use. Evaluators
-    are reentrant and safely shareable across threads. The quadrature
+    The Chebyshev tables for value and first derivative are built at
+    construction, but the object grows afterwards: a higher order's table
+    on its first use, and every built table when a point lies beyond the
+    covered range. So concurrent reads are safe only once no call can
+    trigger such growth. The quadrature
     rules behind the tables and the Caputo residual live in the pure,
     bounded caches of ``singular_quadrature`` (one rule per s, panel count
     and grade, read-only) and are shared by every solution. Evaluators
@@ -352,11 +353,16 @@ class ExtensionSolution:
         return out if isinstance(x, np.ndarray) else float(out[0])
 
     def derivative_fast(self, n: int, y):
-        """u^(n)(y) for y > b from the cached tables (vectorized)."""
+        """u^(n)(y) for y > b from the cached tables (vectorized); like
+        ``derivative`` it refuses n >= 1 within 1e-3 of the junction."""
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(ya <= self.b):
             raise ValueError("fast derivatives are defined on (b, infinity)")
         xi = ya - self.b
+        if n >= 1 and np.min(xi) < _JUNCTION_GUARD:
+            raise JunctionProximityError(
+                f"derivative order {n} requested at y-b={np.min(xi):.2e} < {_JUNCTION_GUARD}"
+            )
         dp = np.polynomial.polynomial.polyder(self._poly, n) if n > 0 else self._poly
         out = np.polynomial.polynomial.polyval(xi, dp)
         out = out + xi ** (self.s.s - n) * self._eval_table(n, xi)
@@ -473,8 +479,3 @@ def compute_g(profile: CausalProfile, s: FractionalOrder | float, x):
         raise ValueError("g is defined on [b, infinity)")
     out = sol_free.value(0, xa - profile.b)
     return out if isinstance(x, np.ndarray) else float(out)
-
-
-def extension_derivative(sol: ExtensionSolution, n: int, y: float) -> float:
-    """u^(n)(y) of a solved extension; see ExtensionSolution.derivative."""
-    return sol.derivative(n, y)

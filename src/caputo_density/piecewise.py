@@ -13,20 +13,10 @@ import math
 
 import numpy as np
 
-__all__ = ["PiecewisePoly", "stable_power_difference"]
+__all__ = ["PiecewisePoly"]
 
 _CONTINUITY_TOL = 1e-12
 MAX_DEGREE = 3
-
-
-def stable_power_difference(hi: float, lo: float, p: float) -> float:
-    """hi**p - lo**p for hi >= lo >= 0 without subtractive cancellation."""
-    if lo == 0.0:
-        return hi**p if hi > 0.0 else 0.0
-    ratio = (hi - lo) / lo
-    if ratio > 0.5:  # no cancellation to fight; the expm1 form can overflow here
-        return hi**p - lo**p
-    return lo**p * math.expm1(p * math.log1p(ratio))
 
 
 class PiecewisePoly:

@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import MAX_DEGREE
-from .special_functions import FractionalOrder, reflection
+from .special_functions import FractionalOrder
 
 __all__ = [
     "GradedMesh",
     "integrate_singular",
     "kernel_identity_check",
-    "kernel_identity_reference",
     "default_grade",
     "poly_abel_integral",
     "gauss_ladder",
@@ -255,7 +254,7 @@ def kernel_identity_check(s: FractionalOrder | float, tau: float, x: float, n: i
 
     Both endpoints are singular: the integral is split at the midpoint and
     each half handled by product integration with the other factor smooth.
-    The value equals pi/sin(pi s) independently of (tau, x).
+    The value equals reflection(s) = pi/sin(pi s) independently of (tau, x).
     """
     s = FractionalOrder.of(s).s
     tau, x = float(tau), float(x)
@@ -265,11 +264,6 @@ def kernel_identity_check(s: FractionalOrder | float, tau: float, x: float, n: i
     left = integrate_singular(lambda y: (x - y) ** (-s), tau, mid, s - 1.0, "left", n=n)
     right = integrate_singular(lambda y: (y - tau) ** (s - 1.0), mid, x, -s, "right", n=n)
     return left + right
-
-
-def kernel_identity_reference(s: FractionalOrder | float) -> float:
-    """pi / sin(pi s), what kernel_identity_check must reproduce."""
-    return reflection(s)
 
 
 def poly_abel_integral(pieces, x, e: float):

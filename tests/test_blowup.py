@@ -1,16 +1,18 @@
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from caputo_density import blowup
 from caputo_density.blowup import (
     BlowupMember,
+    Combination,
     Psi0Profile,
     build_psi,
     check_blowup_convergence,
     estimate_kappa,
-    eval_vj,
 )
 from caputo_density.piecewise import PiecewisePoly
 from caputo_density.profiles import bump_extension_value
@@ -69,19 +71,19 @@ def test_psi_data_region(psi_half):
 
 def test_vj_vanishes_on_quarter_interval(psi_half):
     member = BlowupMember(4, psi_half)
-    np.testing.assert_allclose(eval_vj(member, np.array([-1.0, -0.5, 0.0])), 0.0, atol=1e-15)
+    np.testing.assert_allclose(member.value(np.array([-1.0, -0.5, 0.0])), 0.0, atol=1e-15)
 
 
 def test_vj_constant_left_tail(psi_half):
     member = BlowupMember(4, psi_half)
     # j^s psi_0(0) with psi_0(0) = 1
-    assert eval_vj(member, -4.0) == pytest.approx(2.0, rel=1e-14)
-    assert eval_vj(member, -10.0) == pytest.approx(2.0, rel=1e-14)
+    assert member.value(-4.0) == pytest.approx(2.0, rel=1e-14)
+    assert member.value(-10.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_vj_at_unit_point_is_psi_of_two(psi_half):
     member = BlowupMember(1, psi_half)
-    assert eval_vj(member, 1.0) == pytest.approx(0.5502526800, abs=1e-8)
+    assert member.value(1.0) == pytest.approx(0.5502526800, abs=1e-8)
 
 
 def test_member_requires_positive_integer_j(psi_half):
@@ -221,3 +223,54 @@ def test_alternative_cubic_profile_accepted_and_solves():
     est = estimate_kappa(0.5, profile)
     assert est.kappa > 0.0
     assert est.matched == "b"
+
+
+# -- combinations ------------------------------------------------------------------------
+
+
+def test_combination_is_its_term_sum(psi_half):
+    # built through the constructors: 0.7 + 1.5 v_2(x) - 0.25 * 3 v_8(x/2 + 1)
+    constant = Combination(None, (), (), (), 0.7)
+    combo = Combination.sum((
+        (1.0, constant),
+        (1.5, BlowupMember(2, psi_half)),
+        (-0.25, BlowupMember(8, psi_half).rescaled(3.0, 0.5, 1.0)),
+    ))
+    np.testing.assert_array_equal(combo.A, [1.5 * 2**0.5, -0.75 * 8**0.5])
+    np.testing.assert_array_equal(combo.alpha, [0.5, 1.0 / 16.0])
+    np.testing.assert_array_equal(combo.beta, [1.0, 1.125])
+    assert combo.c0 == 0.7
+
+    xs = np.linspace(0.1, 3.0, 13)
+    terms = list(zip(combo.A, combo.alpha, combo.beta))
+
+    def term_sum(f, l, c0=0.0):
+        return np.array([
+            c0 + sum(A * alpha**l * f(alpha * x + beta) for A, alpha, beta in terms)
+            for x in xs
+        ])
+
+    np.testing.assert_allclose(combo.value(xs), term_sum(psi_half.value, 0, 0.7), rtol=1e-13)
+    for l in (1, 2):
+        expect = term_sum(lambda y: psi_half.derivative_fast(l, y), l)
+        np.testing.assert_allclose(combo.derivative(l, xs), expect, rtol=1e-13)
+    np.testing.assert_allclose(
+        combo.caputo_value(xs), term_sum(psi_half.caputo_value, 0.5), rtol=1e-13
+    )
+    assert combo.initial_point == min((psi_half.a - beta) / alpha for _, alpha, beta in terms)
+    assert combo.initial_point == -18.0  # v_8(x/2 + 1) is causal from x/2 + 1 = -8
+    assert constant.initial_point == -1.0
+
+
+def test_evicted_psi_is_rebuilt_equal(monkeypatch, psi0_default):
+    monkeypatch.setattr(blowup, "_PSI_CACHE", OrderedDict())
+    monkeypatch.setattr(blowup, "_PSI_CACHE_SIZE", 1)
+    first = build_psi(0.5, psi0_default)
+    assert build_psi(0.5, psi0_default) is first
+    build_psi(0.25, psi0_default)  # evicts s = 1/2
+    rebuilt = build_psi(0.5, psi0_default)
+    assert rebuilt is not first
+    xs = np.linspace(0.5, 6.0, 23)
+    np.testing.assert_array_equal(rebuilt.value(xs), first.value(xs))
+    np.testing.assert_array_equal(rebuilt.caputo_value(xs), first.caputo_value(xs))
+    assert list(blowup._PSI_CACHE.values()) == [rebuilt]

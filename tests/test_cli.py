@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from caputo_density.cli import main
+from caputo_density import cli
+from caputo_density.cli import MAX_POINTS, main
+from caputo_density.extension_solver import ExtensionSolution
 from caputo_density.special_functions import gamma
 
 
@@ -237,3 +241,59 @@ def test_derivative_poly_profile(tmp_path, capsys):
     _, _, data = read_csv(out)
     expect = 2.0 * data[:, 0] ** 1.5 / gamma(2.5)
     np.testing.assert_allclose(data[:, 1], expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("grid", ["1.01:inf:5", "-inf:5:5", "1.01:nan:5"])
+def test_grid_rejects_non_finite_bounds(tmp_path, capsys, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(
+            capsys, "extend", "--profile", "appendix-es1", f"--grid={grid}",
+            "--out", str(tmp_path / "e.csv"),
+        )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "finite" in err
+
+
+def test_nan_misses_the_gates(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        ExtensionSolution, "caputo_value", lambda self, x, n=192: np.full(np.shape(x), np.nan)
+    )
+    code, stdout, _ = run_cli(
+        capsys, "extend", "--profile", "appendix-es1", "--grid", "1.01:5:5",
+        "--out", str(tmp_path / "e.csv"),
+    )
+    assert code == 3
+    assert json.loads(stdout)["exit_reason"] != "ok"
+
+    real = cli.approximate_function
+
+    def nan_residual(*args, **kwargs):
+        approx, rep = real(*args, **kwargs)
+        return approx, dataclasses.replace(rep, residual_max=float("nan"))
+
+    monkeypatch.setattr(cli, "approximate_function", nan_residual)
+    code, stdout, _ = run_cli(
+        capsys, "approximate", "--f", "3", "--out", str(tmp_path / "a.csv"),
+    )
+    assert code == 3
+    assert "residual nan above" in json.loads(stdout)["exit_reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("derivative", "--grid", "0.1:2:1000000000000"),
+    ("extend", "--grid", f"1.01:5:{MAX_POINTS + 1}"),
+    ("extend", "--grid", "1.01:5:1"),
+    ("blowup", "--n-points", "0"),
+    ("approximate", "--n-points", "1000000000000"),
+])
+def test_point_counts_rejected_before_allocation(tmp_path, capsys, monkeypatch, argv):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and f"in 2..{MAX_POINTS}" in err

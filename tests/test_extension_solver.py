@@ -8,7 +8,6 @@ from scipy.special import betainc
 from caputo_density.extension_solver import (
     JunctionProximityError,
     compute_g,
-    extension_derivative,
     solve_extension,
 )
 from caputo_density.profiles import (
@@ -107,7 +106,7 @@ def test_constant_profile_extends_constant():
     xs = np.linspace(1.0, 6.0, 13)
     np.testing.assert_allclose(sol.value(xs), 7.0, atol=1e-12)
     for n in (1, 2, 3):
-        assert extension_derivative(sol, n, 3.0) == pytest.approx(0.0, abs=1e-12)
+        assert sol.derivative(n, 3.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bump_value_confirmed_by_independent_quadrature():
@@ -156,18 +155,18 @@ def test_extension_residuals(ramp_solution, bump_solution):
 
 def test_derivative_order_zero_matches_value(ramp_solution):
     for y in (1.3, 2.7):
-        assert extension_derivative(ramp_solution, 0, y) == pytest.approx(
+        assert ramp_solution.derivative(0, y) == pytest.approx(
             float(ramp_solution.value(y)), abs=1e-9
         )
 
 
 def test_first_derivative_ramp_closed_form(ramp_solution):
     # d/dx of (2/pi)(x arcsin(1/sqrt x) - sqrt(x-1)) at 2 is 1/2 - 2/pi
-    val = extension_derivative(ramp_solution, 1, 2.0)
+    val = ramp_solution.derivative(1, 2.0)
     assert val == pytest.approx(0.5 - 2.0 / math.pi, abs=1e-10)
     ys = np.linspace(1.1, 4.0, 7)
     for y in ys:
-        assert extension_derivative(ramp_solution, 1, float(y)) == pytest.approx(
+        assert ramp_solution.derivative(1, float(y)) == pytest.approx(
             float(ramp_extension_derivative(y)), abs=1e-9
         )
 
@@ -182,7 +181,7 @@ def test_derivative_consistency_with_finite_differences(bump_solution, n):
         nodes = y + h * stencil
         w = _fornberg_weights(y, nodes, n)
         fd = float(w @ bump_solution.value(nodes))
-        val = extension_derivative(bump_solution, n, y)
+        val = bump_solution.derivative(n, y)
         scale = max(1.0, abs(val))
         assert abs(val - fd) <= 1e-5 * scale
 
@@ -192,8 +191,8 @@ def test_first_derivative_fd_tolerance_band(ramp_solution):
     h = 1e-4
     for y in np.linspace(1.1, 4.0, 6):
         fd = (float(ramp_solution.value(y + h)) - float(ramp_solution.value(y - h))) / (2 * h)
-        d = extension_derivative(ramp_solution, 1, float(y))
-        u3 = abs(extension_derivative(ramp_solution, 3, float(y)))
+        d = ramp_solution.derivative(1, float(y))
+        u3 = abs(ramp_solution.derivative(3, float(y)))
         assert abs(d - fd) <= max(1e-5, 10.0 * h * h * u3)
 
 
@@ -201,17 +200,29 @@ def test_fast_derivative_matches_direct(bump_solution):
     for n in (1, 2, 3):
         ys = np.array([1.2, 2.0, 3.5])
         fast = bump_solution.derivative_fast(n, ys)
-        direct = np.array([extension_derivative(bump_solution, n, float(y)) for y in ys])
+        direct = np.array([bump_solution.derivative(n, float(y)) for y in ys])
         np.testing.assert_allclose(fast, direct, rtol=1e-8, atol=1e-10)
 
 
 def test_junction_guard_and_order_cap(ramp_solution):
     with pytest.raises(JunctionProximityError):
-        extension_derivative(ramp_solution, 1, 1.0 + 1e-4)
+        ramp_solution.derivative(1, 1.0 + 1e-4)
     with pytest.raises(ValueError):
-        extension_derivative(ramp_solution, 9, 2.0)
+        ramp_solution.derivative(9, 2.0)
     with pytest.raises(ValueError):
-        extension_derivative(ramp_solution, 1, 0.5)
+        ramp_solution.derivative(1, 0.5)
+
+
+def test_fast_derivative_junction_guard(ramp_solution):
+    with pytest.raises(JunctionProximityError):
+        ramp_solution.derivative_fast(1, 1.0 + 1e-4)
+    with pytest.raises(JunctionProximityError):
+        ramp_solution.derivative_fast(2, np.array([2.0, 1.0 + 5e-4]))
+    # order 0 is the value, bounded at the junction
+    assert ramp_solution.derivative_fast(0, 1.0 + 1e-4) == pytest.approx(
+        float(ramp_solution.value(1.0 + 1e-4)), abs=1e-14
+    )
+    assert np.isfinite(ramp_solution.derivative_fast(1, 1.0 + 2e-3))
 
 
 def test_junction_power_behavior(ramp_solution):

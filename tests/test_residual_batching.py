@@ -15,7 +15,7 @@ import pytest
 from caputo_density.blowup import BlowupMember
 from caputo_density.density_builder import (
     CombinedApproximant,
-    MonomialApproximant,
+    approximate_monomial,
     prescribe_jet,
 )
 from caputo_density.extension_solver import solve_extension
@@ -99,10 +99,9 @@ def test_values_do_not_depend_on_the_batch(s, n):
 def test_scalar_input_returns_float_everywhere(psi_half, psi0_default):
     member = BlowupMember(4, psi_half)
     jet = prescribe_jet(0.5, psi0_default, 1, verify=False)
-    monomial = MonomialApproximant(m=1, jet=jet, delta=0.5)
-    combined = CombinedApproximant(
-        pieces=((2.0, monomial), (1.0, MonomialApproximant(m=0, jet=None, delta=None)))
-    )
+    monomial = jet.rescaled(2.0, 0.5, jet.p)  # m! v(delta x + p) / delta^m, m = 1
+    constant, _ = approximate_monomial(0.5, psi0_default, 0, 0, 1e-2)
+    combined = CombinedApproximant.sum(((2.0, monomial), (1.0, constant)))
     xs = np.array([0.25, 0.75])
     for obj in (psi_half, member, jet, monomial, combined):
         value = obj.caputo_value(0.75)
