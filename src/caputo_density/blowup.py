@@ -351,6 +351,8 @@ def check_blowup_convergence(
     """sup_{x in I} |v_j(x) - kappa x^s| for each j and the log-log rate in j."""
     s = FractionalOrder.of(s)
     j_list = tuple(int(j) for j in j_list)
+    if len(j_list) < 2:
+        raise ValueError(f"the convergence rate needs at least two j values, got {j_list}")
     if any(b <= a for a, b in zip(j_list, j_list[1:])):
         raise ValueError("j list must be increasing")
     x_lo, x_hi = interval

@@ -94,6 +94,14 @@ def _check_count(name: str, n) -> int:
     return n
 
 
+def _check_positive(name: str, value) -> None:
+    """The one check of every tolerance and target: a finite number > 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        math.isfinite(value) and value > 0.0
+    ):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
@@ -415,6 +423,8 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         FractionalOrder(config.s)
         _check_count("--n-points", config.n_points)
+        for name in ("eps", "tol", "residual_tol"):
+            _check_positive("--" + name.replace("_", "-"), getattr(config, name))
         return _HANDLERS[args.command](config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

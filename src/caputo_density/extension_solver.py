@@ -186,12 +186,12 @@ class ExtensionSolution:
     construction, but the object grows afterwards: a higher order's table
     on its first use, and every built table when a point lies beyond the
     covered range. So concurrent reads are safe only once no call can
-    trigger such growth. The quadrature
-    rules behind the tables and the Caputo residual live in the pure,
-    bounded caches of ``singular_quadrature`` (one rule per s, panel count
-    and grade, read-only) and are shared by every solution. Evaluators
-    accept scalars or arrays; ``caputo_value`` applies one rule to all
-    points of an array.
+    trigger such growth. The quadrature rules behind the tables and the
+    Caputo residual live in the pure, bounded caches of
+    ``singular_quadrature`` (read-only; the table rule per s, panel count
+    and grade, the residual rule per s) and are shared by every solution.
+    Evaluators accept scalars or arrays; ``caputo_value`` applies one rule
+    to all points of an array.
     """
 
     def __init__(
@@ -426,16 +426,17 @@ class ExtensionSolution:
         """Ascending coefficients in (x-b) of the closed-form junction polynomial."""
         return self._poly.copy()
 
-    def caputo_value(self, x, n: int = 192):
+    def caputo_value(self, x):
         """D_a^s u(x) of the delivered solution (0 for x <= a by causality).
 
         x may be a scalar (a float is returned) or an array. Beyond b the
         extension contributes the junction polynomial in closed form plus
         int_b^x (t-b)^(s-1) (x-t)^(-s) H_1(t-b) dt, which w = (t-b)/(x-b)
         turns into int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw: one cached
-        rule per (s, n) for every x, applied in blocks of table reads.
-        Each point's sum is reduced on its own, so a value does not depend
-        on the other points of the array.
+        172-node Gauss-Jacobi rule per s (``abel_unit_rule``) for every x,
+        applied in blocks of table reads. Each point's sum is reduced on
+        its own, so a value does not depend on the other points of the
+        array.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         s = self.s.s
@@ -445,11 +446,11 @@ class ExtensionSolution:
             out[live] = poly_abel_integral(self.profile.derivative_pieces(), xa[live], -s)
         ext = xa > self.b
         if np.any(ext):
-            out[ext] += self._extension_caputo(xa[ext] - self.b, n)
+            out[ext] += self._extension_caputo(xa[ext] - self.b)
         out /= gamma(1.0 - s)
         return out if isinstance(x, np.ndarray) else float(out[0])
 
-    def _extension_caputo(self, xi: np.ndarray, n: int) -> np.ndarray:
+    def _extension_caputo(self, xi: np.ndarray) -> np.ndarray:
         """int_b^x u'(t) (x-t)^(-s) dt of the extension part for x = b + xi > b."""
         s = self.s.s
         out = np.zeros_like(xi)
@@ -457,7 +458,7 @@ class ExtensionSolution:
         for k in range(dpoly.size):
             if dpoly[k] != 0.0:
                 out += dpoly[k] * xi ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
-        nodes, weights = abel_unit_rule(s, int(n))
+        nodes, weights = abel_unit_rule(s)
         rows = max(1, _BLOCK_NODES // nodes.size)
         for start in range(0, xi.size, rows):
             block = xi[start : start + rows]

@@ -15,10 +15,16 @@ series in (panel width)/(2 * distance) -- the direct power-difference
 form loses digits there -- and near it through the plain power rule.
 Both paths are exact to rounding.
 
+The Caputo residual needs int_0^1 w^(s-1) (1-w)^(-s) f(w) dw, singular
+at both ends. ``abel_unit_rule`` builds it from Gauss-Jacobi panels
+(``gauss_jacobi``, Golub-Welsch) at the ends and Gauss-Legendre bands
+between them; see Diethelm, The Analysis of Fractional Differential
+Equations (2010), ch. 7, for product integration of Abel kernels.
+
 Rules on a default graded mesh depend only on (lo, hi, exponent,
-singular_end, n, grade). They are built on first use, kept in bounded
-module-level caches and handed out as read-only arrays, so one rule
-serves every integrand and every thread.
+singular_end, n, grade), the residual rule only on s. They are built on
+first use, kept in bounded module-level caches and handed out as
+read-only arrays, so one rule serves every integrand and every thread.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "gauss_ladder",
     "graded_rule",
     "abel_unit_rule",
+    "gauss_jacobi",
 ]
 
 _PANEL_REF = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
@@ -190,21 +197,70 @@ def graded_rule(
     return _read_only(*_mesh_rule(bp, lo, hi, exponent, singular_end))
 
 
+def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights G with sum G f(x) ~ int_-1^1 (1-x)^a (1+x)^b f(x) dx.
+
+    Golub-Welsch (1969): the nodes are the eigenvalues of the symmetric
+    Jacobi matrix of the three-term recurrence, the weights mu_0 times the
+    squared first components of its eigenvectors. Exact for polynomials of
+    degree <= 2n-1; a, b > -1. The k = 0 diagonal and k = 1 off-diagonal
+    entries are written in their cancelled forms, which stay finite at
+    a + b = 0 and a + b = -1.
+    """
+    if n < 1 or not (a > -1.0 and b > -1.0):
+        raise ValueError(f"gauss_jacobi needs n >= 1 and a, b > -1, got {n}, {a}, {b}")
+    ab = a + b
+    k = np.arange(n, dtype=float)
+    two_k = 2.0 * k + ab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (two_k * (two_k + 2.0))
+        off = (
+            4.0 * k * (k + a) * (k + b) * (k + ab)
+            / (two_k**2 * (two_k + 1.0) * (two_k - 1.0))
+        )[1:]
+    diag[0] = (b - a) / (ab + 2.0)
+    if n > 1:
+        off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    off = np.sqrt(off)
+    x, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(ab + 2.0)
+    return x, mu0 * vectors[0] ** 2
+
+
+# the residual rule: Gauss-Jacobi panels on [0, 2^-(_BANDS+1)] and [1/2, 1],
+# _BANDS Gauss-Legendre bands doubling in between
+_END_NODES = 20
+_BAND_NODES = 12
+_BANDS = 11
+
+
 @functools.lru_cache(maxsize=16)
-def abel_unit_rule(s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def abel_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(s-1) (1-w)^(-s) f(w) dw.
 
-    The interval is split at 1/2 and each half gets the default graded
-    rule with n panels toward its singular end; the other, smooth factor
-    of the kernel is folded into the weights. Both arrays are flat and
-    read-only; f must be smooth on [0, 1].
+    Three parts, each with the kernel factor it does not absorb folded
+    into its weights: a Gauss-Jacobi panel for (1-w)^(-s) on [1/2, 1], one
+    for w^(s-1) on [0, 2^-12], and 11 Gauss-Legendre bands doubling from
+    2^-12 to 1/2. The bands keep (band width)/(distance to w = 0) at 1, so
+    f may have a branch point just left of 0 -- H_1((x-b) w) has one at
+    w = -gap/(x-b) -- and is still integrated to rounding (measured up to
+    x - b = 2e4 gaps, where the branch point sits at w = -5e-5).
+    20 + 11*12 + 20 = 172 nodes, increasing, depending on s only; both
+    arrays are read-only and built on first use.
     """
-    t_left, w_left = graded_rule(0.0, 0.5, s - 1.0, "left", n, default_grade(s - 1.0))
-    t_right, w_right = graded_rule(0.5, 1.0, -s, "right", n, default_grade(-s))
-    nodes = np.concatenate([t_left.ravel(), t_right.ravel()])
-    weights = np.concatenate(
-        [(w_left * (1.0 - t_left) ** -s).ravel(), (w_right * t_right ** (s - 1.0)).ravel()]
-    )
+    edge = 0.5 ** (_BANDS + 1)
+    x, g = gauss_jacobi(_END_NODES, 0.0, s - 1.0)  # w = edge (1 + x)/2
+    w_left = 0.5 * edge * (1.0 + x)
+    W_left = (0.5 * edge) ** s * g * (1.0 - w_left) ** -s
+    gx, gw = _gauss_legendre(_BAND_NODES)
+    half = 0.5 * edge * 2.0 ** np.arange(_BANDS)  # band [2 half, 4 half]
+    w_band = 3.0 * half[:, None] + half[:, None] * gx
+    W_band = half[:, None] * gw * w_band ** (s - 1.0) * (1.0 - w_band) ** -s
+    x, g = gauss_jacobi(_END_NODES, -s, 0.0)  # w = (3 + x)/4
+    w_right = 0.75 + 0.25 * x
+    W_right = 4.0 ** (s - 1.0) * g * w_right ** (s - 1.0)
+    nodes = np.concatenate([w_left, w_band.ravel(), w_right])
+    weights = np.concatenate([W_left, W_band.ravel(), W_right])
     return _read_only(nodes, weights)
 
 

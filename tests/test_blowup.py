@@ -208,6 +208,13 @@ def test_convergence_validation(psi0_default, kappa_half):
         check_blowup_convergence(0.5, psi0_default, (2, 4), (-1.0, 2.0), kappa=kappa_half)
 
 
+def test_convergence_needs_two_j(psi0_default, kappa_half):
+    # one point gives no rate: np.polyfit would warn and fit noise
+    for j_list in ((4,), ()):
+        with pytest.raises(ValueError, match="at least two"):
+            check_blowup_convergence(0.5, psi0_default, j_list, kappa=kappa_half)
+
+
 def test_alternative_cubic_profile_accepted_and_solves():
     # (64/27)(3/4 - x)^3 on [0, 3/4]: strictly decreasing, C^1 at 3/4, tail 1
     c = 64.0 / 27.0

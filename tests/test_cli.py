@@ -258,7 +258,7 @@ def test_grid_rejects_non_finite_bounds(tmp_path, capsys, grid):
 
 def test_nan_misses_the_gates(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        ExtensionSolution, "caputo_value", lambda self, x, n=192: np.full(np.shape(x), np.nan)
+        ExtensionSolution, "caputo_value", lambda self, x: np.full(np.shape(x), np.nan)
     )
     code, stdout, _ = run_cli(
         capsys, "extend", "--profile", "appendix-es1", "--grid", "1.01:5:5",
@@ -297,3 +297,46 @@ def test_point_counts_rejected_before_allocation(tmp_path, capsys, monkeypatch, 
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and f"in 2..{MAX_POINTS}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("approximate", "--eps", "nan"),
+    ("approximate", "--eps", "inf"),
+    ("approximate", "--eps", "0"),
+    ("approximate", "--residual-tol", "nan"),
+    ("approximate", "--residual-tol=-1e-4"),
+    ("extend", "--tol", "nan"),
+    ("extend", "--tol", "inf"),
+])
+def test_tolerances_must_be_finite_and_positive(tmp_path, capsys, argv):
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "finite number > 0" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eps", float("nan")), ("eps", float("inf")), ("tol", float("nan")),
+    ("residual_tol", float("-inf")), ("eps", "0.01"), ("tol", True),
+])
+def test_config_tolerances_are_checked_like_flags(tmp_path, capsys, field, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({field: value}), encoding="utf-8")  # NaN, Infinity tokens
+    command = "extend" if field == "tol" else "approximate"
+    code, stdout, err = run_cli(
+        capsys, command, "--config", str(path), "--out", str(tmp_path / "o.csv")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "finite number > 0" in err
+
+
+def test_blowup_rejects_a_single_j(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(
+            capsys, "blowup", "--j-list", "4", "--out", str(tmp_path / "b.csv")
+        )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "at least two j" in err

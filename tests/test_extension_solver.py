@@ -323,4 +323,4 @@ def test_random_profiles_solve_consistently(breaks, rows, s):
         assert sol.raw_value(x) == pytest.approx(float(sol.value(x)), abs=1e-7)
     # the delivered solution is stationary
     for x in (1.2, 2.0):
-        assert abs(sol.caputo_value(x, n=128)) <= 1e-6
+        assert abs(sol.caputo_value(x)) <= 1e-6

@@ -1,10 +1,10 @@
-"""The batched Caputo residual against today's per-point formula.
+"""The batched Caputo residual against a per-point reference.
 
 ``ExtensionSolution.caputo_value`` applies one cached unit-coordinate
-rule to every point. The reference below is the per-point t-space
-formula it replaced, rebuilt from ``integrate_singular`` and
-``smooth_factor``: both integrate the same tabulated H_1, so they must
-agree to rounding.
+rule to every point. The reference below evaluates the same formula
+point by point with its own composite rule of twice the nodes and bands,
+built from ``gauss_jacobi`` and Gauss-Legendre: both integrate the same
+tabulated H_1, so they must agree to rounding.
 """
 
 import functools
@@ -22,8 +22,8 @@ from caputo_density.extension_solver import solve_extension
 from caputo_density.profiles import builtin_profile
 from caputo_density.singular_quadrature import (
     abel_unit_rule,
+    gauss_jacobi,
     graded_rule,
-    integrate_singular,
     poly_abel_integral,
 )
 from caputo_density.special_functions import beta, gamma
@@ -36,25 +36,42 @@ def _solution(name: str, s: float):
     return solve_extension(builtin_profile(name), s)
 
 
-def _grid(sol) -> np.ndarray:
-    """Points on both sides of a and of b, down to 1e-3 right of b.
-
-    Much closer to b the reference itself moves: its t-space mesh loses
-    every panel narrower than ulp(b)/2 to the rounding of b + offset,
-    so at b + 1e-6 the two rules differ by discretization (about 1e-13),
-    not by rounding. The unit-coordinate rule does not depend on x - b.
-    """
+def _grid(sol, points: int) -> np.ndarray:
+    """Points on both sides of a, up to b, then `points` points from 1e-6
+    to 4 right of b: at 172 table reads a point, 128 and 192 points span
+    3 and 5 blocks of the batched residual."""
     a, b = sol.a, sol.b
     return np.concatenate([
         np.linspace(a - 0.5, a, 3),
         np.linspace(a + 0.01, b, 6),
-        b + np.array([1e-3, 0.01, 0.1]),
-        np.linspace(b + 0.5, b + 4.0, 8),
+        b + np.geomspace(1e-6, 4.0, points),
     ])
 
 
-def _reference_caputo(sol, x: float, n: int) -> float:
-    """D_a^s u(x) point by point, with the rules graded in t."""
+@functools.cache
+def _doubled_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 w^(s-1) (1-w)^(-s) f(w) dw with 40-node Gauss-Jacobi end
+    panels on [0, 2^-21] and [1/2, 1] and 20 bands of 24 Gauss-Legendre
+    nodes doubling in between."""
+    edge = 0.5**21
+    x, g = gauss_jacobi(40, 0.0, s - 1.0)
+    left = 0.5 * edge * (1.0 + x)
+    nodes, weights = [left], [(0.5 * edge) ** s * g * (1.0 - left) ** -s]
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    for k in range(20):
+        lo, hi = edge * 2.0**k, edge * 2.0 ** (k + 1)
+        w = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gx
+        nodes.append(w)
+        weights.append(0.5 * (hi - lo) * gw * w ** (s - 1.0) * (1.0 - w) ** -s)
+    x, g = gauss_jacobi(40, -s, 0.0)
+    right = 0.75 + 0.25 * x
+    nodes.append(right)
+    weights.append(0.25 ** (1.0 - s) * g * right ** (s - 1.0))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _reference_caputo(sol, x: float) -> float:
+    """D_a^s u(x) for one point, with the doubled unit rule."""
     s, a, b = sol.s.s, sol.a, sol.b
     if x <= a:
         return 0.0
@@ -66,34 +83,33 @@ def _reference_caputo(sol, x: float, n: int) -> float:
     for k in range(dpoly.size):
         if dpoly[k] != 0.0:
             ext += dpoly[k] * (x - b) ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
-    mid = 0.5 * (b + x)
-    h1 = lambda t: sol.smooth_factor(1, t - b)
-    ext += integrate_singular(lambda t: h1(t) * (x - t) ** (-s), b, mid, s - 1.0, "left", n=n)
-    ext += integrate_singular(lambda t: (t - b) ** (s - 1.0) * h1(t), mid, x, -s, "right", n=n)
+    # int_b^x (t-b)^(s-1) (x-t)^(-s) H_1(t-b) dt in w = (t-b)/(x-b)
+    nodes, weights = _doubled_unit_rule(s)
+    ext += float(np.sum(weights * sol.smooth_factor(1, (x - b) * nodes)))
     return (data + ext) / gamma(1.0 - s)
 
 
-@pytest.mark.parametrize("n", [128, 192])
+@pytest.mark.parametrize("points", [128, 192])
 @pytest.mark.parametrize("s", ORDERS)
 @pytest.mark.parametrize("name", ["ramp", "bump"])
-def test_batched_matches_per_point_reference(name, s, n):
+def test_batched_matches_per_point_reference(name, s, points):
     sol = _solution(name, s)
-    xs = _grid(sol)
-    ref = np.array([_reference_caputo(sol, float(x), n) for x in xs])
-    got = sol.caputo_value(xs, n=n)
+    xs = _grid(sol, points)
+    ref = np.array([_reference_caputo(sol, float(x)) for x in xs])
+    got = sol.caputo_value(xs)
     assert np.max(np.abs(got - ref)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [128, 192])
+@pytest.mark.parametrize("points", [128, 192])
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.99])
-def test_values_do_not_depend_on_the_batch(s, n):
+def test_values_do_not_depend_on_the_batch(s, points):
     sol = _solution("bump", s)
-    xs = _grid(sol)  # several blocks of table reads at either n
-    batched = sol.caputo_value(xs, n=n)
+    xs = _grid(sol, points)
+    batched = sol.caputo_value(xs)
     for i, x in enumerate(xs):
-        assert batched[i] == sol.caputo_value(float(x), n=n)
-    assert np.array_equal(sol.caputo_value(xs[::-1], n=n)[::-1], batched)
-    assert np.array_equal(sol.caputo_value(xs[3:], n=n), batched[3:])
+        assert batched[i] == sol.caputo_value(float(x))
+    assert np.array_equal(sol.caputo_value(xs[::-1])[::-1], batched)
+    assert np.array_equal(sol.caputo_value(xs[3:]), batched[3:])
 
 
 def test_scalar_input_returns_float_everywhere(psi_half, psi0_default):
@@ -112,7 +128,7 @@ def test_scalar_input_returns_float_everywhere(psi_half, psi0_default):
 
 
 def test_cached_rules_are_read_only():
-    arrays = graded_rule(0.5, 1.0, -0.5, "right", 32, 4.0) + abel_unit_rule(0.5, 32)
+    arrays = graded_rule(0.5, 1.0, -0.5, "right", 32, 4.0) + abel_unit_rule(0.5)
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import functools
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from scipy.integrate import quad
 
 from caputo_density.singular_quadrature import (
     GradedMesh,
+    abel_unit_rule,
+    gauss_jacobi,
     gauss_ladder,
     integrate_singular,
     kernel_identity_check,
@@ -170,3 +174,82 @@ def test_gauss_ladder_near_edge_branch():
     f = lambda t: np.sqrt(t + 1e-3)
     ref = quad(f, 0.0, 1.0, limit=200)[0]
     assert gauss_ladder(f, 0.0, 1.0, 5e-4) == pytest.approx(ref, rel=1e-13)
+
+
+@functools.cache
+def _jacobi_moment(k: int, a: float, b: float) -> float:
+    """int_-1^1 x^k (1-x)^a (1+x)^b dx as an exact Beta sum, at 50 digits."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        terms = (
+            mpmath.binomial(k, j) * 2**j * (-1) ** (k - j) * mpmath.beta(j + b + 1, a + 1)
+            for j in range(k + 1)
+        )
+        return float(2 ** (a + b + 1) * mpmath.fsum(terms))
+
+
+@pytest.mark.parametrize("n", [12, 20, 32])
+@pytest.mark.parametrize("exponent", [-0.01, -0.5, -0.98, -0.99])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_gauss_jacobi_moments(n, exponent, side):
+    a, b = (exponent, 0.0) if side == "a" else (0.0, exponent)
+    x, g = gauss_jacobi(n, a, b)
+    assert np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0 and np.all(g > 0.0)
+    for k in range(2 * n):
+        terms = g * x**k
+        # odd moments of a near-even weight are small by cancellation, so the
+        # error is measured against the size of the terms summed
+        assert abs(np.sum(terms) - _jacobi_moment(k, a, b)) <= 1e-13 * np.sum(np.abs(terms))
+
+
+def test_gauss_jacobi_closed_forms():
+    # a = b = 0 is Gauss-Legendre; a = b = -1/2 (a + b = -1) is Gauss-Chebyshev.
+    # Weights from squared eigenvector components are accurate to a few ulps
+    # of their sum, not of each weight.
+    x, g = gauss_jacobi(20, 0.0, 0.0)
+    xl, gl = np.polynomial.legendre.leggauss(20)
+    np.testing.assert_allclose(x, xl, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(g, gl, rtol=0.0, atol=4e-15)
+    x, g = gauss_jacobi(20, -0.5, -0.5)
+    np.testing.assert_allclose(x, np.sort(np.cos((2 * np.arange(1, 21) - 1) * np.pi / 40)),
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(g, np.pi / 20, rtol=0.0, atol=4e-15)
+    with pytest.raises(ValueError):
+        gauss_jacobi(8, -1.0, 0.0)
+
+
+ABEL_ORDERS = (0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.98, 0.99)
+
+
+@pytest.mark.parametrize("s", ABEL_ORDERS)
+def test_abel_unit_rule_sums_to_reflection(s):
+    # f = 1: int_0^1 w^(s-1) (1-w)^(-s) dw = B(s, 1-s) = pi/sin(pi s)
+    nodes, weights = abel_unit_rule(s)
+    assert nodes.size == 172 and np.all(np.diff(nodes) > 0.0)
+    assert nodes[0] > 0.0 and nodes[-1] < 1.0
+    assert abs(np.sum(weights) / reflection(s) - 1.0) <= 1e-14
+
+
+def _abel_reference(s: float, d: float) -> float:
+    """int_0^1 w^(s-1) (1-w)^(-s) (w+d)^(-s) dw by mpmath, with both endpoint
+    singularities removed by substitution (w = u^(1/s), 1-w = v^(1/(1-s)))."""
+    with mpmath.workdps(30):
+        s, d = mpmath.mpf(s), mpmath.mpf(d)
+        f = lambda w: (w + d) ** -s
+        half = mpmath.mpf(1) / 2
+        cuts = sorted({mpmath.mpf(0), half**s, *(p**s for p in (d / 10, d, 10 * d) if p < half)})
+        left = mpmath.quad(lambda u: f(u ** (1 / s)) * (1 - u ** (1 / s)) ** -s, cuts) / s
+        w = lambda v: 1 - v ** (1 / (1 - s))
+        right = mpmath.quad(lambda v: f(w(v)) * w(v) ** (s - 1), [0, half ** (1 - s)]) / (1 - s)
+        return float(left + right)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("d", [0.25, 5e-3, 5e-5])
+def test_abel_unit_rule_near_branch_point(s, d):
+    # H_1((x-b) w) has a branch point at w = -gap/(x-b); d = 5e-5 is x - b
+    # at 2e4 gaps
+    nodes, weights = abel_unit_rule(s)
+    got = float(np.sum(weights * (nodes + d) ** -s))
+    ref = _abel_reference(s, d)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
