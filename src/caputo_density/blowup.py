@@ -39,6 +39,7 @@ __all__ = [
     "build_psi",
     "estimate_kappa",
     "check_blowup_convergence",
+    "check_convergence_inputs",
     "DEFAULT_J_LIST",
 ]
 
@@ -339,6 +340,20 @@ class BlowupConvergence:
     interval: tuple[float, float]
 
 
+def check_convergence_inputs(j_list, interval) -> tuple[tuple[int, ...], tuple[float, float]]:
+    """The j list and interval of a convergence check, validated: at least
+    two increasing integers j >= 1 and 0 < lo < hi < inf."""
+    j_list = tuple(int(j) for j in j_list)
+    if len(j_list) < 2:
+        raise ValueError(f"the convergence rate needs at least two j values, got {j_list}")
+    if j_list[0] < 1 or any(b <= a for a, b in zip(j_list, j_list[1:])):
+        raise ValueError(f"j list must be increasing positive integers, got {j_list}")
+    x_lo, x_hi = (float(v) for v in interval)
+    if not (0.0 < x_lo < x_hi and math.isfinite(x_hi)):
+        raise ValueError(f"interval must be a bounded subinterval of (0, inf), got {interval}")
+    return j_list, (x_lo, x_hi)
+
+
 def check_blowup_convergence(
     s: FractionalOrder | float,
     profile: Psi0Profile,
@@ -350,14 +365,7 @@ def check_blowup_convergence(
 ) -> BlowupConvergence:
     """sup_{x in I} |v_j(x) - kappa x^s| for each j and the log-log rate in j."""
     s = FractionalOrder.of(s)
-    j_list = tuple(int(j) for j in j_list)
-    if len(j_list) < 2:
-        raise ValueError(f"the convergence rate needs at least two j values, got {j_list}")
-    if any(b <= a for a, b in zip(j_list, j_list[1:])):
-        raise ValueError("j list must be increasing")
-    x_lo, x_hi = interval
-    if not 0.0 < x_lo < x_hi:
-        raise ValueError("interval must be a bounded subinterval of (0, inf)")
+    j_list, (x_lo, x_hi) = check_convergence_inputs(j_list, interval)
     if kappa is None:
         kappa = estimate_kappa(s, profile)
     psi = build_psi(s, profile)

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -29,10 +30,13 @@ from .blowup import (
     DEFAULT_J_LIST,
     Psi0Profile,
     check_blowup_convergence,
+    check_convergence_inputs,
     estimate_kappa,
 )
 from .caputo_operator import caputo_derivative
 from .density_builder import (
+    MAX_CK_ORDER,
+    MAX_JET_ORDER,
     DeltaUnderflowError,
     ExpTarget,
     JetInfeasibleError,
@@ -87,11 +91,16 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _check_int(name: str, n, lo: int, hi: int) -> int:
+    """The one check of every integer setting: an int (not a bool) in lo..hi."""
+    if isinstance(n, bool) or not isinstance(n, int) or not lo <= n <= hi:
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {n!r}")
+    return n
+
+
 def _check_count(name: str, n) -> int:
     """The one check of every point count: an integer in 2..MAX_POINTS."""
-    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= MAX_POINTS:
-        raise ValueError(f"{name} must be an integer in 2..{MAX_POINTS}, got {n!r}")
-    return n
+    return _check_int(name, n, 2, MAX_POINTS)
 
 
 def _check_positive(name: str, value) -> None:
@@ -111,6 +120,56 @@ def _parse_grid(spec: str) -> np.ndarray:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"grid bounds must be finite with lo < hi, got {spec!r}")
     return np.linspace(lo, hi, _check_count("grid point count n", n))
+
+
+def _parse_blowup_inputs(config: RunConfig) -> tuple[tuple[int, ...], tuple[float, float]]:
+    """--j-list (j1,j2,...) and --interval (lo:hi), parsed and validated."""
+    j_list, interval = DEFAULT_J_LIST, (0.5, 2.0)
+    if config.j_list is not None:
+        try:
+            j_list = tuple(int(j) for j in config.j_list.split(","))
+        except (AttributeError, ValueError):
+            raise ValueError(f"--j-list must be integers j1,j2,..., got {config.j_list!r}") from None
+    if config.interval is not None:
+        try:
+            lo, hi = config.interval.split(":")
+            interval = (float(lo), float(hi))
+        except (AttributeError, ValueError):
+            raise ValueError(f"--interval must be lo:hi, got {config.interval!r}") from None
+    return check_convergence_inputs(j_list, interval)
+
+
+def _check_config(config: RunConfig) -> None:
+    """Every setting a command reads that no handler checks before its solve."""
+    FractionalOrder(config.s)
+    _check_count("--n-points", config.n_points)
+    for name in ("eps", "tol", "residual_tol"):
+        _check_positive("--" + name.replace("_", "-"), getattr(config, name))
+    _check_int("--k", config.k, 0, MAX_CK_ORDER)
+    if config.m is not None:
+        _check_int("--m", config.m, 0, MAX_JET_ORDER)
+    _parse_blowup_inputs(config)
+
+
+# a value that starts like a negative number: -1e-3, -.5, -1,2, -1:2:10, -inf
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """'--eps -1e-3' as '--eps=-1e-3', so the value reaches the checks.
+
+    argparse reads a negative number as a value only in the forms -1 and
+    -.5, and takes a token such as -1e-3, -1,2 or -inf for an unknown
+    option. Every flag of this CLI takes a value, so such a token right
+    after a flag is joined to it.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _fmt(v: float) -> str:
@@ -218,13 +277,7 @@ def _cmd_extend(config: RunConfig) -> int:
 def _cmd_blowup(config: RunConfig) -> int:
     s = FractionalOrder(config.s)
     profile = Psi0Profile.default_quadratic()
-    j_list = (
-        tuple(int(j) for j in config.j_list.split(",")) if config.j_list else DEFAULT_J_LIST
-    )
-    interval = (0.5, 2.0)
-    if config.interval:
-        lo, hi = config.interval.split(":")
-        interval = (float(lo), float(hi))
+    j_list, interval = _parse_blowup_inputs(config)
     kappa = estimate_kappa(s, profile)
     conv = check_blowup_convergence(
         s, profile, j_list, interval, n_points=config.n_points, kappa=kappa
@@ -418,13 +471,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = _resolve_config(args)
-        FractionalOrder(config.s)
-        _check_count("--n-points", config.n_points)
-        for name in ("eps", "tol", "residual_tol"):
-            _check_positive("--" + name.replace("_", "-"), getattr(config, name))
+        _check_config(config)
         return _HANDLERS[args.command](config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,6 +59,7 @@ __all__ = [
 DEFAULT_POOL_J = (2, 4, 8, 16, 32)
 DEFAULT_POOL_P = (0.5, 1.0, 2.0)
 MAX_JET_ORDER = 4
+MAX_CK_ORDER = 4
 GRID_POINTS = 1000
 RESIDUAL_POINTS = 200
 DELTA_FLOOR = 1e-8
@@ -188,9 +189,12 @@ def prescribe_jet(
 ) -> JetCombination:
     """Build a stationary combination with jet (0, ..., 0, 1) of order m at some p.
 
-    Tries each candidate p over the j pool, keeps the best solve (smallest
-    residual, then smallest coefficient mass), and certifies the returned
-    jet by finite differences of plain v values.
+    Tries each candidate p over the j pool and keeps, among the solves
+    whose residual meets ``jet_tol``, the one of least coefficient mass
+    (their residuals are rounding noise, 1e-15 to 1e-13, and would rank
+    the candidates at random); when none meets it, the smallest residual,
+    which is then reported as infeasible. The returned jet is certified
+    by finite differences of plain v values.
     """
     s = FractionalOrder.of(s)
     if m < 0 or m > MAX_JET_ORDER:
@@ -200,15 +204,18 @@ def prescribe_jet(
     psi = build_psi(s, profile)
     members = tuple(BlowupMember(int(j), psi) for j in pool_j)
 
-    best = None
+    solves = []
     for p in pool_p:
         matrix = jet_matrix(members, [p], m)
         coef, residual, cond = _solve_single_point(matrix, m, rcond)
-        key = (residual, float(np.sum(np.abs(coef))))
-        if best is None or key < best[0]:
-            best = (key, float(p), coef, residual, cond)
-    _, p, coef, residual, cond = best
-    if residual > jet_tol:
+        solves.append((residual, float(np.sum(np.abs(coef))), float(p), coef, cond))
+    # residuals below the tolerance are rounding noise, so they do not rank
+    feasible = [solve for solve in solves if solve[0] <= jet_tol]
+    if feasible:
+        residual, _, p, coef, cond = min(feasible, key=lambda solve: solve[1])
+    else:
+        residual, _, p, coef, cond = min(solves, key=lambda solve: solve[0])
+    if not residual <= jet_tol:
         raise JetInfeasibleError(
             f"jet order {m}: best residual {residual:.3e} above tolerance {jet_tol:.1e} "
             f"(condition number {cond:.3e})"
@@ -281,8 +288,8 @@ def approximate_monomial(
     attained diagnostics instead of looping.
     """
     s = FractionalOrder.of(s)
-    if not 0 <= k <= 4:
-        raise ValueError("derivative order k must lie in 0..4")
+    if not 0 <= k <= MAX_CK_ORDER:
+        raise ValueError(f"derivative order k must lie in 0..{MAX_CK_ORDER}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if m == 0:

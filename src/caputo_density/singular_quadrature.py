@@ -19,12 +19,18 @@ The Caputo residual needs int_0^1 w^(s-1) (1-w)^(-s) f(w) dw, singular
 at both ends. ``abel_unit_rule`` builds it from Gauss-Jacobi panels
 (``gauss_jacobi``, Golub-Welsch) at the ends and Gauss-Legendre bands
 between them; see Diethelm, The Analysis of Fractional Differential
-Equations (2010), ch. 7, for product integration of Abel kernels.
+Equations (2010), ch. 7, for product integration of Abel kernels. The
+tables of the solver's analytic factors take their right halves from
+the same 20-node end panel (``jacobi_end_rule``) and their left halves
+from ``gauss_ladder``, which integrates one ladder per point in a
+single call; the representation formula behind ``raw_value`` uses one
+cubic product-integration rule on [0, 1] (``split_graded_rule``).
 
 Rules on a default graded mesh depend only on (lo, hi, exponent,
-singular_end, n, grade), the residual rule only on s. They are built on
-first use, kept in bounded module-level caches and handed out as
-read-only arrays, so one rule serves every integrand and every thread.
+singular_end, n, grade), the unit rules only on their exponent, panel
+count and grade. They are built on first use, kept in bounded
+module-level caches and handed out as read-only arrays, so one rule
+serves every integrand and every thread.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ __all__ = [
     "graded_rule",
     "abel_unit_rule",
     "gauss_jacobi",
+    "jacobi_end_rule",
+    "split_graded_rule",
 ]
 
 _PANEL_REF = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
@@ -227,11 +235,24 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, mu0 * vectors[0] ** 2
 
 
-# the residual rule: Gauss-Jacobi panels on [0, 2^-(_BANDS+1)] and [1/2, 1],
-# _BANDS Gauss-Legendre bands doubling in between
+# 20-node Gauss-Jacobi panels at the singular ends of the unit rules; the
+# residual rule adds _BANDS Gauss-Legendre bands doubling up to [1/4, 1/2]
 _END_NODES = 20
 _BAND_NODES = 12
 _BANDS = 11
+
+
+@functools.lru_cache(maxsize=32)
+def jacobi_end_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes w and weights W with sum W f(w) ~ int_1/2^1 (1-w)^exponent f(w) dw.
+
+    A 20-node Gauss-Jacobi rule (``gauss_jacobi``), exact for f of degree
+    <= 39 and at rounding for f analytic on a neighbourhood of [1/2, 1]
+    that reaches w <= 0. Built on first use per exponent; both arrays are
+    read-only.
+    """
+    x, g = gauss_jacobi(_END_NODES, exponent, 0.0)  # w = (3 + x)/4
+    return _read_only(0.75 + 0.25 * x, 4.0 ** (-exponent - 1.0) * g)
 
 
 @functools.lru_cache(maxsize=16)
@@ -239,12 +260,12 @@ def abel_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(s-1) (1-w)^(-s) f(w) dw.
 
     Three parts, each with the kernel factor it does not absorb folded
-    into its weights: a Gauss-Jacobi panel for (1-w)^(-s) on [1/2, 1], one
-    for w^(s-1) on [0, 2^-12], and 11 Gauss-Legendre bands doubling from
-    2^-12 to 1/2. The bands keep (band width)/(distance to w = 0) at 1, so
-    f may have a branch point just left of 0 -- H_1((x-b) w) has one at
-    w = -gap/(x-b) -- and is still integrated to rounding (measured up to
-    x - b = 2e4 gaps, where the branch point sits at w = -5e-5).
+    into its weights: ``jacobi_end_rule(-s)`` on [1/2, 1], a Gauss-Jacobi
+    panel for w^(s-1) on [0, 2^-12], and 11 Gauss-Legendre bands doubling
+    from 2^-12 to 1/2. The bands keep (band width)/(distance to w = 0) at
+    1, so f may have a branch point just left of 0 -- H_1((x-b) w) has one
+    at w = -gap/(x-b) -- and is still integrated to rounding (measured up
+    to x - b = 2e4 gaps, where the branch point sits at w = -5e-5).
     20 + 11*12 + 20 = 172 nodes, increasing, depending on s only; both
     arrays are read-only and built on first use.
     """
@@ -256,12 +277,27 @@ def abel_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * edge * 2.0 ** np.arange(_BANDS)  # band [2 half, 4 half]
     w_band = 3.0 * half[:, None] + half[:, None] * gx
     W_band = half[:, None] * gw * w_band ** (s - 1.0) * (1.0 - w_band) ** -s
-    x, g = gauss_jacobi(_END_NODES, -s, 0.0)  # w = (3 + x)/4
-    w_right = 0.75 + 0.25 * x
-    W_right = 4.0 ** (s - 1.0) * g * w_right ** (s - 1.0)
+    w_right, g_right = jacobi_end_rule(-s)
+    W_right = g_right * w_right ** (s - 1.0)
     nodes = np.concatenate([w_left, w_band.ravel(), w_right])
     weights = np.concatenate([W_left, W_band.ravel(), W_right])
     return _read_only(nodes, weights)
+
+
+@functools.lru_cache(maxsize=16)
+def split_graded_rule(exponent: float, n: int, grade: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes w and weights W, each (panels, 4) and read-only, with
+    sum W f(w) ~ int_0^1 f(w) (1-w)^exponent dw.
+
+    Cubic product integration on n panels graded by 4 toward 0 on [0, 1/2]
+    (where f may carry a branch at 0) and n panels graded by ``grade``
+    toward the singular end 1 on [1/2, 1]. Any such integral over [b, x]
+    is this rule scaled by the affine map t = b + (x - b) w.
+    """
+    left = GradedMesh(0.0, 0.5, n, 4.0, "left").breakpoints()
+    right = GradedMesh(0.5, 1.0, n, grade, "right").breakpoints()
+    bp = np.concatenate([left, right[1:]])
+    return _read_only(*_mesh_rule(bp, 0.0, 1.0, exponent, "right"))
 
 
 @functools.lru_cache(maxsize=4)
@@ -355,29 +391,41 @@ def poly_abel_integral(pieces, x, e: float):
     return total if isinstance(x, np.ndarray) else float(total[0])
 
 
-def gauss_ladder(f, lo: float, hi: float, first_width: float, n_gl: int = 16) -> float:
+def gauss_ladder(f, lo: float, hi: float, first_width, n_gl: int = 16):
     """Integrate smooth f on [lo, hi] by Gauss panels doubling away from lo.
 
     Used when f is analytic on (lo, hi] but has a branch point just left
     of lo: bands of geometrically growing width keep (band width)/(distance)
     bounded, so fixed-order Gauss is exact to rounding on every band.
+
+    With an array ``first_width`` every entry gets its own ladder and f is
+    called once, on nodes of shape (len(first_width), nodes), returning
+    values elementwise; the result is one integral per entry. Shorter
+    ladders are padded with zero-width bands at hi (so f(hi) must be
+    finite), and each row's bands are summed in order, so a row's value
+    does not depend on the other rows.
     """
     lo, hi = float(lo), float(hi)
+    widths = np.asarray(first_width, dtype=float)
     span = hi - lo
     if span <= 0.0:
-        return 0.0
-    first = min(max(first_width, 1e-13 * span), span)
-    edges = [0.0]
+        return np.zeros(widths.shape) if widths.ndim else 0.0
+    first = np.minimum(np.maximum(np.atleast_1d(widths), 1e-13 * span), span)
+    edges = [np.zeros_like(first)]
     w = first
-    while edges[-1] + w < span:
-        edges.append(edges[-1] + w)
-        w *= 2.0
-    edges.append(span)
-    edges = lo + np.asarray(edges)
+    while True:
+        grow = edges[-1] + w < span
+        if not np.any(grow):
+            break
+        edges.append(np.where(grow, edges[-1] + w, span))
+        w = 2.0 * w
+    edges.append(np.full_like(first, span))
+    edges = lo + np.stack(edges, axis=1)
     gx, gw = _gauss_legendre(n_gl)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
+    a, b = edges[:, :-1], edges[:, 1:]
     half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * gx[None, :]
-    fv = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return float(np.sum(np.sum(fv * gw[None, :], axis=1) * half))
+    nodes = (0.5 * (a + b))[..., None] + half[..., None] * gx
+    shape = (first.size, -1) if widths.ndim else (-1,)
+    fv = np.asarray(f(nodes.reshape(shape)), dtype=float).reshape(nodes.shape)
+    total = np.cumsum(np.sum(fv * gw, axis=2) * half, axis=1)[:, -1]
+    return total if widths.ndim else float(total[0])

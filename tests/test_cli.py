@@ -340,3 +340,72 @@ def test_blowup_rejects_a_single_j(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and "at least two j" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("approximate", "--residual-tol", "-1e-4"),
+    ("approximate", "--eps", "-1e-3"),
+    ("approximate", "--eps", "-inf"),
+    ("extend", "--tol", "-1e-5"),
+])
+def test_negative_values_in_exponent_form_reach_the_checks(tmp_path, capsys, argv):
+    # argparse alone reads -1e-4 as an option and prints its usage
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "finite number > 0" in err
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started before the settings were checked")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("approximate", "--m", "-1"), "--m must be an integer in 0..4"),
+    (("approximate", "--m", "5"), "--m must be an integer in 0..4"),
+    (("approximate", "--k", "5"), "--k must be an integer in 0..4"),
+    (("approximate", "--k", "-1"), "--k must be an integer in 0..4"),
+    (("blowup", "--j-list", "4"), "at least two j"),
+    (("blowup", "--j-list", "4,a"), "--j-list must be integers"),
+    (("blowup", "--j-list", "8,4"), "increasing positive integers"),
+    (("blowup", "--j-list", "0,4"), "increasing positive integers"),
+    (("blowup", "--interval", "1:x"), "--interval must be lo:hi"),
+    (("blowup", "--interval", "1"), "--interval must be lo:hi"),
+    (("blowup", "--interval", "1:inf"), "bounded subinterval"),
+    (("blowup", "--interval", "2:1"), "bounded subinterval"),
+])
+def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
+    for name in ("estimate_kappa", "check_blowup_convergence", "approximate_function"):
+        monkeypatch.setattr(cli, name, _no_solve)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("approximate", "k", 1.5), ("approximate", "m", True), ("blowup", "j_list", [4, 8]),
+    ("blowup", "interval", 3), ("blowup", "j_list", "2,4,x"),
+])
+def test_config_fields_are_checked_like_flags(tmp_path, capsys, monkeypatch, command, field, value):
+    for name in ("estimate_kappa", "check_blowup_convergence", "approximate_function"):
+        monkeypatch.setattr(cli, name, _no_solve)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({field: value}), encoding="utf-8")
+    code, stdout, err = run_cli(
+        capsys, command, "--config", str(path), "--out", str(tmp_path / "o.csv")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_negative_list_values_are_values(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code, _, err = run_cli(
+        capsys, "derivative", "--poly", "-1,2", "--grid", "0.1:0.9:3", "--out", str(out)
+    )
+    assert code == 0, err
+    _, header, data = read_csv(out)
+    # u = -1 + 2x: D^s u(x) = 2 x^(1-s) / Gamma(2-s)
+    np.testing.assert_allclose(data[:, 1], 2.0 * data[:, 0] ** 0.5 / gamma(1.5), rtol=1e-12)

@@ -229,3 +229,33 @@ def test_prescribe_jet_on_alternative_profile():
     jet = prescribe_jet(0.5, Psi0Profile(data), 1)
     assert jet.jet_residual <= 1e-8
     assert max(jet.fd_jet_errors) <= 1e-7
+
+
+# the README `approximate --f sin --k 1 --eps 5e-2` run: p per jet order, delta per monomial
+README_SIN_P = {1: 1.0, 2: 0.5, 3: 0.5}
+README_SIN_DELTA = {0: None, 1: 1.0 / 128.0, 2: 1.0, 3: 1.0 / 8.0}
+
+
+def test_readme_sin_run_keeps_its_decisions(psi0_default, jet_cache):
+    for m, p in README_SIN_P.items():
+        assert jet_cache(m).p == p
+    _, rep = approximate_function(SinTarget(), 1, 5e-2, 0.5, psi0_default)
+    assert rep.delta_per_monomial == README_SIN_DELTA
+    assert rep.residual_max <= 1e-10
+
+
+def test_jet_choice_ignores_rounding_noise(psi0_default, monkeypatch):
+    # residuals below jet_tol are 1e-15..1e-13 of noise; a 1e-13 relative
+    # change to the matrix must not change which p is taken
+    from caputo_density import density_builder
+
+    exact = density_builder.jet_matrix
+    rng = np.random.default_rng(0)
+
+    def perturbed(members, points, m):
+        matrix = exact(members, points, m)
+        return matrix * (1.0 + 1e-13 * rng.choice([-1.0, 1.0], size=matrix.shape))
+
+    monkeypatch.setattr(density_builder, "jet_matrix", perturbed)
+    for m, p in README_SIN_P.items():
+        assert prescribe_jet(0.5, psi0_default, m, verify=False).p == p

@@ -2,10 +2,13 @@
 
 max |D^s u| of the solved ramp and bump extensions on b + [1e-3, 4], at
 orders from 0.01 to 0.99. Each bound is ten times the value measured
-with the 172-node Gauss-Jacobi residual rule, rounded up to one digit.
-The residual grows as s -> 0 with the error of the tabulated H_1; the
-rule's own error stays at rounding there (a rule with twice the nodes
-moves these residuals by < 4e-15, see test_residual_batching).
+with the 172-node Gauss-Jacobi residual rule and the Gauss-Jacobi table
+build, rounded up to one digit. Every entry is at rounding (largest
+6.3e-14, ramp at s = 0.01); before the table build's right half became
+a Gauss-Jacobi rule the residual grew as s -> 0 with the table error, to
+1.2e-8 at s = 0.01. The residual rule's own error stays at rounding too
+(a rule with twice the nodes moves these residuals by < 4e-15, see
+test_residual_batching).
 """
 
 import numpy as np
@@ -16,17 +19,17 @@ from caputo_density.profiles import builtin_profile
 
 # s: (ramp, bump)
 BOUNDS = {
-    0.01: (5e-8, 2e-7),
-    0.02: (3e-8, 6e-8),
-    0.05: (5e-9, 2e-8),
-    0.1: (2e-9, 4e-9),
-    0.25: (3e-10, 7e-10),
-    0.5: (5e-11, 2e-10),
-    0.75: (2e-11, 3e-11),
-    0.9: (3e-12, 8e-12),
-    0.95: (2e-12, 4e-12),
-    0.98: (5e-13, 2e-12),
-    0.99: (3e-13, 6e-13),
+    0.01: (7e-13, 4e-14),
+    0.02: (4e-13, 5e-14),
+    0.05: (7e-14, 4e-14),
+    0.1: (2e-13, 6e-14),
+    0.25: (3e-14, 2e-14),
+    0.5: (2e-14, 2e-14),
+    0.75: (7e-15, 2e-14),
+    0.9: (2e-14, 1e-14),
+    0.95: (2e-14, 7e-15),
+    0.98: (2e-14, 9e-15),
+    0.99: (2e-14, 6e-15),
 }
 
 

@@ -253,3 +253,20 @@ def test_abel_unit_rule_near_branch_point(s, d):
     got = float(np.sum(weights * (nodes + d) ** -s))
     ref = _abel_reference(s, d)
     assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_batched_gauss_ladder_rows_are_scalar_ladders():
+    # one call, one ladder per row; rows padded with zero-width bands keep
+    # the value of their own scalar call bit for bit
+    widths = np.array([5e-4, 0.5, 5e-8, 0.05, 1e-20])
+    shifts = np.array([1e-3, 0.2, 1e-7, 0.1, 1e-15])
+
+    def f_batch(t):
+        return np.sqrt(t + shifts[:, None])
+
+    batched = gauss_ladder(f_batch, 0.0, 1.0, widths)
+    assert batched.shape == widths.shape
+    for w, d, value in zip(widths, shifts, batched):
+        assert value == gauss_ladder(lambda t: np.sqrt(t + d), 0.0, 1.0, w)
+    ref = quad(lambda t: np.sqrt(t + 1e-3), 0.0, 1.0, limit=200)[0]
+    assert batched[0] == pytest.approx(ref, rel=1e-13)
