@@ -1,7 +1,7 @@
 """Caputo-stationary functions: solve, blow up, and approximate.
 
 A numerical toolkit around the Caputo fractional derivative of order
-s in (0, 1): weakly singular product-integration quadrature, the exact
+s in (0, 1): Gauss-Jacobi quadrature of weakly singular integrals, the exact
 stationary-extension solver for piecewise-polynomial causal data, the
 blow-up family converging to kappa x^s, and the constructive density
 pipeline that builds a Caputo-stationary function within any C^k
@@ -34,11 +34,7 @@ from .extension_solver import (
 )
 from .piecewise import PiecewisePoly
 from .profiles import CausalProfile, builtin_profile, quadratic_bump_profile, ramp_profile
-from .singular_quadrature import (
-    GradedMesh,
-    integrate_singular,
-    kernel_identity_check,
-)
+from .singular_quadrature import integrate_singular, kernel_identity_check
 from .special_functions import FractionalOrder, beta, gamma, reflection
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "gamma",
     "beta",
     "reflection",
-    "GradedMesh",
     "integrate_singular",
     "kernel_identity_check",
     "PiecewisePoly",

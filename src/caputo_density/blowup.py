@@ -196,10 +196,9 @@ class Combination:
         s = 0.0 if self.psi is None else self.psi.s.s
         return self._apply(lambda y: self.psi.caputo_value(y), s, 0.0, x)
 
-    def value_raw(self, x: float) -> float:
-        """u(x) by fresh representation-formula quadrature per term (certificate path)."""
-        y = self.alpha * float(x) + self.beta
-        return self.c0 + float(np.sum(self.A * [self.psi.raw_value(v) for v in y]))
+    def value_raw(self, x):
+        """u(x) by fresh representation-formula quadrature (certificate path)."""
+        return self._apply(lambda y: self.psi.raw_value(y), 0.0, self.c0, x)
 
 
 class BlowupMember(Combination):
@@ -216,12 +215,13 @@ class BlowupMember(Combination):
     # the same evaluator, bound here too so that traces name member residuals
     caputo_value = Combination.caputo_value
 
-    def caputo_value_direct(self, x: float, n: int = 128) -> float:
+    def caputo_value_direct(self, x: float) -> float:
         """D_{-j}^s v_j(x) evaluated directly on the v_j side.
 
         Independent of caputo_value: the data part integrates the
         rescaled piecewise polynomial exactly and the extension part is
-        quadrature on (0, x) with its own mesh.
+        ``integrate_singular`` on the two halves of (0, x) in t, each with
+        the other kernel factor in its integrand, not the residual's rule.
         """
         x = float(x)
         j, s = float(self.j), self.s.s
@@ -245,10 +245,10 @@ class BlowupMember(Combination):
             mid = 0.5 * x
             h1 = lambda t: self.psi.smooth_factor(1, t / j)
             total += integrate_singular(
-                lambda t: h1(t) * (x - t) ** (-s), 0.0, mid, s - 1.0, "left", n=n
+                lambda t: h1(t) * (x - t) ** (-s), 0.0, mid, s - 1.0, "left"
             )
             total += integrate_singular(
-                lambda t: t ** (s - 1.0) * h1(t), mid, x, -s, "right", n=n
+                lambda t: t ** (s - 1.0) * h1(t), mid, x, -s, "right"
             )
         return total / gamma(1.0 - s)
 
@@ -278,14 +278,14 @@ def estimate_kappa(
     eps_grid=None,
     *,
     n_coefficients: int = 6,
-    panels: int = 256,
 ) -> KappaEstimate:
     """Fit psi(1+eps) eps^(-s) = kappa + C eps over the eps grid.
 
     psi(1+eps) is evaluated by fresh representation-formula quadrature on
-    [1, 1+eps] (independent of the solver's cached expansion, which would
-    presuppose the answer). Candidates kappa_a/kappa_b from the closed
-    form of g(1) are reported alongside; exactly one should match.
+    [1, 1+eps], one ``raw_value`` call for the whole grid (independent of
+    the solver's cached expansion, which would presuppose the answer).
+    Candidates kappa_a/kappa_b from the closed form of g(1) are reported
+    alongside; exactly one should match.
     """
     s = FractionalOrder.of(s)
     if eps_grid is None:
@@ -299,7 +299,7 @@ def estimate_kappa(
         raise ValueError("eps grid must span at least a decade")
 
     psi = build_psi(s, profile)
-    vals = np.array([psi.raw_value(1.0 + float(e), panels=panels) for e in eps])
+    vals = psi.raw_value(1.0 + eps)
     scaled = vals * eps ** (-s.s)
     slope, kappa = np.polyfit(eps, scaled, 1)
     fit_residual = float(np.max(np.abs(scaled - (kappa + slope * eps))))

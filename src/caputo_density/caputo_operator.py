@@ -59,14 +59,13 @@ def caputo_derivative(
     s: FractionalOrder | float,
     x: float,
     u_prime=None,
-    n: int = 256,
 ) -> float:
     """D_a^s u(x); exactly 0 for x <= a by causality.
 
     u may be a CausalProfile / PiecewisePoly (exact closed form), a solved
     extension or blow-up/jet object (semi-analytic residual path), or a
     plain evaluator together with its analytic derivative ``u_prime``
-    (product integration; u' must be smooth on (a, x)).
+    (``integrate_singular``; u' must be smooth on [a, x]).
     """
     s = FractionalOrder.of(s)
     a, x = float(a), float(x)
@@ -92,7 +91,7 @@ def caputo_derivative(
     if u_prime is None and callable(u):
         raise TypeError("plain evaluators need an analytic derivative u_prime")
     if u_prime is not None:
-        integral = integrate_singular(u_prime, a, x, -s.s, "right", n=n)
+        integral = integrate_singular(u_prime, a, x, -s.s, "right")
         return integral / gamma(1.0 - s.s)
 
     raise TypeError(f"cannot take the Caputo derivative of {type(u).__name__}")

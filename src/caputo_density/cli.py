@@ -68,8 +68,6 @@ class RunConfig:
     a: float | None = None
     b: float | None = None
     grid: str | None = None
-    panels: int | None = None
-    grade: float | None = None
     tol: float = 1e-5
     j_list: str | None = None
     interval: str | None = None
@@ -101,6 +99,12 @@ def _check_int(name: str, n, lo: int, hi: int) -> int:
 def _check_count(name: str, n) -> int:
     """The one check of every point count: an integer in 2..MAX_POINTS."""
     return _check_int(name, n, 2, MAX_POINTS)
+
+
+def _check_finite(name: str, value) -> None:
+    """The one check of every coordinate and order: a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _check_positive(name: str, value) -> None:
@@ -141,7 +145,15 @@ def _parse_blowup_inputs(config: RunConfig) -> tuple[tuple[int, ...], tuple[floa
 
 def _check_config(config: RunConfig) -> None:
     """Every setting a command reads that no handler checks before its solve."""
+    _check_finite("--s", config.s)
     FractionalOrder(config.s)
+    for name in ("a", "b"):
+        if getattr(config, name) is not None:
+            _check_finite("--" + name, getattr(config, name))
+    for name in ("profile", "poly", "grid", "f", "out"):
+        value = getattr(config, name)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"--{name} must be a string, got {value!r}")
     _check_count("--n-points", config.n_points)
     for name in ("eps", "tol", "residual_tol"):
         _check_positive("--" + name.replace("_", "-"), getattr(config, name))
@@ -214,7 +226,7 @@ def _cmd_derivative(config: RunConfig) -> int:
     name = config.profile or "linear"
     if name in ("appendix-es1", "appendix-es2", "ramp", "bump"):
         profile = builtin_profile(name)
-        sol = solve_extension(profile, s, **_solver_kwargs(config, max(grid)))
+        sol = solve_extension(profile, s, x_max=max(max(grid) + 1.0, 2.0))
         if np.any(grid <= profile.a):
             raise ValueError("grid points must lie right of the initial point")
         values = sol.caputo_value(grid)
@@ -232,23 +244,13 @@ def _cmd_derivative(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _solver_kwargs(config: RunConfig, x_hi: float) -> dict:
-    kw: dict = {}
-    if config.panels is not None:
-        kw["panels"] = config.panels
-    if config.grade is not None:
-        kw["grade"] = config.grade
-    kw["x_max"] = max(x_hi + 1.0, 2.0)
-    return kw
-
-
 def _cmd_extend(config: RunConfig) -> int:
     s = FractionalOrder(config.s)
     profile = _resolve_profile(config)
     grid = _parse_grid(config.grid or "1.01:5:200")
     if np.any(grid <= profile.b):
         raise ValueError("extend grid points must lie strictly right of b")
-    sol = solve_extension(profile, s, **_solver_kwargs(config, float(max(grid))))
+    sol = solve_extension(profile, s, x_max=max(float(max(grid)) + 1.0, 2.0))
     u = sol.value(grid)
     g = sol.g_value(grid)
     residual = sol.caputo_value(grid)
@@ -427,8 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of defaults, merged under the flags")
         p.add_argument("--s", type=float, default=None, help="fractional order in (0,1)")
         p.add_argument("--out", default=None, help="CSV output path ('-' for stdout)")
-        p.add_argument("--panels", type=int, default=None, help="quadrature panel count")
-        p.add_argument("--grade", type=float, default=None, help="mesh grading exponent")
         if name in ("derivative", "extend"):
             p.add_argument("--profile", default=None, help="built-in profile name")
             p.add_argument("--poly", default=None, help="data polynomial c0,c1,...")
@@ -458,9 +458,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            for key, value in json.load(fh).items():
-                if not hasattr(config, key):
-                    raise ValueError(f"unknown config key {key!r}")
+            fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ValueError("--config must hold a JSON object")
+        # the subcommand comes from the command line; null keeps a default
+        for key, value in fields.items():
+            if key == "command" or not hasattr(config, key):
+                raise ValueError(f"unknown config key {key!r}")
+            if value is not None:
                 setattr(config, key, value)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:

@@ -334,6 +334,8 @@ class PolyTarget:
 
     def __init__(self, coefficients):
         self.coefficients = np.asarray(coefficients, dtype=float)
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("target coefficients must be finite")
         self.description = "poly[" + ",".join(f"{c:g}" for c in self.coefficients) + "]"
 
     def eval(self, x, order: int = 0):

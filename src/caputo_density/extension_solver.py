@@ -36,7 +36,7 @@ from .singular_quadrature import (
     gauss_ladder,
     jacobi_end_rule,
     poly_abel_integral,
-    split_graded_rule,
+    unit_rule,
 )
 from .special_functions import FractionalOrder, beta, gamma
 
@@ -52,6 +52,8 @@ MAX_DERIVATIVE_ORDER = 8
 _JUNCTION_GUARD = 1e-3
 # table reads per block of the batched Caputo residual; bounds its memory
 _BLOCK_NODES = 8192
+# raw_value's first band [0, 2^-40] resolves g's junction branch w^(1-s)
+_RAW_DEPTH = 40
 
 
 class JunctionProximityError(ValueError):
@@ -190,11 +192,10 @@ class ExtensionSolution:
     a point lies beyond the covered range. So concurrent reads are safe
     only once no call can trigger such growth. The quadrature rules
     behind the tables, ``raw_value`` and the Caputo residual live in the
-    pure, bounded caches of ``singular_quadrature`` (read-only; the table
-    rule per s, the ``raw_value`` rule per s, panel count and grade, the
-    residual rule per s) and are shared by every solution. Evaluators
-    accept scalars or arrays; ``caputo_value`` applies one rule to all
-    points of an array.
+    pure, bounded caches of ``singular_quadrature`` (read-only, one of
+    each per s) and are shared by every solution. Evaluators accept
+    scalars or arrays; ``raw_value`` and ``caputo_value`` apply one rule
+    to all points of an array.
     """
 
     def __init__(
@@ -202,8 +203,6 @@ class ExtensionSolution:
         profile: CausalProfile,
         s: FractionalOrder | float,
         *,
-        panels: int = 256,
-        grade: float | None = None,
         x_max: float | None = None,
         cheb_points: int = 40,
     ):
@@ -212,8 +211,6 @@ class ExtensionSolution:
         self.a = profile.a
         self.b = profile.b
         self.value_at_b = profile.value_at_b
-        self.panels = int(panels)
-        self.grade = grade
         self._cheb_points = int(cheb_points)
         self.forcing = _Forcing(profile, self.s)
 
@@ -405,28 +402,28 @@ class ExtensionSolution:
             + xi ** (self.s.s - n) * self._smooth_factor_quad(n, np.array([xi]))[0]
         )
 
-    def raw_value(self, x: float, panels: int | None = None, grade: float | None = None) -> float:
-        """u(x) in the representation-formula shape: product integration of g.
+    def raw_value(self, x):
+        """u(x) in the representation-formula shape: fresh quadrature of g.
 
         With w = (t - b)/(x - b), u(x) = phi(b) + (sin pi s/pi) (x-b)^s
         int_0^1 g(b + (x-b) w) (1-w)^(s-1) dw. The rule for the last
-        integral (``split_graded_rule``) is built once per (s, panels,
-        grade) and shared by every x: panels/2 panels graded toward b on
-        the left half (where g carries the junction branch), as many
-        graded toward x on the right half (weight singularity).
+        integral, ``unit_rule(1, s - 1, 40)`` (508 nodes), is shared by
+        every x: its first band [0, 2^-40] resolves the junction branch
+        w^(1-s) of g, so the full g is integrated, independently of the
+        tables' P + xi^s H_0 split. x may be a scalar (a float is
+        returned) or an array; each point's sum is reduced on its own.
         """
-        x = float(x)
-        if x <= self.b:
-            return float(self.value(x))
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(xa)
+        ext = xa > self.b
+        if not np.all(ext):
+            out[~ext] = self.value(xa[~ext])
         s = self.s.s
-        n = self.panels if panels is None else int(panels)
-        if grade is None:
-            grade = self.grade
-        q_right = max(2.0, 2.0 / s) if grade is None else float(grade)
-        w, W = split_graded_rule(s - 1.0, max(n // 2, 8), q_right)
-        xi = x - self.b
-        integral = np.sum(np.sum(self.forcing.value(0, xi * w) * W, axis=1))
-        return float(self.value_at_b + self.s.sin_factor * xi**s * integral)
+        xi = xa[ext] - self.b
+        w, W = unit_rule(1.0, s - 1.0, _RAW_DEPTH)
+        integral = np.sum(self.forcing.value(0, xi[:, None] * w) * W, axis=1)
+        out[ext] = self.value_at_b + self.s.sin_factor * xi**s * integral
+        return out if isinstance(x, np.ndarray) else float(out[0])
 
     # -- Caputo residual ------------------------------------------------------
 

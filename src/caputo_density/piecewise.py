@@ -37,6 +37,8 @@ class PiecewisePoly:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
+        if not np.all(np.isfinite(bp)):
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in coeffs]
@@ -47,6 +49,8 @@ class PiecewisePoly:
         full = np.zeros((len(rows), MAX_DEGREE + 1))
         for j, row in enumerate(rows):
             full[j, : row.size] = row
+        if not np.all(np.isfinite(full)):
+            raise ValueError("coefficients must be finite")
         self.breakpoints = bp
         self.coeffs = full
         value0 = float(full[0, 0])

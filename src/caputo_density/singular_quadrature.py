@@ -1,34 +1,29 @@
-"""Product integration for weakly singular integrals.
+"""Gauss-Jacobi product integration for weakly singular integrals.
 
-Evaluates integrals of the form
+Every singular integral of the package is taken on the unit interval by
+one rule family, ``unit_rule``:
 
-    int_lo^hi f(t) |x_s - t|^e dt,      e in (-1, 0),
+    sum W f(w) ~ int_0^1 w^(p-1) (1-w)^b f(w) dw,
 
-with the singular point x_s at one endpoint. The smooth factor f is
-interpolated by a cubic on four equispaced nodes per mesh panel and the
-weighted panel moments int u^(k+e) du are evaluated in closed form, so
-polynomials of degree <= 3 are integrated exactly regardless of the
-weight. Meshes are graded algebraically toward the singular end.
+a Gauss-Jacobi panel (``gauss_jacobi``, Golub-Welsch) for w^(p-1) at 0,
+Gauss-Legendre bands doubling from 2^-depth to 1/2 and the Gauss-Jacobi
+end panel ``jacobi_end_rule(b)`` on [1/2, 1]; see Diethelm, The Analysis
+of Fractional Differential Equations (2010), ch. 7, for product
+integration of Abel kernels. Its users differ only in (p, b, depth):
 
-Far from the singularity the moments are computed through a binomial
-series in (panel width)/(2 * distance) -- the direct power-difference
-form loses digits there -- and near it through the plain power rule.
-Both paths are exact to rounding.
+- the Caputo residual's int_0^1 w^(s-1) (1-w)^(-s) f(w) dw
+  (``abel_unit_rule``);
+- the representation formula behind ``raw_value``, whose integrand
+  carries the junction branch w^(1-s) at w = 0;
+- ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
+  singular point x_s at one endpoint.
 
-The Caputo residual needs int_0^1 w^(s-1) (1-w)^(-s) f(w) dw, singular
-at both ends. ``abel_unit_rule`` builds it from Gauss-Jacobi panels
-(``gauss_jacobi``, Golub-Welsch) at the ends and Gauss-Legendre bands
-between them; see Diethelm, The Analysis of Fractional Differential
-Equations (2010), ch. 7, for product integration of Abel kernels. The
-tables of the solver's analytic factors take their right halves from
-the same 20-node end panel (``jacobi_end_rule``) and their left halves
-from ``gauss_ladder``, which integrates one ladder per point in a
-single call; the representation formula behind ``raw_value`` uses one
-cubic product-integration rule on [0, 1] (``split_graded_rule``).
+The tables of the solver's analytic factors take their right halves from
+the same 20-node end panel and their left halves from ``gauss_ladder``,
+which integrates one ladder per point in a single call.
 
-Rules on a default graded mesh depend only on (lo, hi, exponent,
-singular_end, n, grade), the unit rules only on their exponent, panel
-count and grade. They are built on first use, kept in bounded
+The unit rules depend only on (p, b, depth) and the end panels only on
+their exponent. They are built on first use, kept in bounded
 module-level caches and handed out as read-only arrays, so one rule
 serves every integrand and every thread.
 """
@@ -37,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,70 +39,15 @@ from .piecewise import MAX_DEGREE
 from .special_functions import FractionalOrder
 
 __all__ = [
-    "GradedMesh",
     "integrate_singular",
     "kernel_identity_check",
-    "default_grade",
     "poly_abel_integral",
     "gauss_ladder",
-    "graded_rule",
+    "unit_rule",
     "abel_unit_rule",
     "gauss_jacobi",
     "jacobi_end_rule",
-    "split_graded_rule",
 ]
-
-_PANEL_REF = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
-_VANDER_INV = np.linalg.inv(_PANEL_REF[:, None] ** np.arange(4)[None, :])
-_SERIES_TERMS = 48  # binomial series at ratio <= 1/3: 3^-48 ~ 1e-23
-
-
-def default_grade(exponent: float) -> float:
-    """Default mesh grading max(2, 2/(1+e)) toward the weight's singular end."""
-    return max(2.0, 2.0 / (1.0 + exponent))
-
-
-@dataclass(frozen=True)
-class GradedMesh:
-    """Panel breakpoints clustered algebraically toward one endpoint.
-
-    node_i = singular end +/- |hi - lo| * (i/n)**grade measured from the
-    singular end; grade = 1 reproduces a uniform mesh.
-    """
-
-    lo: float
-    hi: float
-    n: int
-    grade: float
-    singular_end: str
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("mesh requires lo < hi")
-        if self.n < 1:
-            raise ValueError("mesh requires at least one panel")
-        if self.grade < 1.0:
-            raise ValueError("grade must be >= 1")
-        if self.singular_end not in ("left", "right"):
-            raise ValueError("singular_end must be 'left' or 'right'")
-
-    def breakpoints(self) -> np.ndarray:
-        frac = (np.arange(self.n + 1) / self.n) ** self.grade
-        span = self.hi - self.lo
-        offsets = span * frac
-        # strong grading pushes the first offsets from the singular end far
-        # below float resolution (down to 1e-230 at grade 100); collapsing
-        # them merges those panels into the next one, which is exact to
-        # rounding. Below a quarter ulp of the span an offset already rounds
-        # into any endpoint of magnitude >= span, so only meshes that start
-        # near 0 are changed by doing it here rather than through np.unique.
-        offsets[offsets < 0.25 * np.finfo(float).eps * span] = 0.0
-        if self.singular_end == "left":
-            bp = self.lo + offsets
-        else:
-            bp = self.hi - offsets[::-1]
-        bp[0], bp[-1] = self.lo, self.hi
-        return np.unique(bp)
 
 
 def _stable_pow_diff(hi: np.ndarray, lo: np.ndarray, p) -> np.ndarray:
@@ -123,86 +62,10 @@ def _stable_pow_diff(hi: np.ndarray, lo: np.ndarray, p) -> np.ndarray:
     return np.where(close, main, direct)
 
 
-def _panel_moments(A: np.ndarray, B: np.ndarray, e: float) -> np.ndarray:
-    """Moments mu_k = int_A^B w(u)^k u^e du, w the panel-local coordinate in [-1, 1].
-
-    Returns shape (npanels, 4).
-    """
-    h = B - A
-    uc = 0.5 * (A + B)
-    mu = np.empty((A.size, 4))
-
-    far = A >= h
-    near = ~far
-
-    if np.any(near):
-        An, Bn, hn, ucn = A[near], B[near], h[near], uc[near]
-        delta = np.stack(
-            [_stable_pow_diff(Bn, An, i + e + 1.0) / (i + e + 1.0) for i in range(4)],
-            axis=-1,
-        )
-        for k in range(4):
-            acc = np.zeros_like(hn)
-            for i in range(k + 1):
-                acc += math.comb(k, i) * (-ucn) ** (k - i) * delta[:, i]
-            mu[near, k] = (2.0 / hn) ** k * acc
-
-    if np.any(far):
-        hf, ucf = h[far], uc[far]
-        rho = hf / (2.0 * ucf)
-        bc = 1.0
-        sums = np.zeros((4, hf.size))
-        rho_j = np.ones_like(rho)
-        for j in range(_SERIES_TERMS + 1):
-            if j > 0:
-                bc *= (e - j + 1.0) / j
-                rho_j = rho_j * rho
-            term = bc * rho_j
-            for k in range(4):
-                if (j + k) % 2 == 0:
-                    sums[k] += term / (j + k + 1.0)
-        mu[far] = (hf * ucf**e)[:, None] * sums.T
-
-    return mu
-
-
-def _panel_rule(u_edges: np.ndarray, e: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (in u-distance) and product-integration weights for each panel."""
-    A, B = u_edges[:-1], u_edges[1:]
-    uc = 0.5 * (A + B)
-    half = 0.5 * (B - A)
-    nodes = uc[:, None] + half[:, None] * _PANEL_REF[None, :]
-    weights = _panel_moments(A, B, e) @ _VANDER_INV
-    return nodes, weights
-
-
-def _mesh_rule(bp, lo, hi, exponent, singular_end) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights, each (panels, 4), of the rule on breakpoints bp."""
-    if bp[0] != lo or bp[-1] != hi or np.any(np.diff(bp) <= 0.0):
-        raise ValueError("mesh breakpoints must increase strictly from lo to hi")
-    if singular_end == "left":
-        u_edges = bp - lo
-    else:
-        u_edges = (hi - bp)[::-1]
-    nodes_u, weights = _panel_rule(u_edges, exponent)
-    t = lo + nodes_u if singular_end == "left" else hi - nodes_u
-    return t, weights
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-@functools.lru_cache(maxsize=64)
-def graded_rule(
-    lo: float, hi: float, exponent: float, singular_end: str, n: int, grade: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cached rule on GradedMesh(lo, hi, n, grade, singular_end): nodes t and
-    weights, each (panels, 4) and read-only, for the weight |x_s - t|^exponent."""
-    bp = GradedMesh(lo, hi, n, grade, singular_end).breakpoints()
-    return _read_only(*_mesh_rule(bp, lo, hi, exponent, singular_end))
 
 
 def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +98,12 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, mu0 * vectors[0] ** 2
 
 
-# 20-node Gauss-Jacobi panels at the singular ends of the unit rules; the
-# residual rule adds _BANDS Gauss-Legendre bands doubling up to [1/4, 1/2]
+# 20-node Gauss-Jacobi panels at the ends of the unit rules, 12-node
+# Gauss-Legendre bands between them; the residual's and integrate_singular's
+# first band is [0, 2^-12]
 _END_NODES = 20
 _BAND_NODES = 12
-_BANDS = 11
+_ABEL_DEPTH = 12
 
 
 @functools.lru_cache(maxsize=32)
@@ -255,49 +119,47 @@ def jacobi_end_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(0.75 + 0.25 * x, 4.0 ** (-exponent - 1.0) * g)
 
 
-@functools.lru_cache(maxsize=16)
-def abel_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(s-1) (1-w)^(-s) f(w) dw.
+@functools.lru_cache(maxsize=32)
+def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(p-1) (1-w)^b f(w) dw.
 
     Three parts, each with the kernel factor it does not absorb folded
-    into its weights: ``jacobi_end_rule(-s)`` on [1/2, 1], a Gauss-Jacobi
-    panel for w^(s-1) on [0, 2^-12], and 11 Gauss-Legendre bands doubling
-    from 2^-12 to 1/2. The bands keep (band width)/(distance to w = 0) at
-    1, so f may have a branch point just left of 0 -- H_1((x-b) w) has one
-    at w = -gap/(x-b) -- and is still integrated to rounding (measured up
-    to x - b = 2e4 gaps, where the branch point sits at w = -5e-5).
-    20 + 11*12 + 20 = 172 nodes, increasing, depending on s only; both
-    arrays are read-only and built on first use.
+    into its weights: a 20-node Gauss-Jacobi panel for w^(p-1) on
+    [0, 2^-depth], depth - 1 Gauss-Legendre bands of 12 nodes doubling
+    from 2^-depth to 1/2, and ``jacobi_end_rule(b)`` on [1/2, 1]. The
+    bands keep (band width)/(distance to w = 0) at 1, so f may have a
+    branch point at w = 0 or just left of it and is still integrated to
+    rounding; f must be analytic on a neighbourhood of [1/2, 1] that
+    reaches w <= 0. The left exponent is given as p = a + 1 > 0, the
+    power of the first panel's scale (2^-depth/2)^p, so that it enters
+    exactly: in floating point (s - 1) + 1 need not be s. b > -1.
+    20 + 12 (depth - 1) + 20 nodes, increasing, depending on (p, b,
+    depth) only; both arrays are read-only and built on first use.
     """
-    edge = 0.5 ** (_BANDS + 1)
-    x, g = gauss_jacobi(_END_NODES, 0.0, s - 1.0)  # w = edge (1 + x)/2
+    edge = 0.5**depth
+    x, g = gauss_jacobi(_END_NODES, 0.0, p - 1.0)  # w = edge (1 + x)/2
     w_left = 0.5 * edge * (1.0 + x)
-    W_left = (0.5 * edge) ** s * g * (1.0 - w_left) ** -s
+    W_left = (0.5 * edge) ** p * g * (1.0 - w_left) ** b
     gx, gw = _gauss_legendre(_BAND_NODES)
-    half = 0.5 * edge * 2.0 ** np.arange(_BANDS)  # band [2 half, 4 half]
+    half = 0.5 * edge * 2.0 ** np.arange(depth - 1)  # band [2 half, 4 half]
     w_band = 3.0 * half[:, None] + half[:, None] * gx
-    W_band = half[:, None] * gw * w_band ** (s - 1.0) * (1.0 - w_band) ** -s
-    w_right, g_right = jacobi_end_rule(-s)
-    W_right = g_right * w_right ** (s - 1.0)
+    W_band = half[:, None] * gw * w_band ** (p - 1.0) * (1.0 - w_band) ** b
+    w_right, g_right = jacobi_end_rule(b)
+    W_right = g_right * w_right ** (p - 1.0)
     nodes = np.concatenate([w_left, w_band.ravel(), w_right])
     weights = np.concatenate([W_left, W_band.ravel(), W_right])
     return _read_only(nodes, weights)
 
 
-@functools.lru_cache(maxsize=16)
-def split_graded_rule(exponent: float, n: int, grade: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes w and weights W, each (panels, 4) and read-only, with
-    sum W f(w) ~ int_0^1 f(w) (1-w)^exponent dw.
+def abel_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(s-1) (1-w)^(-s) f(w) dw.
 
-    Cubic product integration on n panels graded by 4 toward 0 on [0, 1/2]
-    (where f may carry a branch at 0) and n panels graded by ``grade``
-    toward the singular end 1 on [1/2, 1]. Any such integral over [b, x]
-    is this rule scaled by the affine map t = b + (x - b) w.
+    ``unit_rule(s, -s, 12)``: 20 + 11*12 + 20 = 172 nodes. The bands
+    integrate f to rounding with a branch point just left of 0 --
+    H_1((x-b) w) has one at w = -gap/(x-b) -- measured up to x - b = 2e4
+    gaps, where the branch point sits at w = -5e-5.
     """
-    left = GradedMesh(0.0, 0.5, n, 4.0, "left").breakpoints()
-    right = GradedMesh(0.5, 1.0, n, grade, "right").breakpoints()
-    bp = np.concatenate([left, right[1:]])
-    return _read_only(*_mesh_rule(bp, 0.0, 1.0, exponent, "right"))
+    return unit_rule(s, -s, _ABEL_DEPTH)
 
 
 @functools.lru_cache(maxsize=4)
@@ -305,23 +167,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
-def integrate_singular(
-    f,
-    lo: float,
-    hi: float,
-    exponent: float,
-    singular_end: str,
-    mesh=None,
-    n: int = 256,
-    grade: float | None = None,
-) -> float:
+def integrate_singular(f, lo: float, hi: float, exponent: float, singular_end: str) -> float:
     """int_lo^hi f(t) |x_s - t|^exponent dt with x_s the singular endpoint.
 
-    f must accept an ndarray of nodes and return values elementwise; it is
-    never evaluated at the singular endpoint itself. Panel contributions
-    are summed in ascending distance order for reproducibility. Without
-    an explicit mesh the rule comes from ``graded_rule`` and is built
-    once per (lo, hi, exponent, singular_end, n, grade).
+    The distance u = |x_s - t| = (hi - lo) w maps the integral onto
+    (hi - lo)^(exponent+1) int_0^1 w^exponent f(t(w)) dw, taken by
+    ``unit_rule(exponent + 1, 0, 12)``: its bands resolve a branch point
+    of f just past the singular end, and f must be analytic on a
+    neighbourhood of the far half. f must accept an ndarray of nodes and
+    return values elementwise; it is evaluated at neither endpoint.
     """
     lo, hi = float(lo), float(hi)
     if not lo < hi:
@@ -330,22 +184,18 @@ def integrate_singular(
         raise ValueError(f"exponent must lie in (-1, 0), got {exponent}")
     if singular_end not in ("left", "right"):
         raise ValueError("singular_end must be 'left' or 'right'")
-
-    if mesh is None:
-        q = default_grade(exponent) if grade is None else float(grade)
-        t, weights = graded_rule(lo, hi, float(exponent), singular_end, int(n), q)
-    else:
-        bp = mesh.breakpoints() if isinstance(mesh, GradedMesh) else np.asarray(mesh, dtype=float)
-        t, weights = _mesh_rule(bp, lo, hi, exponent, singular_end)
-    fv = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
-    return float(np.sum(np.sum(fv * weights, axis=1)))
+    p = float(exponent) + 1.0
+    w, W = unit_rule(p, 0.0, _ABEL_DEPTH)
+    span = hi - lo
+    t = lo + span * w if singular_end == "left" else hi - span * w
+    return float(span**p * np.sum(np.asarray(f(t), dtype=float) * W))
 
 
-def kernel_identity_check(s: FractionalOrder | float, tau: float, x: float, n: int = 256) -> float:
+def kernel_identity_check(s: FractionalOrder | float, tau: float, x: float) -> float:
     """Numerically evaluate int_tau^x (y-tau)^(s-1) (x-y)^(-s) dy.
 
     Both endpoints are singular: the integral is split at the midpoint and
-    each half handled by product integration with the other factor smooth.
+    each half taken by ``integrate_singular`` with the other factor smooth.
     The value equals reflection(s) = pi/sin(pi s) independently of (tau, x).
     """
     s = FractionalOrder.of(s).s
@@ -353,8 +203,8 @@ def kernel_identity_check(s: FractionalOrder | float, tau: float, x: float, n: i
     if not tau < x:
         raise ValueError("kernel identity requires tau < x")
     mid = 0.5 * (tau + x)
-    left = integrate_singular(lambda y: (x - y) ** (-s), tau, mid, s - 1.0, "left", n=n)
-    right = integrate_singular(lambda y: (y - tau) ** (s - 1.0), mid, x, -s, "right", n=n)
+    left = integrate_singular(lambda y: (x - y) ** (-s), tau, mid, s - 1.0, "left")
+    right = integrate_singular(lambda y: (y - tau) ** (s - 1.0), mid, x, -s, "right")
     return left + right
 
 

@@ -91,14 +91,16 @@ def test_member_requires_positive_integer_j(psi_half):
         BlowupMember(0, psi_half)
 
 
-@pytest.mark.parametrize("j", [2, 8])
-@pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
-def test_scaling_identity(psi_half, j, x):
+@pytest.mark.parametrize("x,j,s", [
+    *(pytest.param(x, j, 0.5, id=f"{x}-{j}") for j in (2, 8) for x in (0.5, 1.0, 3.0)),
+    *(pytest.param(x, 64, 0.02, id=f"{x}-64-0.02") for x in (0.5, 1.0, 3.0)),
+])
+def test_scaling_identity(psi0_default, x, j, s):
     # D_{-j}^s v_j(x) computed directly equals D_0^s psi(x/j + 1)
-    member = BlowupMember(j, psi_half)
+    member = BlowupMember(j, build_psi(s, psi0_default))
     lhs = member.caputo_value_direct(x)
     rhs = member.caputo_value(x)
-    assert abs(lhs - rhs) <= 1e-8
+    assert abs(lhs - rhs) <= 1e-13
 
 
 def test_member_residual(psi_half):
@@ -108,14 +110,14 @@ def test_member_residual(psi_half):
 
 
 def test_direct_residual_finite_at_small_order(psi0_default):
-    # the direct path integrates from 0; at s = 0.02 its mesh grading (100)
-    # once left sub-1e-200 panels there and the value came out NaN
+    # the direct path integrates from 0 against t^(s-1) = t^-0.98, where a
+    # mesh graded by 100 once came out NaN
     member = BlowupMember(4, build_psi(0.02, psi0_default))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = member.caputo_value_direct(1.0)
     assert math.isfinite(value)
-    assert abs(value) <= 1e-5  # v_j is stationary: the exact value is 0
+    assert abs(value) <= 1e-12  # v_j is stationary: the exact value is 0
 
 
 # -- kappa ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def test_scaled_values_have_finite_limit(psi_half):
     s = 0.5
     vals = {}
     for eps in (1e-2, 1e-3, 1e-4):
-        vals[eps] = psi_half.raw_value(1.0 + eps, panels=128) * eps ** (-s)
+        vals[eps] = psi_half.raw_value(1.0 + eps) * eps ** (-s)
     assert abs(vals[1e-3] - vals[1e-4]) <= 0.2 * abs(vals[1e-2] - vals[1e-3])
 
 

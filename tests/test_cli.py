@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
+import string
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caputo_density import cli
-from caputo_density.cli import MAX_POINTS, main
+from caputo_density.cli import MAX_CK_ORDER, MAX_JET_ORDER, MAX_POINTS, RunConfig, main
 from caputo_density.extension_solver import ExtensionSolution
 from caputo_density.special_functions import gamma
 
@@ -360,6 +365,12 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a solve started before the settings were checked")
 
 
+_SOLVES = (
+    "solve_extension", "caputo_derivative", "estimate_kappa",
+    "check_blowup_convergence", "approximate_function",
+)
+
+
 @pytest.mark.parametrize("argv,message", [
     (("approximate", "--m", "-1"), "--m must be an integer in 0..4"),
     (("approximate", "--m", "5"), "--m must be an integer in 0..4"),
@@ -373,9 +384,13 @@ def _no_solve(*args, **kwargs):
     (("blowup", "--interval", "1"), "--interval must be lo:hi"),
     (("blowup", "--interval", "1:inf"), "bounded subinterval"),
     (("blowup", "--interval", "2:1"), "bounded subinterval"),
+    (("extend", "--poly", "nan,1"), "coefficients must be finite"),
+    (("derivative", "--a", "inf"), "--a must be a finite number"),
+    (("approximate", "--f", "inf"), "target coefficients must be finite"),
+    (("approximate", "--f", "poly:1,nan"), "target coefficients must be finite"),
 ])
 def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
-    for name in ("estimate_kappa", "check_blowup_convergence", "approximate_function"):
+    for name in _SOLVES:
         monkeypatch.setattr(cli, name, _no_solve)
     code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
     assert code == 2
@@ -386,9 +401,11 @@ def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("command,field,value", [
     ("approximate", "k", 1.5), ("approximate", "m", True), ("blowup", "j_list", [4, 8]),
     ("blowup", "interval", 3), ("blowup", "j_list", "2,4,x"),
+    ("extend", "poly", 5), ("derivative", "grid", 5), ("approximate", "f", 5),
+    ("extend", "s", "0.5"), ("extend", "a", "x"),
 ])
 def test_config_fields_are_checked_like_flags(tmp_path, capsys, monkeypatch, command, field, value):
-    for name in ("estimate_kappa", "check_blowup_convergence", "approximate_function"):
+    for name in _SOLVES:
         monkeypatch.setattr(cli, name, _no_solve)
     path = tmp_path / "c.json"
     path.write_text(json.dumps({field: value}), encoding="utf-8")
@@ -409,3 +426,149 @@ def test_negative_list_values_are_values(tmp_path, capsys):
     _, header, data = read_csv(out)
     # u = -1 + 2x: D^s u(x) = 2 x^(1-s) / Gamma(2-s)
     np.testing.assert_allclose(data[:, 1], 2.0 * data[:, 0] ** 0.5 / gamma(1.5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"panels": 256}, "unknown config key 'panels'"),
+    ({"grade": 2.0}, "unknown config key 'grade'"),
+    ({"command": "blowup"}, "unknown config key 'command'"),
+    ([1, 2], "--config must hold a JSON object"),
+], ids=["panels", "grade", "command", "non-object"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, fields, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    code, stdout, err = run_cli(
+        capsys, "extend", "--config", str(path), "--out", str(tmp_path / "o.csv")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+
+
+# -- fuzzed up-front validation -------------------------------------------------
+# Every value drawn below is invalid, so no run may reach a solve (they are
+# replaced by _no_solve) or allocate a grid: each must exit 2 with one line.
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BAD_ORDER = st.one_of(
+    _NON_FINITE,
+    st.floats(max_value=0.0, allow_nan=False).map(repr),
+    st.floats(min_value=1.0, allow_nan=False).map(repr),
+)
+_BAD_POSITIVE = st.one_of(_NON_FINITE, st.floats(max_value=0.0, allow_nan=False).map(repr))
+_BAD_COUNT = st.one_of(
+    st.integers(max_value=1), st.integers(min_value=MAX_POINTS + 1, max_value=10**18)
+)
+_BAD_POLY = st.tuples(
+    st.lists(_FINITE.map(repr), max_size=2), _NON_FINITE, st.lists(_FINITE.map(repr), max_size=1)
+).map(lambda t: ",".join(t[0] + [t[1]] + t[2]))
+_BAD_GRID = st.one_of(
+    st.tuples(_NON_FINITE, _FINITE.map(repr), st.integers(2, 50)),
+    st.tuples(_FINITE.map(repr), _NON_FINITE, st.integers(2, 50)),
+    st.tuples(_FINITE, _FINITE, st.integers(2, 50)).map(lambda t: (max(t[:2]), min(t[:2]), t[2])),
+    st.tuples(_FINITE, st.floats(1e-3, 1e3), _BAD_COUNT).map(lambda t: (t[0], t[0] + t[1], t[2])),
+).map(lambda t: ":".join(str(v) for v in t)) | st.sampled_from(["1:2", "1:2:3:4", "1:2:3.5", "a:b:c"])
+_BAD_J_LIST = st.one_of(
+    st.integers().map(str),
+    st.lists(st.integers(1, 100), min_size=2, max_size=5).filter(
+        lambda js: any(b <= a for a, b in zip(js, js[1:]))).map(lambda js: ",".join(map(str, js))),
+    st.tuples(st.integers(max_value=0), st.integers(1, 100)).map(lambda t: f"{t[0]},{t[1]}"),
+    st.sampled_from(["4,x", "4,8.5", "", "4,,8"]),
+)
+_BAD_INTERVAL = st.one_of(
+    st.tuples(st.floats(max_value=0.0, allow_nan=False), _FINITE),
+    st.tuples(_FINITE, _FINITE).map(lambda t: (max(t), min(t))),
+    st.tuples(st.floats(min_value=1e-300, allow_infinity=False), _NON_FINITE),
+).map(lambda t: f"{t[0]}:{t[1]}") | st.sampled_from(["1", "1:2:3", "a:b", ":"])
+_BAD_PROFILE = st.text(string.ascii_lowercase + string.digits + "-_", min_size=1, max_size=12).filter(
+    lambda n: n[0].isalpha()
+    and n not in ("appendix-es1", "appendix-es2", "bump", "constant", "linear", "ramp"))
+_BAD_TARGET = st.one_of(
+    _NON_FINITE,
+    _BAD_POLY.map(lambda p: "poly:" + p),
+    st.text(string.ascii_letters, min_size=1, max_size=8).filter(lambda n: n not in ("sin", "exp", "x")),
+)
+_DATA_FLAGS = {
+    "--s": _BAD_ORDER, "--grid": _BAD_GRID, "--a": _NON_FINITE, "--b": _NON_FINITE,
+    "--poly": _BAD_POLY, "--profile": _BAD_PROFILE,
+}
+_BAD_FLAGS = {
+    "derivative": _DATA_FLAGS,
+    "extend": {**_DATA_FLAGS, "--tol": _BAD_POSITIVE},
+    "blowup": {
+        "--s": _BAD_ORDER, "--j-list": _BAD_J_LIST, "--interval": _BAD_INTERVAL,
+        "--n-points": _BAD_COUNT.map(str),
+    },
+    "approximate": {
+        "--s": _BAD_ORDER, "--f": _BAD_TARGET, "--eps": _BAD_POSITIVE,
+        "--residual-tol": _BAD_POSITIVE, "--n-points": _BAD_COUNT.map(str),
+        "--k": st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_CK_ORDER + 1)).map(str),
+        "--m": st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_JET_ORDER + 1)).map(str),
+    },
+}
+_BAD_ARGV = st.sampled_from(
+    [(command, flag) for command, flags in _BAD_FLAGS.items() for flag in flags]
+).flatmap(lambda cf: _BAD_FLAGS[cf[0]][cf[1]].map(lambda value: [cf[0], cf[1], value]))
+
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=5), st.booleans(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_NOT_A_STRING = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_WRONG_TYPE = {
+    **dict.fromkeys(("s", "a", "b", "tol", "eps", "residual_tol"), _NOT_A_NUMBER),
+    **dict.fromkeys(("n_points", "k", "m"), st.one_of(st.floats(), _NOT_A_NUMBER)),
+    **dict.fromkeys(("profile", "poly", "grid", "j_list", "interval", "f", "out"), _NOT_A_STRING),
+}
+_BAD_CONFIG = st.one_of(
+    st.one_of(
+        st.sampled_from(["panels", "grade", "command"]),
+        st.text(min_size=1, max_size=8).filter(lambda k: k not in _CONFIG_KEYS),
+    ).map(lambda key: json.dumps({key: 1})),
+    st.sampled_from(sorted(_WRONG_TYPE)).flatmap(
+        lambda key: _WRONG_TYPE[key].map(lambda value: json.dumps({key: value}))),
+    st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=3)).map(
+        json.dumps),
+    st.sampled_from(["{", "{'s': 0.5}", "", "[1,"]),
+)
+
+
+def _run_checked(argv) -> tuple[int, str, str]:
+    """main(argv) with every solve replaced by _no_solve and warnings raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in _SOLVES:
+            mp.setattr(cli, name, _no_solve)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own errors
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_line_error(code, stdout, stderr) -> None:
+    assert code == 2, stderr
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and stderr.startswith("error: "), stderr
+    assert "Traceback" not in stderr
+
+
+@given(_BAD_ARGV)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_flags_exit_2_with_one_line(argv):
+    _assert_one_line_error(*_run_checked(argv))
+
+
+@given(st.sampled_from(sorted(_BAD_FLAGS)), _BAD_CONFIG)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_config_exits_2_with_one_line(tmp_path_factory, command, text):
+    path = tmp_path_factory.mktemp("config") / "c.json"
+    path.write_text(text, encoding="utf-8")
+    _assert_one_line_error(*_run_checked([command, "--config", str(path)]))

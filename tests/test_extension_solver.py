@@ -132,15 +132,7 @@ def test_bump_value_confirmed_by_independent_quadrature():
 def test_raw_and_fast_paths_agree(ramp_solution, bump_solution):
     for sol in (ramp_solution, bump_solution):
         for x in (1.05, 1.8, 3.3, 5.0):
-            assert sol.raw_value(x) == pytest.approx(float(sol.value(x)), abs=3e-9)
-
-
-def test_uniqueness_surrogate_mesh_independence(ramp_solution):
-    # same profile solved at n and 2n panels agrees on the test grid
-    xs = np.linspace(1.2, 5.0, 9)
-    v_n = np.array([ramp_solution.raw_value(float(x), panels=128) for x in xs])
-    v_2n = np.array([ramp_solution.raw_value(float(x), panels=256) for x in xs])
-    assert np.max(np.abs(v_n - v_2n)) <= 1e-7
+            assert sol.raw_value(x) == pytest.approx(float(sol.value(x)), abs=1e-12)
 
 
 def test_extension_residuals(ramp_solution, bump_solution):
@@ -272,7 +264,7 @@ def test_extreme_orders_against_independent_oracle(s, make):
     for x in (1.05, 3.0):
         ref = _independent_extension_value(prof, s, x)
         assert float(sol.value(x)) == pytest.approx(ref, abs=5e-10)
-        assert sol.raw_value(x) == pytest.approx(ref, abs=5e-9)
+        assert sol.raw_value(x) == pytest.approx(ref, abs=1e-9)
     grid = np.linspace(1.05, 5.0, 9)
     assert max(abs(sol.caputo_value(float(g))) for g in grid) <= 1e-6
 

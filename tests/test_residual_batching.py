@@ -23,8 +23,8 @@ from caputo_density.profiles import builtin_profile
 from caputo_density.singular_quadrature import (
     abel_unit_rule,
     gauss_jacobi,
-    graded_rule,
     poly_abel_integral,
+    unit_rule,
 )
 from caputo_density.special_functions import beta, gamma
 
@@ -128,9 +128,10 @@ def test_scalar_input_returns_float_everywhere(psi_half, psi0_default):
 
 
 def test_cached_rules_are_read_only():
-    arrays = graded_rule(0.5, 1.0, -0.5, "right", 32, 4.0) + abel_unit_rule(0.5)
+    arrays = unit_rule(0.5, 0.0, 12) + abel_unit_rule(0.5)
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert graded_rule(0.5, 1.0, -0.5, "right", 32, 4.0)[0] is arrays[0]
+    assert unit_rule(0.5, 0.0, 12)[0] is arrays[0]
+    assert abel_unit_rule(0.5)[1] is unit_rule(0.5, -0.5, 12)[1]

@@ -12,20 +12,18 @@ forcing cancels 3e4-fold at xi ~ 8 (differences of (xi + d)^p over
 neighbouring d), so rounding in evaluating it in double already sits at
 about eps * M_n there, and no quadrature can beat that. For the ramp
 M_n = |H_n|.
+
+raw_value integrates the full g, junction branch included, in the same
+variable: u(x) = phi(b) + (sin pi s/pi) xi^s int_0^1 g(b + xi (1 - v^(1/s))) dv / s.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
-from caputo_density.extension_solver import _ctilde, solve_extension
+from caputo_density.extension_solver import _RAW_DEPTH, _ctilde, solve_extension
 from caputo_density.profiles import builtin_profile
-from caputo_density.singular_quadrature import (
-    GradedMesh,
-    integrate_singular,
-    jacobi_end_rule,
-    split_graded_rule,
-)
+from caputo_density.singular_quadrature import jacobi_end_rule, unit_rule
 
 
 def _reference_h(sol, n, xi):
@@ -61,35 +59,47 @@ def test_tables_match_mpmath(name, s):
             assert abs(sol.smooth_factor(n, xi)[0] - h) <= 1e-13 * m, (n, p)
 
 
-def _raw_value_reference(sol, x, panels):
-    """raw_value's rule built in t-space on an explicit mesh."""
-    s, mid, half = sol.s.s, 0.5 * (sol.b + x), max(panels // 2, 8)
-    left = GradedMesh(sol.b, mid, half, 4.0, "left").breakpoints()
-    right = GradedMesh(mid, x, half, max(2.0, 2.0 / s), "right").breakpoints()
-    integral = integrate_singular(
-        lambda t: sol.forcing.value(0, t - sol.b), sol.b, x, s - 1.0, "right",
-        mesh=np.concatenate([left, right[1:]]),
-    )
-    return sol.value_at_b + sol.s.sin_factor * integral
+def _reference_raw_value(sol, x):
+    """u(x) in mpmath from the forcing's float coefficients, g's branch included."""
+    s = sol.s.s
+    c, j, d, p, pc, pq = sol.forcing._terms(0)
+    with mpmath.workdps(30):
+        sm, xi = mpmath.mpf(s), mpmath.mpf(x) - mpmath.mpf(sol.b)
+
+        def g(v):
+            z = xi * (1 - v ** (1 / sm))
+            regular = (mpmath.mpf(ci) * z ** int(ji) * (z + mpmath.mpf(di)) ** mpmath.mpf(pi)
+                       for ci, ji, di, pi in zip(c, j, d, p))
+            branch = (mpmath.mpf(ci) * z ** mpmath.mpf(qi) for ci, qi in zip(pc, pq))
+            return mpmath.fsum(regular) + mpmath.fsum(branch)
+
+        integral = mpmath.quad(g, [0, 1]) / sm
+        sf = mpmath.sin(mpmath.pi * sm) / mpmath.pi
+        return float(mpmath.mpf(sol.value_at_b) + sf * xi**sm * integral)
 
 
-# s >= 0.1: at s = 0.02 the right half is graded by 2/s = 100, and the
-# t-space mesh rounds its breakpoints near x to ulp(x), which moves the
-# reference by up to 3e-13 (raw_value's own error there is ~1e-8)
-@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9, 0.98])
 @pytest.mark.parametrize("name", ["ramp", "bump"])
-def test_raw_value_unit_rule_matches_explicit_mesh(name, s):
+def test_raw_value_matches_mpmath(name, s):
     sol = solve_extension(builtin_profile(name), s)
-    for panels in (128, 256):
-        for x in (1.0 + 2.0**-14, 1.0 + 2.0**-5, 1.5, 3.0):  # the kappa fit's and beyond
-            ref = _raw_value_reference(sol, x, panels)
-            assert sol.raw_value(x, panels=panels) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    xs = sol.b + np.array([2.0**-14, 0.01, 0.5, 2.0, 8.0])  # the kappa fit's least step first
+    ref = np.array([_reference_raw_value(sol, x) for x in xs])
+    np.testing.assert_allclose(sol.raw_value(xs), ref, rtol=1e-12, atol=0.0)
+
+
+def test_raw_value_rows_do_not_depend_on_the_batch():
+    sol = solve_extension(builtin_profile("bump"), 0.3)
+    xs = np.concatenate([[0.5, 1.0], 1.0 + np.geomspace(1e-6, 8.0, 21)])
+    batched = sol.raw_value(xs)
+    for i, x in enumerate(xs):
+        assert batched[i] == sol.raw_value(float(x))
+    assert np.array_equal(sol.raw_value(xs[::-1])[::-1], batched)
 
 
 def test_cached_table_and_raw_value_rules_are_read_only():
     sol = solve_extension(builtin_profile("bump"), 0.3)
     sol.raw_value(1.5)
-    for arrays in (jacobi_end_rule(0.3 - 1.0), split_graded_rule(0.3 - 1.0, 128, 2.0 / 0.3)):
+    for arrays in (jacobi_end_rule(0.3 - 1.0), unit_rule(1.0, 0.3 - 1.0, _RAW_DEPTH)):
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
