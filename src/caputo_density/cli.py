@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -143,6 +144,21 @@ def _parse_blowup_inputs(config: RunConfig) -> tuple[tuple[int, ...], tuple[floa
     return check_convergence_inputs(j_list, interval)
 
 
+# built-in profiles whose span is fixed: --a/--b do not apply to them
+_FIXED_SPAN = ("appendix-es1", "appendix-es2", "ramp", "bump")
+
+
+def _fixed_span_profile(config: RunConfig) -> str | None:
+    """The fixed-span built-in profile a derivative or extend run solves, if any."""
+    if config.command == "derivative":
+        name = config.profile or "linear"
+    elif config.command == "extend" and config.poly is None:
+        name = config.profile or "appendix-es1"
+    else:
+        return None
+    return name if name in _FIXED_SPAN else None
+
+
 def _check_config(config: RunConfig) -> None:
     """Every setting a command reads that no handler checks before its solve."""
     _check_finite("--s", config.s)
@@ -154,6 +170,14 @@ def _check_config(config: RunConfig) -> None:
         value = getattr(config, name)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"--{name} must be a string, got {value!r}")
+    if config.out != "-" and not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ValueError(f"--out directory of {config.out!r} does not exist")
+    fixed = _fixed_span_profile(config)
+    if fixed is not None and (config.a is not None or config.b is not None):
+        raise ValueError(
+            f"--a/--b do not apply to the {fixed} profile; they set the span of "
+            "--poly and of the constant and linear profiles"
+        )
     _check_count("--n-points", config.n_points)
     for name in ("eps", "tol", "residual_tol"):
         _check_positive("--" + name.replace("_", "-"), getattr(config, name))
@@ -223,8 +247,8 @@ def _resolve_profile(config: RunConfig):
 def _cmd_derivative(config: RunConfig) -> int:
     grid = _parse_grid(config.grid or "0.1:2:40")
     s = FractionalOrder(config.s)
-    name = config.profile or "linear"
-    if name in ("appendix-es1", "appendix-es2", "ramp", "bump"):
+    name = _fixed_span_profile(config)
+    if name is not None:
         profile = builtin_profile(name)
         sol = solve_extension(profile, s, x_max=max(max(grid) + 1.0, 2.0))
         if np.any(grid <= profile.a):

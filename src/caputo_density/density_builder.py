@@ -370,6 +370,8 @@ class SampledTarget:
         ys = np.asarray(ys, dtype=float)
         if xs.size != ys.size or xs.size < 4:
             raise ValueError("need matching x/y samples, at least 4")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("target samples must be finite")
         if degree is None:
             degree = min(30, xs.size - 1, max(3, xs.size // 2))
         self._fit = np.polynomial.chebyshev.Chebyshev.fit(xs, ys, degree, domain=[0.0, 1.0])

@@ -25,7 +25,9 @@ representation-formula contract shape and for cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -54,6 +56,15 @@ _JUNCTION_GUARD = 1e-3
 _BLOCK_NODES = 8192
 # raw_value's first band [0, 2^-40] resolves g's junction branch w^(1-s)
 _RAW_DEPTH = 40
+# Chebyshev points per table panel. Every panel of _edge_ladder, and every
+# panel _grow adds, lies at least 3 half-widths from the only
+# singularity of H_n, the cut (-inf, -gap]: a panel [L, L + W] has
+# L + gap >= W, and adding the next, twice as wide, keeps that. So H_n is
+# analytic inside the Bernstein ellipse of parameter rho = 3 + 2 sqrt 2
+# ~ 5.83 about every panel, and its coefficients decay at least like
+# rho^-k (Trefethen, Approximation Theory and Approximation Practice,
+# ch. 8): degree 23 leaves rho^-23 ~ 2.5e-18.
+_CHEB_POINTS = 24
 
 
 class JunctionProximityError(ValueError):
@@ -181,21 +192,62 @@ class _Forcing:
         return out
 
 
+@functools.cache
+def _cheb_fit() -> tuple[np.ndarray, np.ndarray]:
+    """A panel's Chebyshev points on [-1, 1] and the interpolation matrix.
+
+    Interpolation is linear in the values: row k of the matrix (chebfit
+    of the identity) maps the node values to coefficient k. Built on
+    first use, so that importing the package does not load
+    numpy.polynomial; both arrays are read-only.
+    """
+    nodes = np.polynomial.chebyshev.chebpts2(_CHEB_POINTS)
+    fit = np.polynomial.chebyshev.chebfit(nodes, np.eye(_CHEB_POINTS), _CHEB_POINTS - 1)
+    for a in (nodes, fit):
+        a.flags.writeable = False
+    return nodes, fit
+
+
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k c[k] T_k(x) for an array x and len(c) >= 2.
+
+    The recurrence of numpy.polynomial.chebyshev's evaluator, step for
+    step and in the same order, kept in three buffers instead of new
+    arrays per step, so the result equals numpy's bit for bit.
+    """
+    x2 = 2.0 * x
+    c0 = np.full_like(x, c[-2])
+    c1 = np.full_like(x, c[-1])
+    tmp = np.empty_like(x)
+    for i in range(3, len(c) + 1):
+        # c0, c1 = c[-i] - c1, c0 + c1 x2
+        np.multiply(c1, x2, out=tmp)
+        np.add(c0, tmp, out=tmp)
+        np.subtract(c[-i], c1, out=c0)
+        c1, tmp = tmp, c1
+    np.multiply(c1, x, out=tmp)
+    return np.add(c0, tmp, out=tmp)
+
+
 class ExtensionSolution:
     """A solved extension: data on (-inf, b], stationary solution on (b, inf).
 
     The Chebyshev tables for value and first derivative are built at
-    construction, one ``_smooth_factor_quad`` call per 40-point panel,
-    and match the analytic factors to rounding for every s (checked
-    against mpmath for s from 0.02 to 0.9). The object grows afterwards:
-    a higher order's table on its first use, and every built table when
-    a point lies beyond the covered range. So concurrent reads are safe
-    only once no call can trigger such growth. The quadrature rules
-    behind the tables, ``raw_value`` and the Caputo residual live in the
-    pure, bounded caches of ``singular_quadrature`` (read-only, one of
-    each per s) and are shared by every solution. Evaluators accept
-    scalars or arrays; ``raw_value`` and ``caputo_value`` apply one rule
-    to all points of an array.
+    construction, 24 points per panel and one ``_smooth_factor_quad``
+    call per table over the nodes of every panel, and match the analytic
+    factors to rounding for every s (checked against mpmath for s from
+    0.02 to 0.9). A table is read by Clenshaw's recurrence in place. The
+    object grows afterwards: a higher order's table on its first use, and
+    every built table when a point lies beyond the covered range. The
+    panel edges and the tables are one state, grown aside and swapped in
+    one step under a lock, and every read works on one snapshot of it, so
+    concurrent reads are safe, growth included; a panel's coefficients do
+    not depend on when or with which other panels it was built. The
+    quadrature rules behind the tables, ``raw_value`` and the Caputo
+    residual live in the pure, bounded caches of ``singular_quadrature``
+    (read-only, one of each per s) and are shared by every solution.
+    Evaluators accept scalars or arrays; ``raw_value`` and
+    ``caputo_value`` apply one rule to all points of an array.
     """
 
     def __init__(
@@ -204,14 +256,12 @@ class ExtensionSolution:
         s: FractionalOrder | float,
         *,
         x_max: float | None = None,
-        cheb_points: int = 40,
     ):
         self.profile = profile
         self.s = FractionalOrder.of(s)
         self.a = profile.a
         self.b = profile.b
         self.value_at_b = profile.value_at_b
-        self._cheb_points = int(cheb_points)
         self.forcing = _Forcing(profile, self.s)
 
         bp = profile.data.breakpoints
@@ -226,10 +276,11 @@ class ExtensionSolution:
 
         if x_max is None:
             x_max = self.b + 10.0 * (self.b - self.a)
-        self._edges = self._edge_ladder(max(float(x_max) - self.b, self._branch_gap))
-        self._tables: dict[int, np.ndarray] = {}
-        for n in (0, 1):
-            self._table(n)
+        edges = self._edge_ladder(max(float(x_max) - self.b, self._branch_gap))
+        tables = {n: self._build_panels(n, edges[:-1], edges[1:]) for n in (0, 1)}
+        # (panel edges, {order: coefficients}); replaced whole, never mutated
+        self._state = (edges, tables)
+        self._grow_lock = threading.Lock()
 
     # -- forcing ---------------------------------------------------------
 
@@ -262,11 +313,13 @@ class ExtensionSolution:
         H_n(xi) = (sin pi s/pi) [ xi^n int_0^1 G_reg^(n)(b + xi w)(1-w)^(s-1) dw
                                   + sum_{i<n} ctilde_{s,i} G_reg^(i)(b) xi^i ].
 
-        One call serves every point: on [0, 1/2] one ``gauss_ladder``
-        per point, its first band at half the distance to the branch
-        point w = -gap/xi of G_reg, and on [1/2, 1], where the integrand
-        is analytic, the 20-node Gauss-Jacobi ``jacobi_end_rule(s-1)``.
-        Each point's sums are reduced on their own.
+        One call serves every point, and a table build passes the nodes
+        of all its panels at once: on [0, 1/2] one ``gauss_ladder`` per
+        point, its first band at half the distance to the branch point
+        w = -gap/xi of G_reg, and on [1/2, 1], where the integrand is
+        analytic, the 20-node Gauss-Jacobi ``jacobi_end_rule(s-1)``.
+        Each point's sums are reduced on their own, so a point's value
+        does not depend on the other points of the call.
         """
         xi = np.asarray(xi, dtype=float)
         s = self.s.s
@@ -289,50 +342,63 @@ class ExtensionSolution:
         return out
 
     def _build_panels(self, n: int, edges_lo: np.ndarray, edges_hi: np.ndarray) -> np.ndarray:
-        npts = self._cheb_points
-        ref = np.polynomial.chebyshev.chebpts2(npts)
-        coefs = np.empty((edges_lo.size, npts))
-        for p, (e0, e1) in enumerate(zip(edges_lo, edges_hi)):
-            xs = 0.5 * (e0 + e1) + 0.5 * (e1 - e0) * ref
-            coefs[p] = np.polynomial.chebyshev.chebfit(ref, self._smooth_factor_quad(n, xs), npts - 1)
-        return coefs
+        """Chebyshev coefficients of H_n, one row per panel [edges_lo, edges_hi].
 
-    def _table(self, n: int) -> np.ndarray:
-        if n not in self._tables:
-            if n > MAX_DERIVATIVE_ORDER:
-                raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
-            self._tables[n] = self._build_panels(n, self._edges[:-1], self._edges[1:])
-        return self._tables[n]
+        One ``_smooth_factor_quad`` call takes the nodes of every panel;
+        its rows are independent, so each node's value is what a call for
+        that panel alone gives. The fit applies the fixed matrix of
+        ``_cheb_fit`` with one reduction per panel and coefficient rather
+        than a least-squares solve over the batch, whose columns' last
+        bits depend on the other columns: so a panel's coefficients do not
+        depend on the panels built with it.
+        """
+        ref, fit = _cheb_fit()
+        mid = 0.5 * (edges_lo + edges_hi)[:, None]
+        half = 0.5 * (edges_hi - edges_lo)[:, None]
+        vals = self._smooth_factor_quad(n, (mid + half * ref).ravel())
+        return np.sum(vals.reshape(-1, 1, _CHEB_POINTS) * fit, axis=2)
 
-    def _ensure_coverage(self, xi_max_needed: float) -> None:
-        if xi_max_needed <= self._edges[-1]:
-            return
-        new_edges = [self._edges[-1]]
-        w = self._edges[-1] - self._edges[-2]
-        while new_edges[-1] < xi_max_needed:
-            w *= 2.0
-            new_edges.append(new_edges[-1] + w)
-        lo = np.asarray(new_edges[:-1])
-        hi = np.asarray(new_edges[1:])
-        for n in list(self._tables):
-            self._tables[n] = np.vstack([self._tables[n], self._build_panels(n, lo, hi)])
-        self._edges = np.concatenate([self._edges, hi])
+    def _grow(self, n: int, xi_max: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """The state with order n tabulated and [0, xi_max] covered.
+
+        The grown state is built aside and swapped in under the lock in
+        one step; readers never lock and always see a whole state.
+        """
+        if n > MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
+        with self._grow_lock:
+            edges, tables = self._state
+            if xi_max > edges[-1]:
+                new_edges = [edges[-1]]
+                w = edges[-1] - edges[-2]
+                while new_edges[-1] < xi_max:
+                    w *= 2.0
+                    new_edges.append(new_edges[-1] + w)
+                lo = np.asarray(new_edges[:-1])
+                hi = np.asarray(new_edges[1:])
+                tables = {m: np.vstack([c, self._build_panels(m, lo, hi)]) for m, c in tables.items()}
+                edges = np.concatenate([edges, hi])
+            if n not in tables:
+                tables = {**tables, n: self._build_panels(n, edges[:-1], edges[1:])}
+            self._state = (edges, tables)
+        return edges, tables
 
     def _eval_table(self, n: int, xi: np.ndarray) -> np.ndarray:
-        coefs = self._table(n)
-        if xi.size and float(np.max(xi)) > self._edges[-1]:
-            self._ensure_coverage(float(np.max(xi)))
-            coefs = self._tables[n]
-        idx = np.clip(np.searchsorted(self._edges, xi, side="right") - 1, 0, coefs.shape[0] - 1)
+        edges, tables = self._state
+        xi_max = float(np.max(xi)) if xi.size else 0.0
+        if n not in tables or xi_max > edges[-1]:
+            edges, tables = self._grow(n, xi_max)
+        coefs = tables[n]
+        idx = np.clip(np.searchsorted(edges, xi, side="right") - 1, 0, coefs.shape[0] - 1)
         order = np.argsort(idx)
         panels, starts = np.unique(idx[order], return_index=True)
         stops = np.append(starts[1:], idx.size)
         out = np.empty_like(xi)
         for p, lo, hi in zip(panels, starts, stops):
-            e0, e1 = self._edges[p], self._edges[p + 1]
+            e0, e1 = edges[p], edges[p + 1]
             at = order[lo:hi]
             w = (2.0 * xi[at] - e0 - e1) / (e1 - e0)
-            out[at] = np.polynomial.chebyshev.chebval(w, coefs[p])
+            out[at] = _clenshaw(w, coefs[p])
         return out
 
     # -- evaluation ---------------------------------------------------------

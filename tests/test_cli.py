@@ -398,6 +398,55 @@ def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatc
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("derivative", "--profile", "ramp", "--grid", "0.5:2:3", "--a", "3"),
+    ("derivative", "--profile", "bump", "--b", "2"),
+    ("extend", "--profile", "appendix-es2", "--a", "-1"),
+    ("extend", "--b", "2"),  # the default profile, appendix-es1
+])
+def test_span_flags_rejected_for_fixed_span_profiles(tmp_path, capsys, monkeypatch, argv):
+    for name in _SOLVES:
+        monkeypatch.setattr(cli, name, _no_solve)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: --a/--b do not apply")
+
+
+@pytest.mark.parametrize("argv", [
+    ("derivative", "--profile", "linear", "--a", "0.5", "--b", "3", "--grid", "1:2:3"),
+    ("extend", "--profile", "constant", "--a", "-1", "--b", "0", "--grid", "0.5:2:3"),
+    ("extend", "--profile", "ramp", "--poly", "0,1", "--b", "2", "--grid", "2.5:3:3"),
+])
+def test_span_flags_accepted_where_they_apply(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command", ["derivative", "extend", "blowup", "approximate"])
+def test_out_directory_checked_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    for name in _SOLVES:
+        monkeypatch.setattr(cli, name, _no_solve)
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run_cli(capsys, command, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: --out directory")
+    assert not out.parent.exists()
+
+
+def test_non_finite_csv_samples_exit_2(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    rows = [(0.0, 0.5), (0.2, 0.6), (0.4, "nan"), (0.6, 0.8), (0.8, 0.9), (1.0, 1.0)]
+    path.write_text("x,f\n" + "\n".join(f"{x},{y}" for x, y in rows) + "\n")
+    code, stdout, err = run_cli(
+        capsys, "approximate", "--f", f"csv:{path}", "--out", str(tmp_path / "c.csv")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: target samples must be finite\n"
+
+
 @pytest.mark.parametrize("command,field,value", [
     ("approximate", "k", 1.5), ("approximate", "m", True), ("blowup", "j_list", [4, 8]),
     ("blowup", "interval", 3), ("blowup", "j_list", "2,4,x"),

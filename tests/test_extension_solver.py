@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -236,6 +238,37 @@ def test_lazy_table_extension(bump_solution):
     )
 
 
+def test_concurrent_reads_beyond_the_range_match_one_thread():
+    # each thread reaches its own distance past x_max, so the tables grow
+    # in an order that depends on the scheduling; no read may see it
+    def reads(sol, i):
+        xs = 1.0 + np.linspace(0.5, 12.0 + 9.0 * i, 64)
+        return sol.value(xs), sol.smooth_factor(1, xs[::-1] + 3.0 * i)
+
+    expected = [reads(solve_extension(quadratic_bump_profile(), 0.3), i) for i in range(8)]
+    sol = solve_extension(quadratic_bump_profile(), 0.3)
+    start = threading.Barrier(8, timeout=60.0)
+    results = [None] * 8
+
+    def work(i):
+        start.wait()
+        results[i] = reads(sol, i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, expected):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def _independent_extension_value(prof, s, x, dps=30):
     """Swap the two integrals: u(x) = phi(b) - (sin pi s/pi) *
     int_a^b phi'(tau) I((b-tau)/(x-tau)) dtau with I an incomplete Beta
@@ -304,7 +337,7 @@ _row = st.tuples(*(st.floats(min_value=-2.0, max_value=2.0) for _ in range(4)))
 @settings(max_examples=6, deadline=None)
 def test_random_profiles_solve_consistently(breaks, rows, s):
     prof = _random_profile(breaks, rows)
-    sol = solve_extension(prof, s, x_max=2.5, cheb_points=16)
+    sol = solve_extension(prof, s, x_max=2.5)
     # junction law: u(b+eps) - phi(b) = eps^s H(0) + higher order
     eps = 1e-10
     dev = abs(float(sol.value(1.0 + eps)) - prof.value_at_b)

@@ -21,7 +21,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from caputo_density.extension_solver import _RAW_DEPTH, _ctilde, solve_extension
+from caputo_density.extension_solver import (
+    _RAW_DEPTH,
+    ExtensionSolution,
+    _clenshaw,
+    _ctilde,
+    solve_extension,
+)
 from caputo_density.profiles import builtin_profile
 from caputo_density.singular_quadrature import jacobi_end_rule, unit_rule
 
@@ -51,12 +57,70 @@ def _reference_h(sol, n, xi):
 @pytest.mark.parametrize("name", ["ramp", "bump"])
 def test_tables_match_mpmath(name, s):
     sol = solve_extension(builtin_profile(name), s)
-    edges = sol._edges
+    edges, _ = sol._state
     for n in (0, 1):
         for p in (0, edges.size // 2 - 1, edges.size - 2):  # first, middle, last panel
             xi = edges[p] + 0.3 * (edges[p + 1] - edges[p])
             h, m = _reference_h(sol, n, xi)
             assert abs(sol.smooth_factor(n, xi)[0] - h) <= 1e-13 * m, (n, p)
+
+
+def test_clenshaw_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for length in range(3, 41):
+        c = rng.standard_normal(length) * 10.0 ** rng.uniform(-8.0, 8.0, length)
+        x = rng.uniform(-1.0, 1.0, 257)
+        assert np.array_equal(_clenshaw(x, c), np.polynomial.chebyshev.chebval(x, c)), length
+
+
+def test_one_quadrature_call_per_table_build(monkeypatch):
+    calls = []
+    quad = ExtensionSolution._smooth_factor_quad
+
+    def counted(self, n, xi):
+        calls.append(n)
+        return quad(self, n, xi)
+
+    monkeypatch.setattr(ExtensionSolution, "_smooth_factor_quad", counted)
+    sol = solve_extension(builtin_profile("bump"), 0.3)
+    assert sorted(calls) == [0, 1]
+    sol.smooth_factor(2, 0.5)
+    assert sorted(calls) == [0, 1, 2]
+    edges, _ = sol._state
+    sol.value(sol.b + 4.0 * edges[-1])  # grows every built table by several panels
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_batched_node_values_equal_per_panel_calls(n):
+    sol = solve_extension(builtin_profile("bump"), 0.3)
+    edges, _ = sol._state
+    ref = np.polynomial.chebyshev.chebpts2(24)
+    nodes = [0.5 * (e0 + e1) + 0.5 * (e1 - e0) * ref for e0, e1 in zip(edges[:-1], edges[1:])]
+    batched = sol._smooth_factor_quad(n, np.concatenate(nodes))
+    single = np.concatenate([sol._smooth_factor_quad(n, xs) for xs in nodes])
+    assert np.array_equal(batched, single)
+
+
+def test_tables_do_not_depend_on_how_they_grew():
+    one, two = (solve_extension(builtin_profile("bump"), 0.3) for _ in range(2))
+    one.value(60.0)
+    two.value(25.0)
+    two.value(60.0)
+    (e1, t1), (e2, t2) = one._state, two._state
+    assert np.array_equal(e1, e2)
+    for n in (0, 1):
+        assert np.array_equal(t1[n], t2[n])
+
+
+@pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9, 0.98])
+def test_table_tails_certify_the_panel_size(s):
+    # ATAP ch. 8: on panels three half-widths from the cut of H_n the
+    # coefficients fall like (3 + 2 sqrt 2)^-k, so the last four are at rounding
+    _, tables = solve_extension(builtin_profile("ramp"), s)._state
+    for n in (0, 1):
+        c = np.abs(tables[n])
+        assert np.all(c[:, -4:].max(axis=1) <= 1e-14 * c.max(axis=1)), n
 
 
 def _reference_raw_value(sol, x):
