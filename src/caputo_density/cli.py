@@ -170,6 +170,8 @@ def _check_config(config: RunConfig) -> None:
         value = getattr(config, name)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"--{name} must be a string, got {value!r}")
+    if config.profile is not None and config.poly is not None:
+        raise ValueError("give either --profile or --poly, not both")
     if config.out != "-" and not os.path.isdir(os.path.dirname(config.out) or "."):
         raise ValueError(f"--out directory of {config.out!r} does not exist")
     fixed = _fixed_span_profile(config)
@@ -355,10 +357,13 @@ def _parse_target(spec: str):
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    rows.append([float(v) for v in line.split(",")[:2]])
+                    row = [float(v) for v in line.split(",")[:2]]
                 except ValueError:
                     continue  # header row
-        data = np.asarray(rows)
+                if len(row) < 2:
+                    raise ValueError(f"csv target rows must hold x,y, got {line!r}")
+                rows.append(row)
+        data = np.asarray(rows, dtype=float).reshape(-1, 2)
         return SampledTarget(data[:, 0], data[:, 1])
     try:
         const = float(spec)
@@ -485,9 +490,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             fields = json.load(fh)
         if not isinstance(fields, dict):
             raise ValueError("--config must hold a JSON object")
-        # the subcommand comes from the command line; null keeps a default
+        # only the subcommand's own flags, which the parser put in args
+        # (the subcommand itself comes from the command line); null keeps
+        # a default
+        own = set(vars(args)) - {"command", "config"}
         for key, value in fields.items():
-            if key == "command" or not hasattr(config, key):
+            if key not in own:
                 raise ValueError(f"unknown config key {key!r}")
             if value is not None:
                 setattr(config, key, value)

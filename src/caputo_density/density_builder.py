@@ -118,7 +118,8 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
 
     Entries come from the chain rule v_j^(l)(x) = j^(s-l) psi^(l)(x/j+1)
     with psi^(l) from the interior-derivative formula (fresh quadrature,
-    not the tables).
+    not the tables): one ``derivative`` call per order over every
+    (member, point) pair, so the members must share one psi.
     """
     members = list(members)
     points = [float(x) for x in points]
@@ -126,12 +127,15 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
         raise ValueError("need at least one member and one point")
     if any(x <= 0.0 for x in points):
         raise ValueError("jet points must be positive")
-    rows = []
-    for member in members:
-        j, s = member.j, member.s.s
-        for x in points:
-            rows.append([j ** (s - l) * member.psi.derivative(l, x / j + 1.0) for l in range(m + 1)])
-    return np.asarray(rows)
+    psi, s = members[0].psi, members[0].s.s
+    if any(member.psi is not psi for member in members):
+        raise ValueError("jet members must share one psi")
+    y = np.array([x / member.j + 1.0 for member in members for x in points])
+    columns = []
+    for l in range(m + 1):
+        scale = np.repeat([member.j ** (s - l) for member in members], len(points))
+        columns.append(scale * psi.derivative(l, y))
+    return np.stack(columns, axis=1)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -54,6 +54,9 @@ MAX_DERIVATIVE_ORDER = 8
 _JUNCTION_GUARD = 1e-3
 # table reads per block of the batched Caputo residual; bounds its memory
 _BLOCK_NODES = 8192
+# deepest Caputo residual rule (748 nodes): it resolves points up to
+# 2^59 gaps right of b, and no grid can ask for more bands than this
+_MAX_ABEL_DEPTH = 60
 # raw_value's first band [0, 2^-40] resolves g's junction branch w^(1-s)
 _RAW_DEPTH = 40
 # Chebyshev points per table panel. Every panel of _edge_ladder, and every
@@ -245,9 +248,11 @@ class ExtensionSolution:
     not depend on when or with which other panels it was built. The
     quadrature rules behind the tables, ``raw_value`` and the Caputo
     residual live in the pure, bounded caches of ``singular_quadrature``
-    (read-only, one of each per s) and are shared by every solution.
-    Evaluators accept scalars or arrays; ``raw_value`` and
-    ``caputo_value`` apply one rule to all points of an array.
+    (read-only; one per s for the tables and ``raw_value``, one per s and
+    depth for the residual) and are shared by every solution.
+    Evaluators accept scalars or arrays. ``raw_value`` applies one rule
+    to all points of an array, ``caputo_value`` one rule per depth class,
+    and ``derivative`` makes one fresh-quadrature call for all points.
     """
 
     def __init__(
@@ -442,31 +447,35 @@ class ExtensionSolution:
             out = out + self.value_at_b
         return out if isinstance(y, np.ndarray) else float(out[0])
 
-    def derivative(self, n: int, y: float) -> float:
+    def derivative(self, n: int, y):
         """u^(n)(y) by the interior-derivative formula with fresh quadrature.
 
-        Refuses y within 1e-3 of the junction for n >= 1: the boundary
-        terms (y-b)^(s-n+i) are genuinely singular there.
+        y may be a scalar (a float is returned) or an array; one
+        ``_smooth_factor_quad`` call serves every point, and each point's
+        value is what a call for that point alone gives. Order 0 is
+        ``value``. Refuses y within 1e-3 of the junction for n >= 1: the
+        boundary terms (y-b)^(s-n+i) are genuinely singular there.
         """
         if n < 0 or int(n) != n:
             raise ValueError("derivative order must be a nonnegative integer")
         if n > MAX_DERIVATIVE_ORDER:
             raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
-        y = float(y)
         if n == 0:
-            return float(self.value(y))
-        if not y > self.b:
+            return self.value(y)
+        ya = np.atleast_1d(np.asarray(y, dtype=float))
+        if not np.all(ya > self.b):
             raise ValueError("derivatives are defined on (b, infinity)")
-        if y - self.b < _JUNCTION_GUARD:
+        xi = ya - self.b
+        if np.min(xi) < _JUNCTION_GUARD:
             raise JunctionProximityError(
-                f"derivative order {n} requested at y-b={y - self.b:.2e} < {_JUNCTION_GUARD}"
+                f"derivative order {n} requested at y-b={np.min(xi):.2e} < {_JUNCTION_GUARD}"
             )
-        xi = y - self.b
         dp = np.polynomial.polynomial.polyder(self._poly, n)
-        return float(
+        out = (
             np.polynomial.polynomial.polyval(xi, dp)
-            + xi ** (self.s.s - n) * self._smooth_factor_quad(n, np.array([xi]))[0]
+            + xi ** (self.s.s - n) * self._smooth_factor_quad(n, xi)
         )
+        return out if isinstance(y, np.ndarray) else float(out[0])
 
     def raw_value(self, x):
         """u(x) in the representation-formula shape: fresh quadrature of g.
@@ -504,10 +513,14 @@ class ExtensionSolution:
         x may be a scalar (a float is returned) or an array. Beyond b the
         extension contributes the junction polynomial in closed form plus
         int_b^x (t-b)^(s-1) (x-t)^(-s) H_1(t-b) dt, which w = (t-b)/(x-b)
-        turns into int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw: one cached
-        172-node Gauss-Jacobi rule per s (``abel_unit_rule``) for every x,
-        applied in blocks of table reads. Each point's sum is reduced on
-        its own, so a value does not depend on the other points of the
+        turns into int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw. H_1((x-b) w)
+        has its branch point at w = -gap/(x-b), so each point takes the
+        cached Gauss-Jacobi rule ``abel_unit_rule(s, depth)`` whose first
+        panel is no wider than half that distance: 40 nodes up to half a
+        gap right of b, 12 more per doubling of x - b beyond. Points of
+        one depth share one rule, applied in blocks of table reads. Each
+        point's sum is reduced on its own and its depth depends on its
+        own x only, so a value does not depend on the other points of the
         array.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -530,12 +543,20 @@ class ExtensionSolution:
         for k in range(dpoly.size):
             if dpoly[k] != 0.0:
                 out += dpoly[k] * xi ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
-        nodes, weights = abel_unit_rule(s)
-        rows = max(1, _BLOCK_NODES // nodes.size)
-        for start in range(0, xi.size, rows):
-            block = xi[start : start + rows]
-            h1 = self.smooth_factor(1, (block[:, None] * nodes).ravel())
-            out[start : start + rows] += np.sum(h1.reshape(block.size, -1) * weights, axis=1)
+        # the first panel [0, 2^-depth] no wider than half the distance
+        # gap/xi to the branch point of H_1(xi w)
+        depth = np.clip(np.ceil(np.log2(2.0 * xi / self._branch_gap)), 1, _MAX_ABEL_DEPTH)
+        depth = depth.astype(int)
+        for d in range(depth.min(), depth.max() + 1):
+            at = np.flatnonzero(depth == d)
+            if not at.size:
+                continue
+            nodes, weights = abel_unit_rule(s, d)
+            rows = max(1, _BLOCK_NODES // nodes.size)
+            for start in range(0, at.size, rows):
+                block = at[start : start + rows]
+                h1 = self.smooth_factor(1, (xi[block, None] * nodes).ravel())
+                out[block] += np.sum(h1.reshape(block.size, -1) * weights, axis=1)
         return out
 
 

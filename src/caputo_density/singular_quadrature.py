@@ -99,11 +99,11 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # 20-node Gauss-Jacobi panels at the ends of the unit rules, 12-node
-# Gauss-Legendre bands between them; the residual's and integrate_singular's
-# first band is [0, 2^-12]
+# Gauss-Legendre bands between them; integrate_singular's first band is
+# [0, 2^-12]
 _END_NODES = 20
 _BAND_NODES = 12
-_ABEL_DEPTH = 12
+_SINGULAR_DEPTH = 12
 
 
 @functools.lru_cache(maxsize=32)
@@ -134,7 +134,10 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     power of the first panel's scale (2^-depth/2)^p, so that it enters
     exactly: in floating point (s - 1) + 1 need not be s. b > -1.
     20 + 12 (depth - 1) + 20 nodes, increasing, depending on (p, b,
-    depth) only; both arrays are read-only and built on first use.
+    depth) only; both arrays are read-only and built on first use. The
+    cache holds 32 rules: a run at one s needs one per residual depth
+    class its points fall in (3 in the README's five runs together),
+    plus those of ``raw_value`` and ``integrate_singular``.
     """
     edge = 0.5**depth
     x, g = gauss_jacobi(_END_NODES, 0.0, p - 1.0)  # w = edge (1 + x)/2
@@ -151,15 +154,17 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nodes, weights)
 
 
-def abel_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
+def abel_unit_rule(s: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(s-1) (1-w)^(-s) f(w) dw.
 
-    ``unit_rule(s, -s, 12)``: 20 + 11*12 + 20 = 172 nodes. The bands
-    integrate f to rounding with a branch point just left of 0 --
-    H_1((x-b) w) has one at w = -gap/(x-b) -- measured up to x - b = 2e4
-    gaps, where the branch point sits at w = -5e-5.
+    ``unit_rule(s, -s, depth)``: 20 + 12 (depth - 1) + 20 nodes. Its first
+    panel [0, 2^-depth] and the bands after it integrate f to rounding
+    when f's only singularity is a branch point at w = -d with
+    2^-depth <= d/2. H_1((x-b) w) has its branch point at
+    w = -gap/(x-b), so the Caputo residual takes at each point the
+    least such depth, ceil(log2(2 (x-b)/gap)) and at least 1.
     """
-    return unit_rule(s, -s, _ABEL_DEPTH)
+    return unit_rule(s, -s, depth)
 
 
 @functools.lru_cache(maxsize=4)
@@ -185,7 +190,7 @@ def integrate_singular(f, lo: float, hi: float, exponent: float, singular_end: s
     if singular_end not in ("left", "right"):
         raise ValueError("singular_end must be 'left' or 'right'")
     p = float(exponent) + 1.0
-    w, W = unit_rule(p, 0.0, _ABEL_DEPTH)
+    w, W = unit_rule(p, 0.0, _SINGULAR_DEPTH)
     span = hi - lo
     t = lo + span * w if singular_end == "left" else hi - span * w
     return float(span**p * np.sum(np.asarray(f(t), dtype=float) * W))

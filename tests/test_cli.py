@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caputo_density
 from caputo_density import cli
 from caputo_density.cli import MAX_CK_ORDER, MAX_JET_ORDER, MAX_POINTS, RunConfig, main
 from caputo_density.extension_solver import ExtensionSolution
@@ -416,7 +420,7 @@ def test_span_flags_rejected_for_fixed_span_profiles(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("argv", [
     ("derivative", "--profile", "linear", "--a", "0.5", "--b", "3", "--grid", "1:2:3"),
     ("extend", "--profile", "constant", "--a", "-1", "--b", "0", "--grid", "0.5:2:3"),
-    ("extend", "--profile", "ramp", "--poly", "0,1", "--b", "2", "--grid", "2.5:3:3"),
+    ("extend", "--poly", "0,1", "--b", "2", "--grid", "2.5:3:3"),
 ])
 def test_span_flags_accepted_where_they_apply(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
@@ -445,6 +449,61 @@ def test_non_finite_csv_samples_exit_2(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err == "error: target samples must be finite\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "need matching x/y samples"),
+    ("# only a comment\nx,f\n", "need matching x/y samples"),
+    ("x\n0.0\n0.5\n1.0\n0.25\n", "csv target rows must hold x,y, got '0.0'"),
+], ids=["empty", "header-only", "one-column"])
+def test_csv_target_without_samples_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    code, stdout, err = run_cli(
+        capsys, "approximate", "--f", f"csv:{path}", "--out", str(tmp_path / "c.csv")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (("derivative", "--profile", "ramp", "--poly", "0,0,1"), None, "either --profile or --poly"),
+    (("extend", "--poly", "0,1"), {"profile": "ramp"}, "either --profile or --poly"),
+    (("blowup",), {"a": 3, "profile": "bump"}, "unknown config key 'a'"),
+    (("derivative",), {"tol": 1e-3}, "unknown config key 'tol'"),
+    (("approximate",), {"j_list": "4,8"}, "unknown config key 'j_list'"),
+], ids=["profile-and-poly", "config-profile-and-poly", "blowup-span", "derivative-tol",
+        "approximate-j-list"])
+def test_settings_a_command_never_reads_exit_2(tmp_path, capsys, monkeypatch, argv, config, message):
+    for name in _SOLVES:
+        monkeypatch.setattr(cli, name, _no_solve)
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ("--config", str(path))
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_cli_runs_leave_numpy_ma_unimported(tmp_path):
+    # numpy 2.4 takes 13.5 ms and 0.7 MB to import numpy.ma, which a plain
+    # np.unique pulls in; the package's own runs must not
+    src = os.path.dirname(os.path.dirname(caputo_density.__file__))
+    code = (
+        "import sys\n"
+        "from caputo_density.cli import main\n"
+        f"a = main(['approximate', '--f', 'sin', '--k', '1', '--out', {str(tmp_path / 'a.csv')!r}])\n"
+        f"b = main(['extend', '--profile', 'bump', '--out', {str(tmp_path / 'b.csv')!r}])\n"
+        "print(a, b, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 0 False"
 
 
 @pytest.mark.parametrize("command,field,value", [
@@ -585,6 +644,19 @@ _BAD_CONFIG = st.one_of(
         json.dumps),
     st.sampled_from(["{", "{'s': 0.5}", "", "[1,"]),
 )
+# a valid value for every key, under the command that reads it
+_VALID_VALUE = {
+    "s": 0.5, "profile": "bump", "poly": "0,1", "a": 0.0, "b": 1.0, "grid": "1.1:2:3",
+    "tol": 1e-5, "j_list": "4,8", "interval": "0.5:2", "n_points": 50, "f": "sin", "k": 1,
+    "m": 1, "eps": 1e-2, "residual_tol": 1e-4, "out": "-",
+}
+
+
+def _foreign_config(command: str):
+    """Another subcommand's setting, with a value valid there."""
+    own = {flag[2:].replace("-", "_") for flag in _BAD_FLAGS[command]} | {"out"}
+    return st.sampled_from(sorted(_CONFIG_KEYS - own)).map(
+        lambda key: json.dumps({key: _VALID_VALUE[key]}))
 
 
 def _run_checked(argv) -> tuple[int, str, str]:
@@ -615,9 +687,11 @@ def test_fuzzed_flags_exit_2_with_one_line(argv):
     _assert_one_line_error(*_run_checked(argv))
 
 
-@given(st.sampled_from(sorted(_BAD_FLAGS)), _BAD_CONFIG)
+@given(st.sampled_from(sorted(_BAD_FLAGS)).flatmap(
+    lambda command: st.tuples(st.just(command), _BAD_CONFIG | _foreign_config(command))))
 @settings(max_examples=200, deadline=None)
-def test_fuzzed_config_exits_2_with_one_line(tmp_path_factory, command, text):
+def test_fuzzed_config_exits_2_with_one_line(tmp_path_factory, command_text):
+    command, text = command_text
     path = tmp_path_factory.mktemp("config") / "c.json"
     path.write_text(text, encoding="utf-8")
     _assert_one_line_error(*_run_checked([command, "--config", str(path)]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from caputo_density.blowup import BlowupMember
+from caputo_density.blowup import BlowupMember, build_psi
 from caputo_density.density_builder import (
     DeltaUnderflowError,
     ExpTarget,
@@ -56,12 +56,26 @@ def test_jet_matrix_scaling_structure(psi_half):
     assert e2 / e8 == pytest.approx(4.0 ** (l - 0.5), rel=1e-8)
 
 
-def test_jet_matrix_validation(psi_half):
+def test_jet_matrix_validation(psi_half, psi0_default):
     member = BlowupMember(2, psi_half)
     with pytest.raises(ValueError):
         jet_matrix([member], [-1.0], 1)
     with pytest.raises(ValueError):
         jet_matrix([], [1.0], 1)
+    other = BlowupMember(4, build_psi(0.25, psi0_default))
+    with pytest.raises(ValueError, match="share one psi"):
+        jet_matrix([member, other], [1.0], 1)
+
+
+def test_jet_matrix_matches_entrywise_loop(psi_half):
+    # one derivative call per order over all pairs, equal to scalar calls
+    members = [BlowupMember(j, psi_half) for j in (2, 4, 8, 16, 32)]
+    points = [0.5, 1.0, 2.0]
+    ref = np.array([
+        [mb.j ** (mb.s.s - l) * psi_half.derivative(l, x / mb.j + 1.0) for l in range(5)]
+        for mb in members for x in points
+    ])
+    assert np.array_equal(jet_matrix(members, points, 4), ref)
 
 
 def test_jet_matrix_conditioning_backstop(psi_half):

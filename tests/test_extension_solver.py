@@ -198,6 +198,19 @@ def test_fast_derivative_matches_direct(bump_solution):
         np.testing.assert_allclose(fast, direct, rtol=1e-8, atol=1e-10)
 
 
+def test_batched_derivative_matches_scalar_calls(bump_solution):
+    # one fresh-quadrature call for the array; each value is its scalar call's
+    ys = np.array([3.5, 1.002, 2.0, 1.2, 40.0])
+    for n in (0, 1, 2, 4):
+        batched = bump_solution.derivative(n, ys)
+        assert isinstance(batched, np.ndarray) and batched.shape == ys.shape
+        for y, value in zip(ys, batched):
+            scalar = bump_solution.derivative(n, float(y))
+            assert type(scalar) is float and scalar == value
+    with pytest.raises(JunctionProximityError):
+        bump_solution.derivative(1, np.array([2.0, 1.0 + 5e-4]))
+
+
 def test_junction_guard_and_order_cap(ramp_solution):
     with pytest.raises(JunctionProximityError):
         ramp_solution.derivative(1, 1.0 + 1e-4)

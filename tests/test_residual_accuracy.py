@@ -2,13 +2,16 @@
 
 max |D^s u| of the solved ramp and bump extensions on b + [1e-3, 4], at
 orders from 0.01 to 0.99. Each bound is ten times the value measured
-with the 172-node Gauss-Jacobi residual rule and the Gauss-Jacobi table
-build, rounded up to one digit. Every entry is at rounding (largest
-6.3e-14, ramp at s = 0.01); before the table build's right half became
-a Gauss-Jacobi rule the residual grew as s -> 0 with the table error, to
-1.2e-8 at s = 0.01. The residual rule's own error stays at rounding too
-(a rule with twice the nodes moves these residuals by < 4e-15, see
-test_residual_batching).
+with a residual rule of fixed depth 12 (172 nodes) and the Gauss-Jacobi
+table build, rounded up to one digit. Every entry is at rounding
+(largest 6.3e-14, ramp at s = 0.01); before the table build's right half
+became a Gauss-Jacobi rule the residual grew as s -> 0 with the table
+error, to 1.2e-8 at s = 0.01. The residual rule now takes each point's
+depth from the distance of H_1's branch point, 40 to 88 nodes on this
+range, and the map stays at rounding (largest 5.3e-14, the same entry).
+The residual rule's own error stays at rounding too (a rule with twice
+the nodes and 20 bands moves the residuals of test_residual_batching's
+grids by at most 5.5e-15).
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
 """The batched Caputo residual against a per-point reference.
 
 ``ExtensionSolution.caputo_value`` applies one cached unit-coordinate
-rule to every point. The reference below evaluates the same formula
-point by point with its own composite rule of twice the nodes and bands,
-built from ``gauss_jacobi`` and Gauss-Legendre: both integrate the same
+rule to all points of a depth class. The reference below evaluates the
+same formula point by point with its own composite rule of twice the
+nodes and 20 bands, deeper than any rule these grids call for, built
+from ``gauss_jacobi`` and Gauss-Legendre: both integrate the same
 tabulated H_1, so they must agree to rounding.
 """
 
@@ -37,14 +38,16 @@ def _solution(name: str, s: float):
 
 
 def _grid(sol, points: int) -> np.ndarray:
-    """Points on both sides of a, up to b, then `points` points from 1e-6
-    to 4 right of b: at 172 table reads a point, 128 and 192 points span
-    3 and 5 blocks of the batched residual."""
+    """Points on both sides of a, up to b, then 4 `points` points from 1e-6
+    to 4 right of b. Up to half a gap right of b a point takes the 40-node
+    residual rule, 204 points to a block: for 128 and 192 these nearest
+    points span 3 and 4 blocks of the batched residual, and the rest fall
+    into 2 to 4 deeper depth classes."""
     a, b = sol.a, sol.b
     return np.concatenate([
         np.linspace(a - 0.5, a, 3),
         np.linspace(a + 0.01, b, 6),
-        b + np.geomspace(1e-6, 4.0, points),
+        b + np.geomspace(1e-6, 4.0, 4 * points),
     ])
 
 
@@ -100,6 +103,21 @@ def test_batched_matches_per_point_reference(name, s, points):
     assert np.max(np.abs(got - ref)) <= 1e-14
 
 
+# s: bounds at x - b = 1e5 and 5e5 gaps, ten times the measured distance
+# from the reference, rounded up to one digit. A rule of fixed depth 12,
+# whose first panel is wider than its distance to the branch point out
+# here, is off by up to 2.6e-9 and 4.0e-5 (s = 0.1).
+FAR_FIELD_BOUNDS = {0.1: (2e-10, 3e-10), 0.5: (7e-13, 2e-12), 0.9: (2e-14, 3e-14)}
+
+
+@pytest.mark.parametrize("s", sorted(FAR_FIELD_BOUNDS))
+def test_far_field_residual_matches_reference(s):
+    sol = _solution("ramp", s)
+    for gaps, bound in zip((1e5, 5e5), FAR_FIELD_BOUNDS[s]):
+        x = sol.b + gaps * sol._branch_gap
+        assert abs(sol.caputo_value(x) - _reference_caputo(sol, x)) <= bound
+
+
 @pytest.mark.parametrize("points", [128, 192])
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.99])
 def test_values_do_not_depend_on_the_batch(s, points):
@@ -128,10 +146,10 @@ def test_scalar_input_returns_float_everywhere(psi_half, psi0_default):
 
 
 def test_cached_rules_are_read_only():
-    arrays = unit_rule(0.5, 0.0, 12) + abel_unit_rule(0.5)
+    arrays = unit_rule(0.5, 0.0, 12) + abel_unit_rule(0.5, 3)
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert unit_rule(0.5, 0.0, 12)[0] is arrays[0]
-    assert abel_unit_rule(0.5)[1] is unit_rule(0.5, -0.5, 12)[1]
+    assert abel_unit_rule(0.5, 3)[1] is unit_rule(0.5, -0.5, 3)[1]

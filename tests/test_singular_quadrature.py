@@ -1,4 +1,5 @@
 import functools
+import math
 import warnings
 
 import mpmath
@@ -189,10 +190,11 @@ ABEL_ORDERS = (0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.98, 0.99)
 @pytest.mark.parametrize("s", ABEL_ORDERS)
 def test_abel_unit_rule_sums_to_reflection(s):
     # f = 1: int_0^1 w^(s-1) (1-w)^(-s) dw = B(s, 1-s) = pi/sin(pi s)
-    nodes, weights = abel_unit_rule(s)
-    assert nodes.size == 172 and np.all(np.diff(nodes) > 0.0)
-    assert nodes[0] > 0.0 and nodes[-1] < 1.0
-    assert abs(np.sum(weights) / reflection(s) - 1.0) <= 1e-14
+    for depth in range(1, 13):
+        nodes, weights = abel_unit_rule(s, depth)
+        assert nodes.size == 20 + 12 * (depth - 1) + 20 and np.all(np.diff(nodes) > 0.0)
+        assert nodes[0] > 0.0 and nodes[-1] < 1.0
+        assert abs(np.sum(weights) / reflection(s) - 1.0) <= 1e-14
 
 
 def _abel_reference(s: float, d: float) -> float:
@@ -213,8 +215,9 @@ def _abel_reference(s: float, d: float) -> float:
 @pytest.mark.parametrize("d", [0.25, 5e-3, 5e-5])
 def test_abel_unit_rule_near_branch_point(s, d):
     # H_1((x-b) w) has a branch point at w = -gap/(x-b); d = 5e-5 is x - b
-    # at 2e4 gaps
-    nodes, weights = abel_unit_rule(s)
+    # at 2e4 gaps. The residual's depth for it: first panel <= d/2
+    depth = max(1, math.ceil(math.log2(2.0 / d)))
+    nodes, weights = abel_unit_rule(s, depth)
     got = float(np.sum(weights * (nodes + d) ** -s))
     ref = _abel_reference(s, d)
     assert abs(got - ref) <= 1e-14 * abs(ref)
