@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -81,7 +82,12 @@ class RunConfig:
     out: str = "-"
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        """The command and those of its own settings that are set."""
+        own = _own_keys(self.command)
+        return {
+            k: v for k, v in dataclasses.asdict(self).items()
+            if v is not None and (k == "command" or k in own)
+        }
 
     def hash(self) -> str:
         # the output destination does not change what is computed
@@ -442,6 +448,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caputo-density",
@@ -483,6 +490,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _own_keys(command: str) -> set[str]:
+    """The settings a subcommand reads: the destinations of its own flags."""
+    return set(vars(_build_parser().parse_args([command]))) - {"command", "config"}
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     if getattr(args, "config", None):
@@ -490,10 +502,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             fields = json.load(fh)
         if not isinstance(fields, dict):
             raise ValueError("--config must hold a JSON object")
-        # only the subcommand's own flags, which the parser put in args
-        # (the subcommand itself comes from the command line); null keeps
-        # a default
-        own = set(vars(args)) - {"command", "config"}
+        # only the subcommand's own flags (the subcommand itself comes
+        # from the command line); null keeps a default
+        own = _own_keys(args.command)
         for key, value in fields.items():
             if key not in own:
                 raise ValueError(f"unknown config key {key!r}")

@@ -443,7 +443,6 @@ def approximate_function(
     s: FractionalOrder | float,
     profile: Psi0Profile,
     *,
-    n_max: int = 12,
     residual_points: int = RESIDUAL_POINTS,
     **jet_options,
 ) -> tuple[CombinedApproximant, ApproximationReport]:
@@ -451,8 +450,11 @@ def approximate_function(
 
     Stage one fits a Chebyshev interpolant P of minimal degree n with
     C^k grid error below eps/2; stage two approximates each monomial of
-    P within eps/(2 |c_m| (n+1)) and sums. Norms are grid norms on 1000
-    uniform points of [0, 1] (documented surrogate for the sup).
+    P within eps/(2 |c_m| (n+1)) and sums. n is at most MAX_JET_ORDER,
+    the highest monomial stage two can build, so a target out of reach
+    raises TargetDegreeError before any jet is solved. Norms are grid
+    norms on 1000 uniform points of [0, 1] (documented surrogate for the
+    sup).
     """
     s = FractionalOrder.of(s)
     target = as_target(f)
@@ -462,7 +464,7 @@ def approximate_function(
     cheb = None
     poly_error = math.inf
     degree = 0
-    for n in range(n_max + 1):
+    for n in range(MAX_JET_ORDER + 1):
         cand = np.polynomial.chebyshev.Chebyshev.interpolate(
             lambda x: np.asarray(target.eval(x, 0), dtype=float), n, domain=[0.0, 1.0]
         )
@@ -476,7 +478,7 @@ def approximate_function(
             break
     if cheb is None:
         raise TargetDegreeError(
-            f"no polynomial of degree <= {n_max} reaches C^{k} error {eps / 2:.3e}; "
+            f"no polynomial of degree <= {MAX_JET_ORDER} reaches C^{k} error {eps / 2:.3e}; "
             "increase eps"
         )
 

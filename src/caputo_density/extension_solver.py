@@ -33,13 +33,7 @@ import numpy as np
 
 from .piecewise import MAX_DEGREE
 from .profiles import CausalProfile
-from .singular_quadrature import (
-    abel_unit_rule,
-    gauss_ladder,
-    jacobi_end_rule,
-    poly_abel_integral,
-    unit_rule,
-)
+from .singular_quadrature import gauss_ladder, poly_abel_integral, unit_rule
 from .special_functions import FractionalOrder, beta, gamma
 
 __all__ = [
@@ -52,11 +46,6 @@ __all__ = [
 
 MAX_DERIVATIVE_ORDER = 8
 _JUNCTION_GUARD = 1e-3
-# table reads per block of the batched Caputo residual; bounds its memory
-_BLOCK_NODES = 8192
-# deepest Caputo residual rule (748 nodes): it resolves points up to
-# 2^59 gaps right of b, and no grid can ask for more bands than this
-_MAX_ABEL_DEPTH = 60
 # raw_value's first band [0, 2^-40] resolves g's junction branch w^(1-s)
 _RAW_DEPTH = 40
 # Chebyshev points per table panel. Every panel of _edge_ladder, and every
@@ -239,20 +228,20 @@ class ExtensionSolution:
     construction, 24 points per panel and one ``_smooth_factor_quad``
     call per table over the nodes of every panel, and match the analytic
     factors to rounding for every s (checked against mpmath for s from
-    0.02 to 0.9). A table is read by Clenshaw's recurrence in place. The
+    0.02 to 0.98). A table is read by Clenshaw's recurrence in place. The
     object grows afterwards: a higher order's table on its first use, and
     every built table when a point lies beyond the covered range. The
     panel edges and the tables are one state, grown aside and swapped in
     one step under a lock, and every read works on one snapshot of it, so
     concurrent reads are safe, growth included; a panel's coefficients do
     not depend on when or with which other panels it was built. The
-    quadrature rules behind the tables, ``raw_value`` and the Caputo
-    residual live in the pure, bounded caches of ``singular_quadrature``
-    (read-only; one per s for the tables and ``raw_value``, one per s and
-    depth for the residual) and are shared by every solution.
-    Evaluators accept scalars or arrays. ``raw_value`` applies one rule
-    to all points of an array, ``caputo_value`` one rule per depth class,
-    and ``derivative`` makes one fresh-quadrature call for all points.
+    tables and the Caputo residual are both ``gauss_ladder`` integrals,
+    one ``unit_rule`` per s and depth class; ``raw_value`` takes one
+    rule per s. The rules live in the pure, bounded, read-only caches of
+    ``singular_quadrature`` and are shared by every solution. Evaluators
+    accept scalars or arrays. ``raw_value`` applies one rule to all
+    points of an array, ``caputo_value`` one rule per depth class, and
+    ``derivative`` makes one fresh-quadrature call for all points.
     """
 
     def __init__(
@@ -319,29 +308,21 @@ class ExtensionSolution:
                                   + sum_{i<n} ctilde_{s,i} G_reg^(i)(b) xi^i ].
 
         One call serves every point, and a table build passes the nodes
-        of all its panels at once: on [0, 1/2] one ``gauss_ladder`` per
-        point, its first band at half the distance to the branch point
-        w = -gap/xi of G_reg, and on [1/2, 1], where the integrand is
-        analytic, the 20-node Gauss-Jacobi ``jacobi_end_rule(s-1)``.
-        Each point's sums are reduced on their own, so a point's value
-        does not depend on the other points of the call.
+        of all its panels at once. The integral is ``gauss_ladder`` with
+        f = G_reg^(n)(b + .), whose cut (-inf, -gap] sets each point's
+        depth, over ``unit_rule(1, s - 1, depth)``. Each point's sum is
+        reduced on its own, so a point's value does not depend on the
+        other points of the call.
         """
         xi = np.asarray(xi, dtype=float)
         s = self.s.s
         boundary = 0.0
         for i in range(n):
             boundary += _ctilde(s, n, i) * self.forcing.regular_at_b(i) * xi**i
-        col = xi[:, None]
-
-        def integrand_left(w):
-            return self.forcing.regular_part(n, col * w) * (1.0 - w) ** (s - 1.0)
-
-        with np.errstate(divide="ignore"):
-            d0 = self._branch_gap / xi
-        left = gauss_ladder(integrand_left, 0.0, 0.5, 0.5 * np.minimum(d0, 0.5))
-        w, W = jacobi_end_rule(s - 1.0)
-        right = np.sum(self.forcing.regular_part(n, col * w) * W, axis=1)
-        out = self.s.sin_factor * (xi**n * (left + right) + boundary)
+        integral = gauss_ladder(
+            lambda z: self.forcing.regular_part(n, z), xi, 1.0, s - 1.0, self._branch_gap
+        )
+        out = self.s.sin_factor * (xi**n * integral + boundary)
         if n == 0:
             out[xi == 0.0] = self.s.sin_factor * self.forcing.regular_at_b(0) / s
         return out
@@ -514,14 +495,11 @@ class ExtensionSolution:
         extension contributes the junction polynomial in closed form plus
         int_b^x (t-b)^(s-1) (x-t)^(-s) H_1(t-b) dt, which w = (t-b)/(x-b)
         turns into int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw. H_1((x-b) w)
-        has its branch point at w = -gap/(x-b), so each point takes the
-        cached Gauss-Jacobi rule ``abel_unit_rule(s, depth)`` whose first
-        panel is no wider than half that distance: 40 nodes up to half a
-        gap right of b, 12 more per doubling of x - b beyond. Points of
-        one depth share one rule, applied in blocks of table reads. Each
-        point's sum is reduced on its own and its depth depends on its
-        own x only, so a value does not depend on the other points of the
-        array.
+        has its branch point at w = -gap/(x-b), so the integral is
+        ``gauss_ladder`` over ``unit_rule(s, -s, depth)`` with each point's
+        depth set by that distance: 40 nodes up to half a gap right of b,
+        12 more per doubling of x - b beyond. A value does not depend on
+        the other points of the array.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         s = self.s.s
@@ -543,21 +521,9 @@ class ExtensionSolution:
         for k in range(dpoly.size):
             if dpoly[k] != 0.0:
                 out += dpoly[k] * xi ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
-        # the first panel [0, 2^-depth] no wider than half the distance
-        # gap/xi to the branch point of H_1(xi w)
-        depth = np.clip(np.ceil(np.log2(2.0 * xi / self._branch_gap)), 1, _MAX_ABEL_DEPTH)
-        depth = depth.astype(int)
-        for d in range(depth.min(), depth.max() + 1):
-            at = np.flatnonzero(depth == d)
-            if not at.size:
-                continue
-            nodes, weights = abel_unit_rule(s, d)
-            rows = max(1, _BLOCK_NODES // nodes.size)
-            for start in range(0, at.size, rows):
-                block = at[start : start + rows]
-                h1 = self.smooth_factor(1, (xi[block, None] * nodes).ravel())
-                out[block] += np.sum(h1.reshape(block.size, -1) * weights, axis=1)
-        return out
+        return out + gauss_ladder(
+            lambda z: self.smooth_factor(1, z), xi, s, -s, self._branch_gap
+        )
 
 
 def solve_extension(profile: CausalProfile, s: FractionalOrder | float, **kwargs) -> ExtensionSolution:

@@ -11,16 +11,15 @@ end panel ``jacobi_end_rule(b)`` on [1/2, 1]; see Diethelm, The Analysis
 of Fractional Differential Equations (2010), ch. 7, for product
 integration of Abel kernels. Its users differ only in (p, b, depth):
 
-- the Caputo residual's int_0^1 w^(s-1) (1-w)^(-s) f(w) dw
-  (``abel_unit_rule``);
+- ``gauss_ladder``, for int_0^1 w^(p-1) (1-w)^b f(xi w) dw at many xi
+  with f cut at (-inf, -gap]: each point takes the depth its own branch
+  point w = -gap/xi needs. It serves the tables of the solver's
+  analytic factors (p = 1, b = s - 1) and the Caputo residual (p = s,
+  b = -s);
 - the representation formula behind ``raw_value``, whose integrand
   carries the junction branch w^(1-s) at w = 0;
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
   singular point x_s at one endpoint.
-
-The tables of the solver's analytic factors take their right halves from
-the same 20-node end panel and their left halves from ``gauss_ladder``,
-which integrates one ladder per point in a single call.
 
 The unit rules depend only on (p, b, depth) and the end panels only on
 their exponent. They are built on first use, kept in bounded
@@ -44,7 +43,6 @@ __all__ = [
     "poly_abel_integral",
     "gauss_ladder",
     "unit_rule",
-    "abel_unit_rule",
     "gauss_jacobi",
     "jacobi_end_rule",
 ]
@@ -104,6 +102,11 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 _END_NODES = 20
 _BAND_NODES = 12
 _SINGULAR_DEPTH = 12
+# values of f per block of a gauss_ladder call; bounds its memory
+_BLOCK_NODES = 8192
+# deepest gauss_ladder rule (748 nodes): it resolves points up to 2^59
+# gaps right of the cut, and no grid can ask for more bands than this
+_MAX_DEPTH = 60
 
 
 @functools.lru_cache(maxsize=32)
@@ -135,15 +138,16 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     exactly: in floating point (s - 1) + 1 need not be s. b > -1.
     20 + 12 (depth - 1) + 20 nodes, increasing, depending on (p, b,
     depth) only; both arrays are read-only and built on first use. The
-    cache holds 32 rules: a run at one s needs one per residual depth
-    class its points fall in (3 in the README's five runs together),
-    plus those of ``raw_value`` and ``integrate_singular``.
+    cache holds 32 rules: a run at one s needs one per depth class of
+    its table nodes and one per depth class of its residual points, plus
+    those of ``raw_value`` and ``integrate_singular`` (11 in the README's
+    five runs together).
     """
     edge = 0.5**depth
     x, g = gauss_jacobi(_END_NODES, 0.0, p - 1.0)  # w = edge (1 + x)/2
     w_left = 0.5 * edge * (1.0 + x)
     W_left = (0.5 * edge) ** p * g * (1.0 - w_left) ** b
-    gx, gw = _gauss_legendre(_BAND_NODES)
+    gx, gw = _gauss_legendre()
     half = 0.5 * edge * 2.0 ** np.arange(depth - 1)  # band [2 half, 4 half]
     w_band = 3.0 * half[:, None] + half[:, None] * gx
     W_band = half[:, None] * gw * w_band ** (p - 1.0) * (1.0 - w_band) ** b
@@ -154,22 +158,40 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nodes, weights)
 
 
-def abel_unit_rule(s: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(s-1) (1-w)^(-s) f(w) dw.
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return _read_only(*np.polynomial.legendre.leggauss(_BAND_NODES))
 
-    ``unit_rule(s, -s, depth)``: 20 + 12 (depth - 1) + 20 nodes. Its first
-    panel [0, 2^-depth] and the bands after it integrate f to rounding
-    when f's only singularity is a branch point at w = -d with
-    2^-depth <= d/2. H_1((x-b) w) has its branch point at
-    w = -gap/(x-b), so the Caputo residual takes at each point the
-    least such depth, ceil(log2(2 (x-b)/gap)) and at least 1.
+
+def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarray:
+    """int_0^1 w^(p-1) (1-w)^b f(xi w) dw for each xi >= 0 of an array.
+
+    f's only singularity is a cut (-inf, -gap], so f(xi w) has its branch
+    point at w = -gap/xi. Each point takes ``unit_rule(p, b, depth)``
+    with the least depth whose first panel [0, 2^-depth] is no wider
+    than half that distance, ceil(log2(2 xi/gap)), at least 1 and at most
+    60: 40 nodes up to xi = gap/2, 12 more per doubling of xi beyond.
+    Points of one depth share one rule, applied in blocks of at most
+    8192 values of f; f is called on a 1-d array and returns values
+    elementwise. Each point's sum is reduced on its own and its depth
+    depends on its own xi only, so a value does not depend on the other
+    points of the call.
     """
-    return unit_rule(s, -s, depth)
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(*np.polynomial.legendre.leggauss(n))
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros_like(xi)
+    with np.errstate(divide="ignore"):  # xi = 0 takes depth 1
+        depth = np.clip(np.ceil(np.log2(2.0 * xi / gap)), 1, _MAX_DEPTH).astype(int)
+    for d in range(depth.min(initial=_MAX_DEPTH), depth.max(initial=0) + 1):
+        at = np.flatnonzero(depth == d)
+        if not at.size:
+            continue
+        nodes, weights = unit_rule(p, b, d)
+        rows = max(1, _BLOCK_NODES // nodes.size)
+        for start in range(0, at.size, rows):
+            block = at[start : start + rows]
+            fv = np.asarray(f((xi[block, None] * nodes).ravel()), dtype=float)
+            out[block] = np.sum(fv.reshape(block.size, -1) * weights, axis=1)
+    return out
 
 
 def integrate_singular(f, lo: float, hi: float, exponent: float, singular_end: str) -> float:
@@ -244,43 +266,3 @@ def poly_abel_integral(pieces, x, e: float):
                 acc += ck * math.comb(k, r) * base ** (k - r) * (-1.0) ** r * delta
         total[active] += acc
     return total if isinstance(x, np.ndarray) else float(total[0])
-
-
-def gauss_ladder(f, lo: float, hi: float, first_width, n_gl: int = 16):
-    """Integrate smooth f on [lo, hi] by Gauss panels doubling away from lo.
-
-    Used when f is analytic on (lo, hi] but has a branch point just left
-    of lo: bands of geometrically growing width keep (band width)/(distance)
-    bounded, so fixed-order Gauss is exact to rounding on every band.
-
-    With an array ``first_width`` every entry gets its own ladder and f is
-    called once, on nodes of shape (len(first_width), nodes), returning
-    values elementwise; the result is one integral per entry. Shorter
-    ladders are padded with zero-width bands at hi (so f(hi) must be
-    finite), and each row's bands are summed in order, so a row's value
-    does not depend on the other rows.
-    """
-    lo, hi = float(lo), float(hi)
-    widths = np.asarray(first_width, dtype=float)
-    span = hi - lo
-    if span <= 0.0:
-        return np.zeros(widths.shape) if widths.ndim else 0.0
-    first = np.minimum(np.maximum(np.atleast_1d(widths), 1e-13 * span), span)
-    edges = [np.zeros_like(first)]
-    w = first
-    while True:
-        grow = edges[-1] + w < span
-        if not np.any(grow):
-            break
-        edges.append(np.where(grow, edges[-1] + w, span))
-        w = 2.0 * w
-    edges.append(np.full_like(first, span))
-    edges = lo + np.stack(edges, axis=1)
-    gx, gw = _gauss_legendre(n_gl)
-    a, b = edges[:, :-1], edges[:, 1:]
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[..., None] + half[..., None] * gx
-    shape = (first.size, -1) if widths.ndim else (-1,)
-    fv = np.asarray(f(nodes.reshape(shape)), dtype=float).reshape(nodes.shape)
-    total = np.cumsum(np.sum(fv * gw, axis=2) * half, axis=1)[:, -1]
-    return total if widths.ndim else float(total[0])

@@ -695,3 +695,109 @@ def test_fuzzed_config_exits_2_with_one_line(tmp_path_factory, command_text):
     path = tmp_path_factory.mktemp("config") / "c.json"
     path.write_text(text, encoding="utf-8")
     _assert_one_line_error(*_run_checked([command, "--config", str(path)]))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--f", "sin", "--k", "2", "--eps", "0.01"),
+    ("--f", "exp", "--k", "2", "--eps", "0.05"),
+    ("--f", "exp", "--k", "3", "--eps", "0.1"),
+], ids=["sin-k2", "exp-k2", "exp-k3"])
+def test_target_beyond_the_jet_orders_exits_3_before_any_jet(tmp_path, capsys, monkeypatch, argv):
+    # each needs a polynomial of degree 5 or more, and no jet beyond x^4 exists
+    from caputo_density import density_builder
+
+    monkeypatch.setattr(density_builder, "prescribe_jet", _no_solve)
+    code, stdout, err = run_cli(capsys, "approximate", *argv, "--out", str(tmp_path / "o.csv"))
+    assert code == 3
+    assert err == ""
+    reason = json.loads(stdout)["exit_reason"]
+    assert reason.startswith("TargetDegreeError: no polynomial of degree <= 4"), reason
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_FLAGS))
+def test_config_reports_only_the_commands_own_settings(command):
+    own = {flag[2:].replace("-", "_") for flag in _BAD_FLAGS[command]} | {"out"}
+    config = RunConfig(command=command, **_VALID_VALUE)
+    assert set(config.as_dict()) == own | {"command"}
+
+
+_ORDER = st.floats(0.02, 0.98).map(repr)
+_TOLERANCE = st.floats(1e-8, 1.0).map(repr)
+_SMALL_COUNT = st.integers(2, 8).map(str)
+_FIXED_SPAN = st.sampled_from(["appendix-es1", "appendix-es2", "ramp", "bump"])
+_AFFINE = st.sampled_from(["constant", "linear"])
+
+
+def _coeffs(most):
+    return st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=most).map(
+        lambda cs: ",".join(map(repr, cs)))
+
+
+def _valid_grid(lo, hi):
+    """lo:hi:n with lo <= x0 < x1 <= hi and 2..8 points."""
+    return st.tuples(st.floats(0.0, 0.9), st.floats(0.05, 1.0), st.integers(2, 8)).map(
+        lambda t: f"{lo + t[0] * (hi - lo)!r}:{lo + min(1.0, t[0] + t[1]) * (hi - lo)!r}:{t[2]}")
+
+
+@st.composite
+def _valid_derivative(draw):
+    argv = ["derivative", "--s", draw(_ORDER)]
+    kind = draw(st.sampled_from(["fixed", "affine", "poly"]))
+    if kind == "poly":
+        b = draw(st.floats(1.0, 3.0))
+        return argv + ["--poly", draw(_coeffs(3)), "--b", repr(b), "--grid", draw(_valid_grid(0.01, b))]
+    argv += ["--profile", draw(_FIXED_SPAN if kind == "fixed" else _AFFINE)]
+    if kind == "affine" and draw(st.booleans()):
+        argv += ["--a", repr(draw(st.floats(-1.0, 0.0)))]
+    return argv + ["--grid", draw(_valid_grid(0.01, 3.0))]
+
+
+@st.composite
+def _valid_extend(draw):
+    argv = ["extend", "--s", draw(_ORDER), "--tol", draw(_TOLERANCE)]
+    kind = draw(st.sampled_from(["fixed", "affine", "poly"]))
+    b = 1.0
+    if kind == "fixed":
+        argv += ["--profile", draw(_FIXED_SPAN)]
+    else:
+        a = draw(st.floats(-1.0, 0.5))
+        b = a + draw(st.floats(0.1, 2.0))
+        data = ["--poly", draw(_coeffs(3))] if kind == "poly" else ["--profile", draw(_AFFINE)]
+        argv += data + ["--a", repr(a), "--b", repr(b)]
+    return argv + ["--grid", draw(_valid_grid(b + 1e-3, b + 4.0))]
+
+
+@st.composite
+def _valid_blowup(draw):
+    js = draw(st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True))
+    lo = draw(st.floats(0.1, 1.0))
+    return ["blowup", "--s", draw(_ORDER), "--j-list", ",".join(map(str, sorted(js))),
+            "--interval", f"{lo!r}:{lo + draw(st.floats(0.1, 2.0))!r}",
+            "--n-points", draw(_SMALL_COUNT)]
+
+
+@st.composite
+def _valid_approximate(draw):
+    target = draw(st.one_of(
+        st.sampled_from(["sin", "exp", "x^2", "x2"]).map(lambda f: ["--f", f]),
+        _coeffs(6).map(lambda cs: ["--f", "poly:" + cs]),  # degree 5 is beyond the jets
+        st.floats(-2.0, 2.0).map(lambda c: ["--f", repr(c)]),
+        st.integers(0, 4).map(lambda m: ["--m", str(m)]),
+    ))
+    return ["approximate", "--s", draw(_ORDER), *target,
+            "--k", str(draw(st.integers(0, 4))), "--eps", repr(10.0 ** draw(st.floats(-3.0, 0.0))),
+            "--residual-tol", draw(_TOLERANCE), "--n-points", draw(_SMALL_COUNT)]
+
+
+@given(st.one_of(_valid_derivative(), _valid_extend(), _valid_blowup(), _valid_approximate()))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_valid_settings_run_or_miss_the_target(argv):
+    # a valid run either succeeds (0) or reports a missed target (3) on
+    # stdout; nothing reaches stderr and no warning is raised
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 3), (code, err.getvalue())
+    assert err.getvalue() == ""

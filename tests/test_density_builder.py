@@ -226,7 +226,7 @@ def test_approximate_sin_c1(psi0_default):
 
 def test_degree_cap_failure(psi0_default):
     with pytest.raises(TargetDegreeError, match="increase eps"):
-        approximate_function(SinTarget(), 4, 1e-9, 0.5, psi0_default, n_max=2)
+        approximate_function(SinTarget(), 4, 1e-9, 0.5, psi0_default)
 
 
 def test_prescribe_jet_on_alternative_profile():

@@ -21,12 +21,7 @@ from caputo_density.density_builder import (
 )
 from caputo_density.extension_solver import solve_extension
 from caputo_density.profiles import builtin_profile
-from caputo_density.singular_quadrature import (
-    abel_unit_rule,
-    gauss_jacobi,
-    poly_abel_integral,
-    unit_rule,
-)
+from caputo_density.singular_quadrature import gauss_jacobi, poly_abel_integral, unit_rule
 from caputo_density.special_functions import beta, gamma
 
 ORDERS = (0.02, 0.1, 0.5, 0.9, 0.99)
@@ -146,10 +141,10 @@ def test_scalar_input_returns_float_everywhere(psi_half, psi0_default):
 
 
 def test_cached_rules_are_read_only():
-    arrays = unit_rule(0.5, 0.0, 12) + abel_unit_rule(0.5, 3)
+    arrays = unit_rule(0.5, 0.0, 12) + unit_rule(0.5, -0.5, 3)
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert unit_rule(0.5, 0.0, 12)[0] is arrays[0]
-    assert abel_unit_rule(0.5, 3)[1] is unit_rule(0.5, -0.5, 3)[1]
+    assert unit_rule(0.5, -0.5, 3)[1] is arrays[3]

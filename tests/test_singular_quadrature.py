@@ -1,5 +1,4 @@
 import functools
-import math
 import warnings
 
 import mpmath
@@ -10,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from caputo_density.singular_quadrature import (
-    abel_unit_rule,
     gauss_jacobi,
     gauss_ladder,
     integrate_singular,
     kernel_identity_check,
     poly_abel_integral,
+    unit_rule,
 )
 from caputo_density.special_functions import beta, reflection
 
@@ -137,9 +136,11 @@ def test_poly_abel_partial_upper_limit():
 
 
 def test_gauss_ladder_near_edge_branch():
+    # f(w) = sqrt(w + 1e-3) has its cut at -1e-3, just left of the interval
     f = lambda t: np.sqrt(t + 1e-3)
     ref = quad(f, 0.0, 1.0, limit=200)[0]
-    assert gauss_ladder(f, 0.0, 1.0, 5e-4) == pytest.approx(ref, rel=1e-13)
+    got = gauss_ladder(f, np.array([1.0]), 1.0, 0.0, 1e-3)
+    assert got[0] == pytest.approx(ref, rel=1e-13)
 
 
 @functools.cache
@@ -191,7 +192,7 @@ ABEL_ORDERS = (0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.98, 0.99)
 def test_abel_unit_rule_sums_to_reflection(s):
     # f = 1: int_0^1 w^(s-1) (1-w)^(-s) dw = B(s, 1-s) = pi/sin(pi s)
     for depth in range(1, 13):
-        nodes, weights = abel_unit_rule(s, depth)
+        nodes, weights = unit_rule(s, -s, depth)
         assert nodes.size == 20 + 12 * (depth - 1) + 20 and np.all(np.diff(nodes) > 0.0)
         assert nodes[0] > 0.0 and nodes[-1] < 1.0
         assert abs(np.sum(weights) / reflection(s) - 1.0) <= 1e-14
@@ -215,26 +216,21 @@ def _abel_reference(s: float, d: float) -> float:
 @pytest.mark.parametrize("d", [0.25, 5e-3, 5e-5])
 def test_abel_unit_rule_near_branch_point(s, d):
     # H_1((x-b) w) has a branch point at w = -gap/(x-b); d = 5e-5 is x - b
-    # at 2e4 gaps. The residual's depth for it: first panel <= d/2
-    depth = max(1, math.ceil(math.log2(2.0 / d)))
-    nodes, weights = abel_unit_rule(s, depth)
-    got = float(np.sum(weights * (nodes + d) ** -s))
+    # at 2e4 gaps. gauss_ladder picks the residual's depth for it
+    got = gauss_ladder(lambda z: (z + d) ** -s, np.array([1.0]), s, -s, d)[0]
     ref = _abel_reference(s, d)
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 def test_batched_gauss_ladder_rows_are_scalar_ladders():
-    # one call, one ladder per row; rows padded with zero-width bands keep
-    # the value of their own scalar call bit for bit
-    widths = np.array([5e-4, 0.5, 5e-8, 0.05, 1e-20])
-    shifts = np.array([1e-3, 0.2, 1e-7, 0.1, 1e-15])
-
-    def f_batch(t):
-        return np.sqrt(t + shifts[:, None])
-
-    batched = gauss_ladder(f_batch, 0.0, 1.0, widths)
-    assert batched.shape == widths.shape
-    for w, d, value in zip(widths, shifts, batched):
-        assert value == gauss_ladder(lambda t: np.sqrt(t + d), 0.0, 1.0, w)
-    ref = quad(lambda t: np.sqrt(t + 1e-3), 0.0, 1.0, limit=200)[0]
-    assert batched[0] == pytest.approx(ref, rel=1e-13)
+    # xi = 0, 300 points of depth 1 (more than one block of its 40-node
+    # rule) and a sweep up to depth 17: each point's value is
+    # what a call for that point alone gives, bit for bit
+    gap = 1e-3
+    xi = np.concatenate([[0.0], np.linspace(1e-6, 0.5 * gap, 300), np.geomspace(gap, 60.0, 97)])
+    f = lambda z: np.sqrt(z + gap)
+    batched = gauss_ladder(f, xi, 0.5, -0.5, gap)
+    assert batched.shape == xi.shape
+    for x, value in zip(xi, batched):
+        assert value == gauss_ladder(f, np.array([x]), 0.5, -0.5, gap)[0]
+    assert np.array_equal(gauss_ladder(f, xi[::-1], 0.5, -0.5, gap)[::-1], batched)

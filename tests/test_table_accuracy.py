@@ -53,7 +53,7 @@ def _reference_h(sol, n, xi):
         return float(h), float(m)
 
 
-@pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9, 0.98])
 @pytest.mark.parametrize("name", ["ramp", "bump"])
 def test_tables_match_mpmath(name, s):
     sol = solve_extension(builtin_profile(name), s)
