@@ -174,8 +174,7 @@ class Combination:
         flat = xa.reshape(-1)
         out = np.full(flat.size, c0)
         if self.A.size and flat.size:
-            # term-major: each term's points reach psi in the caller's order,
-            # which keeps psi's sort of table reads by panel cheap
+            # term-major: each term's points reach psi in the caller's order
             y = self.alpha[:, None] * flat + self.beta[:, None]
             vals = np.ascontiguousarray(np.reshape(f(y.ravel()), y.shape).T)
             out += np.sum(vals * (self.A * self.alpha**power), axis=1)

@@ -24,7 +24,6 @@ computed from plain values of v, independent of the derivative formula.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +62,11 @@ MAX_CK_ORDER = 4
 GRID_POINTS = 1000
 RESIDUAL_POINTS = 200
 DELTA_FLOOR = 1e-8
+# delta halving screens each trial on every 9th point of the C^k grid;
+# (GRID_POINTS - 1) is a multiple of it, so the screen keeps both ends
+_SCREEN_STRIDE = 9
+# the FD certificate's stencil has 2 * 6 + 1 nodes
+_FD_HALF_WIDTH = 6
 
 
 class JetInfeasibleError(RuntimeError):
@@ -80,9 +84,19 @@ class TargetDegreeError(RuntimeError):
 # -- finite differences ----------------------------------------------------
 
 
-def _fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Weights of the order-m derivative at z from nodes x (Fornberg recursion)."""
+def _fornberg_table(z: float, x: np.ndarray, m: int) -> np.ndarray:
+    """Weights of the derivatives of order 0..m at z from nodes x (Fornberg
+    recursion), one column per order.
+
+    Column l does not depend on m: the recursion fills each column from
+    the ones left of it. Raises ValueError unless 0 <= m < x.size and the
+    nodes are finite and distinct.
+    """
     n = x.size
+    if not 0 <= m < n:
+        raise ValueError(f"derivative order must lie in 0..{n - 1} for {n} nodes, got {m}")
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(np.sort(x)) > 0.0)):
+        raise ValueError("finite-difference nodes must be finite and distinct")
     c = np.zeros((n, m + 1))
     c1, c4 = 1.0, x[0] - z
     c[0, 0] = 1.0
@@ -99,13 +113,25 @@ def _fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, m]
+    return c
+
+
+def _fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
+    """Weights of the order-m derivative at z from nodes x."""
+    return _fornberg_table(z, x, m)[:, m]
+
+
+def _fd_nodes(p: float, h: float, half_width: int) -> np.ndarray:
+    return p + h * np.arange(-half_width, half_width + 1, dtype=float)
 
 
 def fd_derivative(fun, p: float, order: int, h: float, half_width: int = 4) -> float:
-    """Central finite-difference derivative of order ``order`` at p, step h."""
-    offsets = np.arange(-half_width, half_width + 1, dtype=float)
-    nodes = p + h * offsets
+    """Central finite-difference derivative of order ``order`` at p, step h.
+
+    Raises ValueError for an order outside 0..2 half_width or a step that
+    gives no distinct finite nodes (h = 0, say).
+    """
+    nodes = _fd_nodes(p, h, half_width)
     w = _fornberg_weights(p, nodes, order)
     return float(sum(wi * fun(float(t)) for wi, t in zip(w, nodes)))
 
@@ -193,12 +219,15 @@ def prescribe_jet(
 ) -> JetCombination:
     """Build a stationary combination with jet (0, ..., 0, 1) of order m at some p.
 
-    Tries each candidate p over the j pool and keeps, among the solves
-    whose residual meets ``jet_tol``, the one of least coefficient mass
-    (their residuals are rounding noise, 1e-15 to 1e-13, and would rank
-    the candidates at random); when none meets it, the smallest residual,
-    which is then reported as infeasible. The returned jet is certified
-    by finite differences of plain v values.
+    Solves each candidate p over the j pool, all from one ``jet_matrix``
+    call, and keeps, among the solves whose residual meets ``jet_tol``,
+    the one of least coefficient mass (their residuals are rounding
+    noise, 1e-15 to 1e-13, and would rank the candidates at random); when
+    none meets it, the smallest residual, which is then reported as
+    infeasible. The returned jet is certified by finite differences of
+    plain v values: one ``value_raw`` call on a 13-node stencil that every
+    order shares, and one Fornberg table whose column l gives the weights
+    of order l, as ``fd_derivative`` would for that order alone.
     """
     s = FractionalOrder.of(s)
     if m < 0 or m > MAX_JET_ORDER:
@@ -209,9 +238,11 @@ def prescribe_jet(
     members = tuple(BlowupMember(int(j), psi) for j in pool_j)
 
     solves = []
-    for p in pool_p:
-        matrix = jet_matrix(members, [p], m)
-        coef, residual, cond = _solve_single_point(matrix, m, rcond)
+    # rows are member-major, so candidate i is every len(pool_p)-th row
+    matrix = jet_matrix(members, pool_p, m)
+    for i, p in enumerate(pool_p):
+        rows = np.ascontiguousarray(matrix[i :: len(pool_p)])
+        coef, residual, cond = _solve_single_point(rows, m, rcond)
         solves.append((residual, float(np.sum(np.abs(coef))), float(p), coef, cond))
     # residuals below the tolerance are rounding noise, so they do not rank
     feasible = [solve for solve in solves if solve[0] <= jet_tol]
@@ -232,9 +263,12 @@ def prescribe_jet(
         # step balances stencil truncation against the nonsmooth part of the
         # quadrature noise, which the 1/h^l weights amplify
         h = fd_step if fd_step is not None else 0.06 * min(p, 1.0)
-        v_raw = functools.cache(combo.value_raw)  # the stencils share nodes
+        nodes = _fd_nodes(p, h, _FD_HALF_WIDTH)  # one stencil for every order
+        weights = _fornberg_table(p, nodes, m)
+        values = combo.value_raw(nodes)
         fd_errors = tuple(
-            abs(fd_derivative(v_raw, p, l, h, half_width=6) - (1.0 if l == m else 0.0))
+            abs(float(sum(wi * vi for wi, vi in zip(weights[:, l], values)))
+                - (1.0 if l == m else 0.0))
             for l in range(m + 1)
         )
         combo = dataclasses.replace(combo, fd_jet_errors=fd_errors)
@@ -271,8 +305,12 @@ class MonomialReport:
 def monomial_ck_errors(jet: JetCombination | None, m: int, k: int, delta: float | None,
                        n_points: int = GRID_POINTS) -> np.ndarray:
     """sup_[0,1] |u^(l) - (x^m)^(l)| for l = 0..k at the given delta."""
+    return _monomial_errors(jet, m, k, delta, np.linspace(0.0, 1.0, n_points))
+
+
+def _monomial_errors(jet, m: int, k: int, delta, xs: np.ndarray) -> np.ndarray:
     monomial = PolyTarget([0.0] * m + [1.0])
-    return np.asarray(_ck_grid_error(monomial, _monomial(jet, m, delta), k, n_points)[1])
+    return np.asarray(_ck_grid_error(monomial, _monomial(jet, m, delta), k, xs)[1])
 
 
 def approximate_monomial(
@@ -289,7 +327,15 @@ def approximate_monomial(
 
     The jet residual is amplified by delta^(l-m) for l < m, so delta
     cannot shrink forever; underflow below 1e-8 reports failure with the
-    attained diagnostics instead of looping.
+    C^k error at the last delta tried instead of looping.
+
+    Each delta is first screened on every 9th point of the 1000-point
+    grid, both ends included, and only a screen below eps is checked on
+    the full grid. This cannot change the delta taken: a value does not
+    depend on the other points of its batch, the table growth and the
+    junction guard see the same extreme points, so each screened sup is
+    at most the full one, and a float sum of smaller non-negative terms
+    is no larger.
     """
     s = FractionalOrder.of(s)
     if not 0 <= k <= MAX_CK_ORDER:
@@ -306,21 +352,25 @@ def approximate_monomial(
 
     if jet is None:
         jet = prescribe_jet(s, profile, m, **jet_options)
+    screen = np.linspace(0.0, 1.0, GRID_POINTS)[::_SCREEN_STRIDE]
     delta = 1.0
     halvings = 0
     while True:
-        errs = monomial_ck_errors(jet, m, k, delta)
-        achieved = float(np.sum(errs))
-        if achieved < eps:
-            break
-        delta *= 0.5
-        halvings += 1
-        if delta < DELTA_FLOOR:
+        if np.sum(_monomial_errors(jet, m, k, delta, screen)) < eps:
+            errs = monomial_ck_errors(jet, m, k, delta)
+            achieved = float(np.sum(errs))
+            if achieved < eps:
+                break
+        if 0.5 * delta < DELTA_FLOOR:
+            # quote the full grid's error, which the screen may have skipped
+            achieved = float(np.sum(monomial_ck_errors(jet, m, k, delta)))
             raise DeltaUnderflowError(
                 f"monomial m={m}: delta underflowed below {DELTA_FLOOR:g} at "
                 f"C^{k} error {achieved:.3e} (budget {eps:.3e}); the jet residual "
                 f"{jet.jet_residual:.3e} is amplified by delta^-{m}"
             )
+        delta *= 0.5
+        halvings += 1
     report = MonomialReport(
         m=m, k=k, eps_budget=eps, delta=delta,
         errors_per_derivative=tuple(float(e) for e in errs),
@@ -428,8 +478,7 @@ class ApproximationReport:
 CombinedApproximant = Combination
 
 
-def _ck_grid_error(target, approx, k: int, n_points: int = GRID_POINTS) -> tuple[float, list[float]]:
-    xs = np.linspace(0.0, 1.0, n_points)
+def _ck_grid_error(target, approx, k: int, xs: np.ndarray) -> tuple[float, list[float]]:
     sups = []
     for l in range(k + 1):
         sups.append(float(np.max(np.abs(approx.derivative(l, xs) - target.eval(xs, l)))))
@@ -508,7 +557,7 @@ def approximate_function(
         reports.append(rep)
 
     combined = CombinedApproximant.sum(pieces)
-    achieved, sups = _ck_grid_error(target, combined, k)
+    achieved, sups = _ck_grid_error(target, combined, k, np.linspace(0.0, 1.0, GRID_POINTS))
     res_xs = np.linspace(0.0, 1.0, residual_points)
     res_vals = combined.caputo_value(res_xs)
 

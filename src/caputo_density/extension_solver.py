@@ -33,7 +33,7 @@ import numpy as np
 
 from .piecewise import MAX_DEGREE
 from .profiles import CausalProfile
-from .singular_quadrature import gauss_ladder, poly_abel_integral, unit_rule
+from .singular_quadrature import apply_rule, gauss_ladder, poly_abel_integral, unit_rule
 from .special_functions import FractionalOrder, beta, gamma
 
 __all__ = [
@@ -200,22 +200,29 @@ def _cheb_fit() -> tuple[np.ndarray, np.ndarray]:
     return nodes, fit
 
 
-def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sum_k c[k] T_k(x) for an array x and len(c) >= 2.
+def _clenshaw(x: np.ndarray, c: np.ndarray, panel: np.ndarray | None = None) -> np.ndarray:
+    """sum_k c[k] T_k(x) for an array x and len(c) >= 2, or with ``panel``
+    sum_k c[panel[i], k] T_k(x[i]) for a table c of one row per panel.
 
     The recurrence of numpy.polynomial.chebyshev's evaluator, step for
-    step and in the same order, kept in three buffers instead of new
-    arrays per step, so the result equals numpy's bit for bit.
+    step and in the same order, over all points at once and kept in a few
+    buffers instead of new arrays per step. Each step gathers the one
+    coefficient it needs per point, so every value equals numpy's on its
+    own row bit for bit.
     """
+    columns = np.ascontiguousarray(np.atleast_2d(c).T)  # one row per coefficient
+    if panel is None:
+        panel = np.zeros(x.shape, dtype=np.intp)
+    c0 = columns[-2].take(panel)
+    c1 = columns[-1].take(panel)
     x2 = 2.0 * x
-    c0 = np.full_like(x, c[-2])
-    c1 = np.full_like(x, c[-1])
     tmp = np.empty_like(x)
-    for i in range(3, len(c) + 1):
-        # c0, c1 = c[-i] - c1, c0 + c1 x2
+    gathered = np.empty_like(x)
+    for row in columns[-3::-1]:
+        # c0, c1 = c[k] - c1, c0 + c1 x2
         np.multiply(c1, x2, out=tmp)
         np.add(c0, tmp, out=tmp)
-        np.subtract(c[-i], c1, out=c0)
+        np.subtract(row.take(panel, out=gathered, mode="clip"), c1, out=c0)
         c1, tmp = tmp, c1
     np.multiply(c1, x, out=tmp)
     return np.add(c0, tmp, out=tmp)
@@ -228,8 +235,9 @@ class ExtensionSolution:
     construction, 24 points per panel and one ``_smooth_factor_quad``
     call per table over the nodes of every panel, and match the analytic
     factors to rounding for every s (checked against mpmath for s from
-    0.02 to 0.98). A table is read by Clenshaw's recurrence in place. The
-    object grows afterwards: a higher order's table on its first use, and
+    0.02 to 0.98). A table is read in one Clenshaw sweep over all points
+    of a call, each gathering its own panel's coefficients. The object
+    grows afterwards: a higher order's table on its first use, and
     every built table when a point lies beyond the covered range. The
     panel edges and the tables are one state, grown aside and swapped in
     one step under a lock, and every read works on one snapshot of it, so
@@ -240,8 +248,9 @@ class ExtensionSolution:
     rule per s. The rules live in the pure, bounded, read-only caches of
     ``singular_quadrature`` and are shared by every solution. Evaluators
     accept scalars or arrays. ``raw_value`` applies one rule to all
-    points of an array, ``caputo_value`` one rule per depth class, and
-    ``derivative`` makes one fresh-quadrature call for all points.
+    points of an array, in blocks, ``caputo_value`` one rule per depth
+    class, and ``derivative`` makes one fresh-quadrature call for all
+    points.
     """
 
     def __init__(
@@ -370,22 +379,21 @@ class ExtensionSolution:
         return edges, tables
 
     def _eval_table(self, n: int, xi: np.ndarray) -> np.ndarray:
+        """The order-n table at every xi of a 1-d array, grown first if needed.
+
+        ``searchsorted`` finds each point's panel, and one ``_clenshaw``
+        sweep over all points gathers each point's coefficients from its
+        panel's row. So a value equals ``chebval`` on its own panel bit for
+        bit and does not depend on the other points of the call.
+        """
         edges, tables = self._state
         xi_max = float(np.max(xi)) if xi.size else 0.0
         if n not in tables or xi_max > edges[-1]:
             edges, tables = self._grow(n, xi_max)
         coefs = tables[n]
-        idx = np.clip(np.searchsorted(edges, xi, side="right") - 1, 0, coefs.shape[0] - 1)
-        order = np.argsort(idx)
-        panels, starts = np.unique(idx[order], return_index=True)
-        stops = np.append(starts[1:], idx.size)
-        out = np.empty_like(xi)
-        for p, lo, hi in zip(panels, starts, stops):
-            e0, e1 = edges[p], edges[p + 1]
-            at = order[lo:hi]
-            w = (2.0 * xi[at] - e0 - e1) / (e1 - e0)
-            out[at] = _clenshaw(w, coefs[p])
-        return out
+        panel = np.clip(np.searchsorted(edges, xi, side="right") - 1, 0, coefs.shape[0] - 1)
+        e0, e1 = edges[panel], edges[panel + 1]
+        return _clenshaw((2.0 * xi - e0 - e1) / (e1 - e0), coefs, panel)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -467,7 +475,10 @@ class ExtensionSolution:
         every x: its first band [0, 2^-40] resolves the junction branch
         w^(1-s) of g, so the full g is integrated, independently of the
         tables' P + xi^s H_0 split. x may be a scalar (a float is
-        returned) or an array; each point's sum is reduced on its own.
+        returned) or an array. The rule is applied by ``apply_rule``, in
+        blocks of at most 8192 values of g: one block for a whole FD
+        stencil of a jet (13 nodes times its members) is slower than 13
+        single-node calls. Each point's sum is reduced on its own.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xa)
@@ -476,8 +487,9 @@ class ExtensionSolution:
             out[~ext] = self.value(xa[~ext])
         s = self.s.s
         xi = xa[ext] - self.b
-        w, W = unit_rule(1.0, s - 1.0, _RAW_DEPTH)
-        integral = np.sum(self.forcing.value(0, xi[:, None] * w) * W, axis=1)
+        integral = apply_rule(
+            lambda z: self.forcing.value(0, z), xi, *unit_rule(1.0, s - 1.0, _RAW_DEPTH)
+        )
         out[ext] = self.value_at_b + self.s.sin_factor * xi**s * integral
         return out if isinstance(x, np.ndarray) else float(out[0])
 

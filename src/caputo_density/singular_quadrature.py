@@ -21,10 +21,12 @@ integration of Abel kernels. Its users differ only in (p, b, depth):
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
   singular point x_s at one endpoint.
 
-The unit rules depend only on (p, b, depth) and the end panels only on
-their exponent. They are built on first use, kept in bounded
-module-level caches and handed out as read-only arrays, so one rule
-serves every integrand and every thread.
+``gauss_ladder`` and ``raw_value`` apply their rules to many points with
+``apply_rule``, in blocks that bound memory. The unit rules depend only
+on (p, b, depth) and the end panels only on their exponent. They are
+built on first use, kept in bounded module-level caches and handed out
+as read-only arrays, so one rule serves every integrand and every
+thread.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "kernel_identity_check",
     "poly_abel_integral",
     "gauss_ladder",
+    "apply_rule",
     "unit_rule",
     "gauss_jacobi",
     "jacobi_end_rule",
@@ -102,7 +105,7 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 _END_NODES = 20
 _BAND_NODES = 12
 _SINGULAR_DEPTH = 12
-# values of f per block of a gauss_ladder call; bounds its memory
+# values of f per block of an apply_rule call; bounds its memory
 _BLOCK_NODES = 8192
 # deepest gauss_ladder rule (748 nodes): it resolves points up to 2^59
 # gaps right of the cut, and no grid can ask for more bands than this
@@ -120,6 +123,14 @@ def jacobi_end_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """
     x, g = gauss_jacobi(_END_NODES, exponent, 0.0)  # w = (3 + x)/4
     return _read_only(0.75 + 0.25 * x, 4.0 ** (-exponent - 1.0) * g)
+
+
+@functools.lru_cache(maxsize=32)
+def _jacobi_start_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_jacobi(20, 0, p - 1)`` on [-1, 1]: the start panel of every
+    ``unit_rule(p, ., .)`` before its scaling to [0, 2^-depth]. Built on
+    first use per p; both arrays are read-only."""
+    return _read_only(*gauss_jacobi(_END_NODES, 0.0, p - 1.0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -141,10 +152,13 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     cache holds 32 rules: a run at one s needs one per depth class of
     its table nodes and one per depth class of its residual points, plus
     those of ``raw_value`` and ``integrate_singular`` (11 in the README's
-    five runs together).
+    five runs together). The start panel is cached per p and the end
+    panel per b: the table, residual and ``raw_value`` rules of one s
+    take two of each (p = 1, s and b = s - 1, -s), and p = 1 serves
+    every s.
     """
     edge = 0.5**depth
-    x, g = gauss_jacobi(_END_NODES, 0.0, p - 1.0)  # w = edge (1 + x)/2
+    x, g = _jacobi_start_rule(p)  # w = edge (1 + x)/2
     w_left = 0.5 * edge * (1.0 + x)
     W_left = (0.5 * edge) ** p * g * (1.0 - w_left) ** b
     gx, gw = _gauss_legendre()
@@ -171,11 +185,9 @@ def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarra
     with the least depth whose first panel [0, 2^-depth] is no wider
     than half that distance, ceil(log2(2 xi/gap)), at least 1 and at most
     60: 40 nodes up to xi = gap/2, 12 more per doubling of xi beyond.
-    Points of one depth share one rule, applied in blocks of at most
-    8192 values of f; f is called on a 1-d array and returns values
-    elementwise. Each point's sum is reduced on its own and its depth
-    depends on its own xi only, so a value does not depend on the other
-    points of the call.
+    Points of one depth share one rule, applied by ``apply_rule``. Each
+    point's depth depends on its own xi only, so a value does not depend
+    on the other points of the call.
     """
     xi = np.asarray(xi, dtype=float)
     out = np.zeros_like(xi)
@@ -183,14 +195,26 @@ def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarra
         depth = np.clip(np.ceil(np.log2(2.0 * xi / gap)), 1, _MAX_DEPTH).astype(int)
     for d in range(depth.min(initial=_MAX_DEPTH), depth.max(initial=0) + 1):
         at = np.flatnonzero(depth == d)
-        if not at.size:
-            continue
-        nodes, weights = unit_rule(p, b, d)
-        rows = max(1, _BLOCK_NODES // nodes.size)
-        for start in range(0, at.size, rows):
-            block = at[start : start + rows]
-            fv = np.asarray(f((xi[block, None] * nodes).ravel()), dtype=float)
-            out[block] = np.sum(fv.reshape(block.size, -1) * weights, axis=1)
+        if at.size:
+            out[at] = apply_rule(f, xi[at], *unit_rule(p, b, d))
+    return out
+
+
+def apply_rule(f, xi: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k f(xi nodes_k) for each xi of a 1-d array.
+
+    The points are taken in blocks of at most 8192 values of f, which
+    bounds the memory of a call; f is called on a 1-d array and returns
+    values elementwise. Each point's sum is reduced on its own, so a
+    value does not depend on the other points of the call or on the
+    block it falls in.
+    """
+    out = np.empty_like(xi)
+    rows = max(1, _BLOCK_NODES // nodes.size)
+    for start in range(0, xi.size, rows):
+        z = xi[start : start + rows, None] * nodes
+        fv = np.asarray(f(z.ravel()), dtype=float)
+        out[start : start + rows] = np.sum(fv.reshape(z.shape) * weights, axis=1)
     return out
 
 

@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from caputo_density.blowup import Psi0Profile, build_psi
 from caputo_density.extension_solver import solve_extension
 from caputo_density.profiles import quadratic_bump_profile, ramp_profile
+
+# CI runs draw the same examples every time and print a blob that replays
+# a failure; local runs keep exploring. Example counts stay per test.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from caputo_density.blowup import BlowupMember, build_psi
 from caputo_density.density_builder import (
+    DELTA_FLOOR,
     DeltaUnderflowError,
     ExpTarget,
     JetInfeasibleError,
@@ -26,6 +28,17 @@ def test_fd_derivative_on_exp():
     for order in (1, 2, 3):
         est = fd_derivative(math.exp, 0.3, order, 0.05, half_width=5)
         assert est == pytest.approx(math.exp(0.3), rel=1e-9)
+
+
+@pytest.mark.parametrize("order,h,half_width", [
+    (3, 0.05, 1),  # more orders than the 3 nodes carry: was a silent 0.0
+    (1, 0.0, 4),  # one repeated node: was NaN with RuntimeWarnings
+    (-1, 0.05, 4),  # was a bare IndexError
+    (1, math.nan, 4),
+])
+def test_fd_derivative_refuses_bad_stencils(order, h, half_width):
+    with pytest.raises(ValueError):
+        fd_derivative(math.exp, 0.3, order, h, half_width=half_width)
 
 
 # -- jet matrix -----------------------------------------------------------------
@@ -87,6 +100,20 @@ def test_jet_matrix_conditioning_backstop(psi_half):
 
 
 # -- jet prescription --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_fd_certificate_equals_per_order_fd_derivative(jet_cache, m):
+    # one value_raw call on the shared 13-node stencil and one Fornberg
+    # table give what one fd_derivative per order gives, bit for bit
+    jet = jet_cache(m)
+    h = 0.06 * min(jet.p, 1.0)
+    v_raw = functools.cache(jet.value_raw)
+    per_order = tuple(
+        abs(fd_derivative(v_raw, jet.p, l, h, half_width=6) - (1.0 if l == m else 0.0))
+        for l in range(m + 1)
+    )
+    assert jet.fd_jet_errors == per_order
 
 
 def test_prescribe_jet_order_zero(psi0_default, jet_cache):
@@ -168,6 +195,46 @@ def test_monomial_budget_to_delta_amplification(psi0_default, jet_cache):
 def test_monomial_underflow_diagnostics(psi0_default, jet_cache):
     with pytest.raises(DeltaUnderflowError, match="delta underflowed"):
         approximate_monomial(0.5, psi0_default, 1, 0, 1e-13, jet=jet_cache(1))
+
+
+def _unscreened_halving(jet, m, k, eps):
+    """The delta-halving loop on the full grid at every trial."""
+    delta, halvings = 1.0, 0
+    while True:
+        errs = monomial_ck_errors(jet, m, k, delta)
+        achieved = float(np.sum(errs))
+        if achieved < eps:
+            return delta, halvings, tuple(float(e) for e in errs), achieved
+        delta *= 0.5
+        halvings += 1
+        if delta < DELTA_FLOOR:
+            raise DeltaUnderflowError(
+                f"monomial m={m}: delta underflowed below {DELTA_FLOOR:g} at "
+                f"C^{k} error {achieved:.3e} (budget {eps:.3e}); the jet residual "
+                f"{jet.jet_residual:.3e} is amplified by delta^-{m}"
+            )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except DeltaUnderflowError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_screened_halving_takes_the_unscreened_delta(psi0_default, jet_cache, s, m, k):
+    # eps 1e-2 takes 3 to 9 halvings, and underflows at m = 3, k = 2 for
+    # s = 0.1, 0.9, where the message must quote the full grid's error
+    jet = jet_cache(m, s=s)
+
+    def screened():
+        _, rep = approximate_monomial(s, psi0_default, m, k, 1e-2, jet=jet)
+        return rep.delta, rep.halvings, rep.errors_per_derivative, rep.achieved
+
+    assert _outcome(screened) == _outcome(lambda: _unscreened_halving(jet, m, k, 1e-2))
 
 
 def test_monomial_rescaling_initial_point(psi0_default, jet_cache):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from caputo_density import singular_quadrature
 from caputo_density.singular_quadrature import (
     gauss_jacobi,
     gauss_ladder,
@@ -234,3 +235,26 @@ def test_batched_gauss_ladder_rows_are_scalar_ladders():
     for x, value in zip(xi, batched):
         assert value == gauss_ladder(f, np.array([x]), 0.5, -0.5, gap)[0]
     assert np.array_equal(gauss_ladder(f, xi[::-1], 0.5, -0.5, gap)[::-1], batched)
+
+
+def test_unit_rule_builds_its_start_panel_once_per_p(monkeypatch):
+    # the start panel gauss_jacobi(20, 0, p - 1) is shared by every b and
+    # depth of one p, and the rules are what a fresh build gives
+    p = 0.4375
+    fresh = {(b, d): unit_rule.__wrapped__(p, b, d) for b in (-0.25, 0.5) for d in (1, 3, 7)}
+    singular_quadrature._jacobi_start_rule.cache_clear()
+    unit_rule.cache_clear()
+    calls = []
+    build = singular_quadrature.gauss_jacobi
+
+    def counted(n, a, b):
+        calls.append((n, a, b))
+        return build(n, a, b)
+
+    monkeypatch.setattr(singular_quadrature, "gauss_jacobi", counted)
+    for (b, d), (nodes, weights) in fresh.items():
+        cached = unit_rule(p, b, d)
+        assert np.array_equal(cached[0], nodes) and np.array_equal(cached[1], weights)
+    assert calls.count((20, 0.0, p - 1.0)) == 1
+    for a in singular_quadrature._jacobi_start_rule(p):
+        assert not a.flags.writeable

@@ -73,6 +73,32 @@ def test_clenshaw_equals_numpy_bit_for_bit():
         assert np.array_equal(_clenshaw(x, c), np.polynomial.chebyshev.chebval(x, c)), length
 
 
+def _per_point_chebval(sol, n, xi):
+    """Each point's table value by numpy's chebval on its own panel's row."""
+    edges, tables = sol._state
+    out = []
+    for x in xi:
+        p = min(max(int(np.searchsorted(edges, x, side="right")) - 1, 0), tables[n].shape[0] - 1)
+        e0, e1 = edges[p], edges[p + 1]
+        out.append(np.polynomial.chebyshev.chebval((2.0 * x - e0 - e1) / (e1 - e0), tables[n][p]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_gathered_read_equals_chebval_on_each_panel(n):
+    sol = solve_extension(builtin_profile("bump"), 0.3)
+    edges, _ = sol._state
+    rng = np.random.default_rng(n)
+    inside = np.concatenate([rng.uniform(e0, e1, 5) for e0, e1 in zip(edges[:-1], edges[1:])])
+    for xi in (inside, edges, inside[::-1]):
+        assert np.array_equal(sol.smooth_factor(n, xi), _per_point_chebval(sol, n, xi))
+    beyond = np.concatenate([inside, [2.5 * edges[-1]], 1.5 * edges[-1] + edges])
+    batched = sol.smooth_factor(n, beyond)  # grows every table first
+    assert sol._state[0][-1] >= beyond.max()
+    assert np.array_equal(batched, _per_point_chebval(sol, n, beyond))
+    assert np.array_equal(sol.smooth_factor(n, beyond[::-1])[::-1], batched)
+
+
 def test_one_quadrature_call_per_table_build(monkeypatch):
     calls = []
     quad = ExtensionSolution._smooth_factor_quad
@@ -152,8 +178,10 @@ def test_raw_value_matches_mpmath(name, s):
 
 
 def test_raw_value_rows_do_not_depend_on_the_batch():
+    # 16 points of the 508-node rule fill one block of 8192 values, so the
+    # 49 points right of b take 4 blocks
     sol = solve_extension(builtin_profile("bump"), 0.3)
-    xs = np.concatenate([[0.5, 1.0], 1.0 + np.geomspace(1e-6, 8.0, 21)])
+    xs = np.concatenate([[0.5, 1.0], 1.0 + np.geomspace(1e-6, 8.0, 49)])
     batched = sol.raw_value(xs)
     for i, x in enumerate(xs):
         assert batched[i] == sol.raw_value(float(x))
