@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension_solver import ExtensionSolution, solve_extension
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, polyder
 from .profiles import CausalProfile, quadratic_bump_profile
 from .singular_quadrature import integrate_singular, poly_abel_integral
 from .special_functions import FractionalOrder, beta, gamma
@@ -232,7 +232,7 @@ class BlowupMember(Combination):
             pieces.append((j * (tau_lo - 1.0), j * (tau_hi - 1.0), dcoeffs * scale))
         total = poly_abel_integral(pieces, x, -s)
         if x > 0.0:
-            dpoly = np.polynomial.polynomial.polyder(self.psi.junction_polynomial)
+            dpoly = polyder(self.psi.junction_polynomial)
             for k in range(dpoly.size):
                 if dpoly[k] != 0.0:
                     total += (

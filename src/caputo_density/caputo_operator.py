@@ -57,42 +57,56 @@ def caputo_derivative(
     u,
     a: float,
     s: FractionalOrder | float,
-    x: float,
+    x,
     u_prime=None,
-) -> float:
+):
     """D_a^s u(x); exactly 0 for x <= a by causality.
 
     u may be a CausalProfile / PiecewisePoly (exact closed form), a solved
     extension or blow-up/jet object (semi-analytic residual path), or a
     plain evaluator together with its analytic derivative ``u_prime``
     (``integrate_singular``; u' must be smooth on [a, x]).
+
+    x may be a scalar (a float is returned) or an array (an array of its
+    shape). The points right of a take one call: one ``poly_abel_integral``
+    for piecewise data, one ``caputo_value`` for objects that have it, and
+    one ``integrate_singular`` per point for a plain evaluator. Each
+    point's value is what a call for that point alone gives. Piecewise
+    data refuses the whole call if any point lies beyond its end.
     """
     s = FractionalOrder.of(s)
-    a, x = float(a), float(x)
-    if x <= a:
-        return 0.0
+    a = float(a)
+    xs = np.asarray(x if isinstance(x, np.ndarray) else float(x), dtype=float)
+    flat = xs.ravel()
+    out = np.zeros_like(flat)
+    live = flat > a
+    if np.any(live):
+        out[live] = _caputo_right_of(u, a, s, flat[live], u_prime)
+    return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
 
+
+def _caputo_right_of(u, a: float, s: FractionalOrder, xs: np.ndarray, u_prime) -> np.ndarray:
+    """D_a^s u at every point of a 1-d array of points > a."""
     own = _own_caputo(u, a, s)
     if own is not None:
-        return float(own(x))
+        return own(xs)
 
     if isinstance(u, (CausalProfile, PiecewisePoly)):
         data = u.data if isinstance(u, CausalProfile) else u
         start = data.breakpoints[0]
         if a > start:
             raise ValueError("initial point must not be inside the data's memory")
-        if x > data.hi:
+        if np.any(xs > data.hi):
             raise ValueError(
                 "data ends before x; solve the extension to differentiate beyond it"
             )
-        val = poly_abel_integral(data.derivative_pieces(), x, -s.s)
-        return float(val) / gamma(1.0 - s.s)
+        return poly_abel_integral(data.derivative_pieces(), xs, -s.s) / gamma(1.0 - s.s)
 
     if u_prime is None and callable(u):
         raise TypeError("plain evaluators need an analytic derivative u_prime")
     if u_prime is not None:
-        integral = integrate_singular(u_prime, a, x, -s.s, "right")
-        return integral / gamma(1.0 - s.s)
+        integrals = [integrate_singular(u_prime, a, x, -s.s, "right") for x in xs.tolist()]
+        return np.array(integrals) / gamma(1.0 - s.s)
 
     raise TypeError(f"cannot take the Caputo derivative of {type(u).__name__}")
 
@@ -100,17 +114,11 @@ def caputo_derivative(
 def caputo_residual(u, a: float, s: FractionalOrder | float, grid, **kwargs) -> ResidualReport:
     """Residual table |D_a^s u| over a grid of points > a.
 
-    Objects with their own ``caputo_value`` are evaluated in one array
-    call over the grid; everything else point by point.
+    One ``caputo_derivative`` call takes the whole grid.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.size == 0:
         raise ValueError("residual grid must be nonempty")
     if np.any(xs <= a):
         raise ValueError("all residual grid points must lie right of the initial point")
-    own = _own_caputo(u, float(a), FractionalOrder.of(s))
-    if own is not None:
-        values = np.asarray(own(xs), dtype=float)
-    else:
-        values = np.array([caputo_derivative(u, a, s, float(x), **kwargs) for x in xs])
-    return ResidualReport(xs=xs, values=values)
+    return ResidualReport(xs=xs, values=caputo_derivative(u, a, s, xs, **kwargs))

@@ -268,10 +268,9 @@ def _cmd_derivative(config: RunConfig) -> int:
         if config.poly is None and config.b is None:
             config = dataclasses.replace(config, b=float(max(grid)))
         profile = _resolve_profile(config)
-        a = profile.a
         if np.any(grid > profile.b):
             raise ValueError("grid extends beyond the data; use `extend` for x > b")
-        values = np.array([caputo_derivative(profile, a, s, float(x)) for x in grid])
+        values = caputo_derivative(profile, profile.a, s, grid)
     _write_csv(config.out, config, ["x", "caputo"], [grid, values])
     return EXIT_OK
 
@@ -490,9 +489,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _own_keys(command: str) -> set[str]:
+@functools.cache
+def _own_keys(command: str) -> frozenset[str]:
     """The settings a subcommand reads: the destinations of its own flags."""
-    return set(vars(_build_parser().parse_args([command]))) - {"command", "config"}
+    return frozenset(vars(_build_parser().parse_args([command]))) - {"command", "config"}
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:

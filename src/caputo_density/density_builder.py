@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blowup import BlowupMember, Combination, Psi0Profile, build_psi
+from .piecewise import polyder, polyval
 from .special_functions import FractionalOrder
 
 __all__ = [
@@ -393,8 +394,8 @@ class PolyTarget:
         self.description = "poly[" + ",".join(f"{c:g}" for c in self.coefficients) + "]"
 
     def eval(self, x, order: int = 0):
-        c = np.polynomial.polynomial.polyder(self.coefficients, order) if order else self.coefficients
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), np.atleast_1d(c))
+        c = polyder(self.coefficients, order) if order else self.coefficients
+        return polyval(np.asarray(x, dtype=float), np.atleast_1d(c))
 
 
 class SinTarget:

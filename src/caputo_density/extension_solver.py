@@ -31,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .piecewise import MAX_DEGREE
+from .piecewise import MAX_DEGREE, polyder, polyval
 from .profiles import CausalProfile
 from .singular_quadrature import apply_rule, gauss_ladder, poly_abel_integral, unit_rule
 from .special_functions import FractionalOrder, beta, gamma
@@ -61,6 +61,14 @@ _CHEB_POINTS = 24
 
 class JunctionProximityError(ValueError):
     """Raised when a derivative is requested too close to the junction b."""
+
+
+def _check_junction_distance(n: int, xi: np.ndarray) -> None:
+    """Refuse order n >= 1 at any xi = y - b below the guard; an empty xi passes."""
+    if np.any(xi < _JUNCTION_GUARD):
+        raise JunctionProximityError(
+            f"derivative order {n} requested at y-b={np.min(xi):.2e} < {_JUNCTION_GUARD}"
+        )
 
 
 def _falling(z: float, n: int) -> float:
@@ -188,13 +196,28 @@ class _Forcing:
 def _cheb_fit() -> tuple[np.ndarray, np.ndarray]:
     """A panel's Chebyshev points on [-1, 1] and the interpolation matrix.
 
-    Interpolation is linear in the values: row k of the matrix (chebfit
-    of the identity) maps the node values to coefficient k. Built on
-    first use, so that importing the package does not load
-    numpy.polynomial; both arrays are read-only.
+    Interpolation is linear in the values: row k of the matrix maps the
+    node values to coefficient k. The points are the 24 Chebyshev points
+    of the second kind, cos(pi j/23) from -1 to 1, and the matrix is the
+    least-squares fit of the identity on the Chebyshev-Vandermonde matrix
+    of degree 23, column-scaled as numpy's ``chebfit`` scales it: both
+    arrays equal ``chebpts2(24)`` and ``chebfit(chebpts2(24), eye(24),
+    23)`` bit for bit, strides included, so a table's coefficients do not
+    change with the code that builds it. Built on first use; both arrays
+    are read-only.
     """
-    nodes = np.polynomial.chebyshev.chebpts2(_CHEB_POINTS)
-    fit = np.polynomial.chebyshev.chebfit(nodes, np.eye(_CHEB_POINTS), _CHEB_POINTS - 1)
+    nodes = np.cos(np.linspace(-np.pi, 0, _CHEB_POINTS))
+    # T_k(nodes) by T_k = 2x T_(k-1) - T_(k-2), one row per degree
+    lhs = np.empty((_CHEB_POINTS, _CHEB_POINTS))
+    lhs[0] = nodes * 0 + 1
+    lhs[1] = nodes
+    x2 = 2 * nodes
+    for k in range(2, _CHEB_POINTS):
+        lhs[k] = lhs[k - 1] * x2 - lhs[k - 2]
+    scl = np.sqrt(np.square(lhs).sum(1))
+    rcond = _CHEB_POINTS * np.finfo(float).eps
+    fit = np.linalg.lstsq(lhs.T / scl, np.eye(_CHEB_POINTS), rcond)[0]
+    fit = (fit.T / scl).T
     for a in (nodes, fit):
         a.flags.writeable = False
     return nodes, fit
@@ -413,7 +436,7 @@ class ExtensionSolution:
             xi = xa[~left] - self.b
             out[~left] = (
                 self.value_at_b
-                + np.polynomial.polynomial.polyval(xi, self._poly)
+                + polyval(xi, self._poly)
                 + xi**self.s.s * self._eval_table(0, xi)
             )
         return out if isinstance(x, np.ndarray) else float(out[0])
@@ -425,12 +448,9 @@ class ExtensionSolution:
         if np.any(ya <= self.b):
             raise ValueError("fast derivatives are defined on (b, infinity)")
         xi = ya - self.b
-        if n >= 1 and np.min(xi) < _JUNCTION_GUARD:
-            raise JunctionProximityError(
-                f"derivative order {n} requested at y-b={np.min(xi):.2e} < {_JUNCTION_GUARD}"
-            )
-        dp = np.polynomial.polynomial.polyder(self._poly, n) if n > 0 else self._poly
-        out = np.polynomial.polynomial.polyval(xi, dp)
+        if n >= 1:
+            _check_junction_distance(n, xi)
+        out = polyval(xi, polyder(self._poly, n))
         out = out + xi ** (self.s.s - n) * self._eval_table(n, xi)
         if n == 0:
             out = out + self.value_at_b
@@ -455,15 +475,9 @@ class ExtensionSolution:
         if not np.all(ya > self.b):
             raise ValueError("derivatives are defined on (b, infinity)")
         xi = ya - self.b
-        if np.min(xi) < _JUNCTION_GUARD:
-            raise JunctionProximityError(
-                f"derivative order {n} requested at y-b={np.min(xi):.2e} < {_JUNCTION_GUARD}"
-            )
-        dp = np.polynomial.polynomial.polyder(self._poly, n)
-        out = (
-            np.polynomial.polynomial.polyval(xi, dp)
-            + xi ** (self.s.s - n) * self._smooth_factor_quad(n, xi)
-        )
+        _check_junction_distance(n, xi)
+        out = polyval(xi, polyder(self._poly, n))
+        out = out + xi ** (self.s.s - n) * self._smooth_factor_quad(n, xi)
         return out if isinstance(y, np.ndarray) else float(out[0])
 
     def raw_value(self, x):
@@ -529,7 +543,7 @@ class ExtensionSolution:
         """int_b^x u'(t) (x-t)^(-s) dt of the extension part for x = b + xi > b."""
         s = self.s.s
         out = np.zeros_like(xi)
-        dpoly = np.polynomial.polynomial.polyder(self._poly)
+        dpoly = polyder(self._poly)
         for k in range(dpoly.size):
             if dpoly[k] != 0.0:
                 out += dpoly[k] * xi ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)

@@ -5,6 +5,12 @@ breakpoints, per-piece polynomial coefficients of degree <= 3, and a
 constant value on (-inf, first breakpoint]. Construction verifies
 continuity across every breakpoint; derivatives are evaluated piecewise
 with the right-hand piece used at breakpoints.
+
+``polyval`` and ``polyder`` serve the power-basis polynomials of the
+solver. They return numpy.polynomial's ``polyval`` and ``polyder`` bit
+for bit (the same Horner order, the same ``j * c[j]``) without importing
+numpy.polynomial, which the derivative, extend and blowup commands would
+otherwise load for these two functions alone.
 """
 
 from __future__ import annotations
@@ -13,10 +19,40 @@ import math
 
 import numpy as np
 
-__all__ = ["PiecewisePoly"]
+__all__ = ["PiecewisePoly", "polyval", "polyder"]
 
 _CONTINUITY_TOL = 1e-12
 MAX_DEGREE = 3
+
+
+def polyval(x, c):
+    """sum_k c[k] x**k for ascending 1-d coefficients c, by Horner's rule.
+
+    x may be a scalar or an array of any shape; numpy's ``polyval(x, c)``
+    bit for bit.
+    """
+    c = np.asarray(c, dtype=float)
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
+def polyder(c, m: int = 1) -> np.ndarray:
+    """Ascending coefficients of the m-th derivative of a 1-d polynomial c.
+
+    numpy's ``polyder(c, m)`` bit for bit: a copy of c for m = 0,
+    ``c[:1] * 0`` once m reaches len(c), and otherwise m passes of
+    c[j] -> j * c[j].
+    """
+    c = np.array(c, dtype=float, ndmin=1)
+    if m == 0:
+        return c
+    if m >= len(c):
+        return c[:1] * 0
+    for _ in range(m):
+        c = np.arange(1, len(c)) * c[1:]
+    return c
 
 
 class PiecewisePoly:

@@ -100,10 +100,9 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # 20-node Gauss-Jacobi panels at the ends of the unit rules, 12-node
-# Gauss-Legendre bands between them; integrate_singular's first band is
-# [0, 2^-12]
+# Gauss-Legendre bands between them (``_gauss_legendre``);
+# integrate_singular's first band is [0, 2^-12]
 _END_NODES = 20
-_BAND_NODES = 12
 _SINGULAR_DEPTH = 12
 # values of f per block of an apply_rule call; bounds its memory
 _BLOCK_NODES = 8192
@@ -172,9 +171,27 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nodes, weights)
 
 
+# the positive half of numpy's leggauss(12) nodes and weights, to the last
+# bit; numpy symmetrizes them, so the other half is their mirror image
+_LEGENDRE_NODES = (
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+)
+_LEGENDRE_WEIGHTS = (
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+)
+
+
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(*np.polynomial.legendre.leggauss(_BAND_NODES))
+    """The 12-node Gauss-Legendre rule on [-1, 1], increasing nodes; numpy's
+    ``leggauss(12)`` bit for bit without importing numpy.polynomial (the
+    Golub-Welsch ``gauss_jacobi(12, 0, 0)`` differs from it in the last
+    bits). Both arrays are read-only."""
+    half = np.array(_LEGENDRE_NODES)
+    weights = np.array(_LEGENDRE_WEIGHTS)
+    return _read_only(np.concatenate([-half[::-1], half]), np.concatenate([weights[::-1], weights]))
 
 
 def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarray:

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from caputo_density import caputo_operator
 from caputo_density.caputo_operator import caputo_derivative, caputo_residual
 from caputo_density.piecewise import PiecewisePoly
-from caputo_density.profiles import constant_profile, linear_profile
+from caputo_density.profiles import CausalProfile, constant_profile, linear_profile, ramp_profile
 from caputo_density.special_functions import gamma
 
 
@@ -127,3 +128,57 @@ def test_residual_dispatch_over_blowup_and_jet_objects(psi_half, jet_cache):
     jet = jet_cache(1)
     rep2 = caputo_residual(jet, jet.initial_point, 0.5, grid)
     assert rep2.max_abs <= 1e-5
+
+
+def _poly_profile():
+    # what `derivative --poly 1,2,-0.5,0.25 --a -1 --b 2` differentiates
+    return CausalProfile(PiecewisePoly.single([1.0, 2.0, -0.5, 0.25], -1.0, 2.0), -1.0, 2.0,
+                         name="poly")
+
+
+@pytest.mark.parametrize("make,s", [
+    (lambda: linear_profile(0.0, 2.0), 0.5),
+    (ramp_profile, 0.3),
+    (_poly_profile, 0.7),
+], ids=["linear", "ramp", "poly"])
+def test_array_call_equals_the_scalar_loop_bit_for_bit(make, s):
+    prof = make()
+    grid = np.concatenate([np.linspace(prof.a - 1.0, prof.data.hi, 61), [prof.a, prof.data.hi]])
+    got = caputo_derivative(prof, prof.a, s, grid)
+    want = np.array([caputo_derivative(prof, prof.a, s, float(x)) for x in grid])
+    assert got.shape == grid.shape and got.tobytes() == want.tobytes()
+    assert np.all(got[grid <= prof.a] == 0.0) and np.any(got != 0.0)
+    assert caputo_derivative(prof, prof.a, s, grid.reshape(3, 3, 7)).tobytes() == want.tobytes()
+
+
+def test_array_call_of_a_plain_evaluator_equals_the_scalar_loop():
+    grid = np.array([-1.0, 0.0, 0.3, 1.3])
+    got = caputo_derivative(np.sin, 0.0, 0.4, grid, u_prime=np.cos)
+    want = [caputo_derivative(np.sin, 0.0, 0.4, float(x), u_prime=np.cos) for x in grid]
+    assert got.tolist() == want and got[0] == got[1] == 0.0
+
+
+def test_array_call_refuses_any_point_beyond_the_data():
+    prof = linear_profile(0.0, 1.0)
+    with pytest.raises(ValueError, match="extension"):
+        caputo_derivative(prof, 0.0, 0.5, np.array([0.5, 1.0, 1.0 + 1e-9]))
+
+
+def test_scalar_call_returns_a_float():
+    prof = linear_profile(0.0, 2.0)
+    for x in (1.0, 0.0, -3.0, np.float64(1.5)):
+        assert type(caputo_derivative(prof, 0.0, 0.5, x)) is float
+
+
+def test_residual_of_data_is_one_closed_form_call(monkeypatch):
+    calls = []
+    inner = caputo_operator.poly_abel_integral
+
+    def counted(pieces, x, e):
+        calls.append(np.size(x))
+        return inner(pieces, x, e)
+
+    monkeypatch.setattr(caputo_operator, "poly_abel_integral", counted)
+    rep = caputo_residual(ramp_profile(), 0.0, 0.5, np.linspace(0.05, 1.0, 20))
+    assert calls == [20]
+    assert rep.values.shape == (20,)

@@ -490,20 +490,27 @@ def test_settings_a_command_never_reads_exit_2(tmp_path, capsys, monkeypatch, ar
 
 def test_cli_runs_leave_numpy_ma_unimported(tmp_path):
     # numpy 2.4 takes 13.5 ms and 0.7 MB to import numpy.ma, which a plain
-    # np.unique pulls in; the package's own runs must not
+    # np.unique pulls in; the package's own runs must not. numpy.polynomial
+    # (5 ms) is left to the approximate command's polynomial stage: the
+    # derivative, extend and blowup runs before it must not load it
     src = os.path.dirname(os.path.dirname(caputo_density.__file__))
     code = (
         "import sys\n"
         "from caputo_density.cli import main\n"
-        f"a = main(['approximate', '--f', 'sin', '--k', '1', '--out', {str(tmp_path / 'a.csv')!r}])\n"
+        f"d = main(['derivative', '--out', {str(tmp_path / 'd.csv')!r}])\n"
         f"b = main(['extend', '--profile', 'bump', '--out', {str(tmp_path / 'b.csv')!r}])\n"
-        "print(a, b, 'numpy.ma' in sys.modules)\n"
+        f"u = main(['blowup', '--out', {str(tmp_path / 'u.csv')!r}])\n"
+        "print(d, b, u, 'numpy.polynomial' in sys.modules)\n"
+        f"a = main(['approximate', '--f', 'sin', '--k', '1', '--out', {str(tmp_path / 'a.csv')!r}])\n"
+        "print(a, 'numpy.ma' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 0 False"
+    lines = done.stdout.splitlines()
+    assert lines[-3] == "0 0 0 False"
+    assert lines[-1] == "0 False"
 
 
 @pytest.mark.parametrize("command,field,value", [

@@ -232,6 +232,17 @@ def test_fast_derivative_junction_guard(ramp_solution):
     assert np.isfinite(ramp_solution.derivative_fast(1, 1.0 + 2e-3))
 
 
+def test_every_evaluator_takes_an_empty_array(ramp_solution):
+    empty = np.array([])
+    for n in (0, 1, 2):
+        for got in (ramp_solution.derivative_fast(n, empty), ramp_solution.derivative(n, empty),
+                    ramp_solution.smooth_factor(n, empty)):
+            assert isinstance(got, np.ndarray) and got.shape == (0,), n
+    for got in (ramp_solution.value(empty), ramp_solution.caputo_value(empty),
+                ramp_solution.raw_value(empty)):
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
 def test_junction_power_behavior(ramp_solution):
     # (u(b+eps) - u(b))/eps^s tends to a finite nonzero limit when g(b) != 0;
     # for the ramp the limit is -4/pi

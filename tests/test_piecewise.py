@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caputo_density.piecewise import PiecewisePoly
+from caputo_density.piecewise import PiecewisePoly, polyder, polyval
 from caputo_density.singular_quadrature import _stable_pow_diff
 
 
@@ -90,3 +90,25 @@ def test_stable_power_difference(hi, frac, p):
     lo = hi * frac
     exact = hi**p - lo**p
     assert _stable_pow_diff(hi, lo, p) == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
+def test_polyval_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for length in range(1, 9):
+        c = rng.standard_normal(length) * 10.0 ** rng.uniform(-6.0, 6.0, length)
+        for x in (0.7310585786300049, np.array(-1.3), rng.uniform(-3.0, 3.0, (5, 7))):
+            got = polyval(x, c)
+            want = np.polynomial.polynomial.polyval(x, c)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), (length, x)
+            assert np.array_equal(got, want), (length, x)
+
+
+def test_polyder_equals_numpy_for_every_order():
+    rng = np.random.default_rng(4)
+    for length in range(1, 9):
+        c = rng.standard_normal(length) * 10.0 ** rng.uniform(-6.0, 6.0, length)
+        for m in range(length + 1):
+            got, want = polyder(c, m), np.polynomial.polynomial.polyder(c, m)
+            assert got.dtype == want.dtype and got.shape == want.shape, (length, m)
+            assert np.array_equal(got, want), (length, m)
+        assert polyder(c, 0) is not c

@@ -186,6 +186,13 @@ def test_gauss_jacobi_closed_forms():
         gauss_jacobi(8, -1.0, 0.0)
 
 
+def test_gauss_legendre_bands_equal_leggauss_bit_for_bit():
+    x, w = singular_quadrature._gauss_legendre()
+    want_x, want_w = np.polynomial.legendre.leggauss(12)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    assert not (x.flags.writeable or w.flags.writeable)
+
+
 ABEL_ORDERS = (0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.98, 0.99)
 
 

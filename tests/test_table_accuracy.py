@@ -24,6 +24,7 @@ import pytest
 from caputo_density.extension_solver import (
     _RAW_DEPTH,
     ExtensionSolution,
+    _cheb_fit,
     _clenshaw,
     _ctilde,
     solve_extension,
@@ -71,6 +72,16 @@ def test_clenshaw_equals_numpy_bit_for_bit():
         c = rng.standard_normal(length) * 10.0 ** rng.uniform(-8.0, 8.0, length)
         x = rng.uniform(-1.0, 1.0, 257)
         assert np.array_equal(_clenshaw(x, c), np.polynomial.chebyshev.chebval(x, c)), length
+
+
+def test_cheb_fit_equals_numpy_bit_for_bit():
+    nodes, fit = _cheb_fit()
+    want_nodes = np.polynomial.chebyshev.chebpts2(24)
+    want_fit = np.polynomial.chebyshev.chebfit(want_nodes, np.eye(24), 23)
+    for got, want in ((nodes, want_nodes), (fit, want_fit)):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
 
 
 def _per_point_chebval(sol, n, xi):
