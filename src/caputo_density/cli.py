@@ -258,7 +258,7 @@ def _cmd_derivative(config: RunConfig) -> int:
     name = _fixed_span_profile(config)
     if name is not None:
         profile = builtin_profile(name)
-        sol = solve_extension(profile, s, x_max=max(max(grid) + 1.0, 2.0))
+        sol = solve_extension(profile, s)
         if np.any(grid <= profile.a):
             raise ValueError("grid points must lie right of the initial point")
         values = sol.caputo_value(grid)
@@ -281,7 +281,7 @@ def _cmd_extend(config: RunConfig) -> int:
     grid = _parse_grid(config.grid or "1.01:5:200")
     if np.any(grid <= profile.b):
         raise ValueError("extend grid points must lie strictly right of b")
-    sol = solve_extension(profile, s, x_max=max(float(max(grid)) + 1.0, 2.0))
+    sol = solve_extension(profile, s)
     u = sol.value(grid)
     g = sol.g_value(grid)
     residual = sol.caputo_value(grid)

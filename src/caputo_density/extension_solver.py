@@ -18,9 +18,12 @@ remains of g is analytic at b. The solution therefore splits as
 
 with P a closed-form polynomial and H_0 analytic on [0, inf). Each
 derivative order n has the same structure with its own analytic factor
-H_n, tabulated once as paneled Chebyshev series and evaluated there-
-after at interpolation cost. Direct quadrature paths are kept for the
-representation-formula contract shape and for cross-checks.
+H_n, tabulated as paneled Chebyshev series on its first read and
+evaluated thereafter at interpolation cost. The panels are one fixed
+ladder, edges (2^k - 1) gap/2 with gap = b - (last data breakpoint
+left of b), built only as far as the largest point read. Direct
+quadrature paths are kept for the representation-formula contract
+shape and for cross-checks.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ MAX_DERIVATIVE_ORDER = 8
 _JUNCTION_GUARD = 1e-3
 # raw_value's first band [0, 2^-40] resolves g's junction branch w^(1-s)
 _RAW_DEPTH = 40
-# Chebyshev points per table panel. Every panel of _edge_ladder, and every
-# panel _grow adds, lies at least 3 half-widths from the only
-# singularity of H_n, the cut (-inf, -gap]: a panel [L, L + W] has
-# L + gap >= W, and adding the next, twice as wide, keeps that. So H_n is
+# Chebyshev points per table panel. Every panel of the ladder, edges
+# (2^k - 1) gap/2, lies at least 3 half-widths from the only
+# singularity of H_n, the cut (-inf, -gap]: panel k is [L, L + W] with
+# W = 2^k gap/2 and L + gap = W + gap/2 >= W. So H_n is
 # analytic inside the Bernstein ellipse of parameter rho = 3 + 2 sqrt 2
 # ~ 5.83 about every panel, and its coefficients decay at least like
 # rho^-k (Trefethen, Approximation Theory and Approximation Practice,
@@ -69,6 +72,16 @@ def _check_junction_distance(n: int, xi: np.ndarray) -> None:
         raise JunctionProximityError(
             f"derivative order {n} requested at y-b={np.min(xi):.2e} < {_JUNCTION_GUARD}"
         )
+
+
+def _reach(x: np.ndarray) -> float:
+    """The largest point of a read, 0 for none; refuses a point at +inf,
+    toward which no table can grow."""
+    top = float(np.max(x)) if x.size else 0.0
+    # a NaN hides an inf from max, so the test behind it runs then too
+    if not top < math.inf and np.any(x == math.inf):
+        raise ValueError("cannot read at +inf: the tables cover finite points only")
+    return top
 
 
 def _falling(z: float, n: int) -> float:
@@ -254,18 +267,20 @@ def _clenshaw(x: np.ndarray, c: np.ndarray, panel: np.ndarray | None = None) -> 
 class ExtensionSolution:
     """A solved extension: data on (-inf, b], stationary solution on (b, inf).
 
-    The Chebyshev tables for value and first derivative are built at
-    construction, 24 points per panel and one ``_smooth_factor_quad``
-    call per table over the nodes of every panel, and match the analytic
-    factors to rounding for every s (checked against mpmath for s from
-    0.02 to 0.98). A table is read in one Clenshaw sweep over all points
-    of a call, each gathering its own panel's coefficients. The object
-    grows afterwards: a higher order's table on its first use, and
-    every built table when a point lies beyond the covered range. The
-    panel edges and the tables are one state, grown aside and swapped in
-    one step under a lock, and every read works on one snapshot of it, so
-    concurrent reads are safe, growth included; a panel's coefficients do
-    not depend on when or with which other panels it was built. The
+    Construction builds no table. Each order's Chebyshev table is built
+    on its first read, 24 points per panel and one ``_smooth_factor_quad``
+    call over the nodes of every panel, and matches the analytic factor
+    to rounding for every s (checked against mpmath for s from 0.02 to
+    0.98). The panels are one fixed ladder from b, widths gap/2, gap,
+    2 gap, ..., and every built table grows along it when a point lies
+    beyond the covered range, only as far as that point; a +inf point is
+    refused. A table is read in one Clenshaw sweep over all points of a
+    call, each gathering its own panel's coefficients. The panel edges
+    and the tables are one state, grown aside and swapped in one step
+    under a lock, and every read works on one snapshot of it, so
+    concurrent reads are safe, growth included; a panel's coefficients,
+    and so every table value, do not depend on when, how far or with
+    which other panels it was built. The
     tables and the Caputo residual are both ``gauss_ladder`` integrals,
     one ``unit_rule`` per s and depth class; ``raw_value`` takes one
     rule per s. The rules live in the pure, bounded, read-only caches of
@@ -276,13 +291,7 @@ class ExtensionSolution:
     points.
     """
 
-    def __init__(
-        self,
-        profile: CausalProfile,
-        s: FractionalOrder | float,
-        *,
-        x_max: float | None = None,
-    ):
+    def __init__(self, profile: CausalProfile, s: FractionalOrder | float):
         self.profile = profile
         self.s = FractionalOrder.of(s)
         self.a = profile.a
@@ -300,12 +309,8 @@ class ExtensionSolution:
             poly[k + 1] = sf * alpha * beta(k + 2.0 - s_, s_)
         self._poly = poly  # ascending coefficients in xi = x - b, no constant term
 
-        if x_max is None:
-            x_max = self.b + 10.0 * (self.b - self.a)
-        edges = self._edge_ladder(max(float(x_max) - self.b, self._branch_gap))
-        tables = {n: self._build_panels(n, edges[:-1], edges[1:]) for n in (0, 1)}
         # (panel edges, {order: coefficients}); replaced whole, never mutated
-        self._state = (edges, tables)
+        self._state = (np.array([0.0, 0.5 * self._branch_gap]), {})
         self._grow_lock = threading.Lock()
 
     # -- forcing ---------------------------------------------------------
@@ -319,16 +324,6 @@ class ExtensionSolution:
         return out if isinstance(x, np.ndarray) else float(out)
 
     # -- table construction ------------------------------------------------
-
-    def _edge_ladder(self, xi_max: float) -> np.ndarray:
-        r0 = 0.5 * self._branch_gap
-        edges = [0.0]
-        w = min(r0, xi_max)
-        while edges[-1] + w < xi_max:
-            edges.append(edges[-1] + w)
-            w *= 2.0
-        edges.append(xi_max)
-        return np.asarray(edges)
 
     def _smooth_factor_quad(self, n: int, xi: np.ndarray) -> np.ndarray:
         """H_n(xi) by direct quadrature for an array of xi >= 0.
@@ -379,8 +374,11 @@ class ExtensionSolution:
     def _grow(self, n: int, xi_max: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """The state with order n tabulated and [0, xi_max] covered.
 
-        The grown state is built aside and swapped in under the lock in
-        one step; readers never lock and always see a whole state.
+        New panels continue the ladder, panel k being 2^k gap/2 wide, up
+        to the first edge at or beyond xi_max, and every built order gets
+        them; then order n is built over all panels if it is new. The
+        grown state is built aside and swapped in under the lock in one
+        step; readers never lock and always see a whole state.
         """
         if n > MAX_DERIVATIVE_ORDER:
             raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
@@ -388,10 +386,10 @@ class ExtensionSolution:
             edges, tables = self._state
             if xi_max > edges[-1]:
                 new_edges = [edges[-1]]
-                w = edges[-1] - edges[-2]
+                w = 0.5 * self._branch_gap * 2.0 ** (edges.size - 1)
                 while new_edges[-1] < xi_max:
-                    w *= 2.0
                     new_edges.append(new_edges[-1] + w)
+                    w *= 2.0
                 lo = np.asarray(new_edges[:-1])
                 hi = np.asarray(new_edges[1:])
                 tables = {m: np.vstack([c, self._build_panels(m, lo, hi)]) for m, c in tables.items()}
@@ -402,7 +400,8 @@ class ExtensionSolution:
         return edges, tables
 
     def _eval_table(self, n: int, xi: np.ndarray) -> np.ndarray:
-        """The order-n table at every xi of a 1-d array, grown first if needed.
+        """The order-n table at every xi of a 1-d array, built or grown first
+        if needed.
 
         ``searchsorted`` finds each point's panel, and one ``_clenshaw``
         sweep over all points gathers each point's coefficients from its
@@ -410,7 +409,7 @@ class ExtensionSolution:
         bit and does not depend on the other points of the call.
         """
         edges, tables = self._state
-        xi_max = float(np.max(xi)) if xi.size else 0.0
+        xi_max = _reach(xi)
         if n not in tables or xi_max > edges[-1]:
             edges, tables = self._grow(n, xi_max)
         coefs = tables[n]
@@ -434,11 +433,8 @@ class ExtensionSolution:
             out[left] = self.profile.value(xa[left])
         if np.any(~left):
             xi = xa[~left] - self.b
-            out[~left] = (
-                self.value_at_b
-                + polyval(xi, self._poly)
-                + xi**self.s.s * self._eval_table(0, xi)
-            )
+            h0 = self._eval_table(0, xi)  # read first: it refuses +inf
+            out[~left] = self.value_at_b + polyval(xi, self._poly) + xi**self.s.s * h0
         return out if isinstance(x, np.ndarray) else float(out[0])
 
     def derivative_fast(self, n: int, y):
@@ -450,8 +446,9 @@ class ExtensionSolution:
         xi = ya - self.b
         if n >= 1:
             _check_junction_distance(n, xi)
+        hn = self._eval_table(n, xi)  # read first: it refuses +inf
         out = polyval(xi, polyder(self._poly, n))
-        out = out + xi ** (self.s.s - n) * self._eval_table(n, xi)
+        out = out + xi ** (self.s.s - n) * hn
         if n == 0:
             out = out + self.value_at_b
         return out if isinstance(y, np.ndarray) else float(out[0])
@@ -528,6 +525,7 @@ class ExtensionSolution:
         the other points of the array.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
+        _reach(xa)  # +inf is refused before any quadrature
         s = self.s.s
         out = np.zeros_like(xa)
         live = xa > self.a
@@ -552,9 +550,9 @@ class ExtensionSolution:
         )
 
 
-def solve_extension(profile: CausalProfile, s: FractionalOrder | float, **kwargs) -> ExtensionSolution:
+def solve_extension(profile: CausalProfile, s: FractionalOrder | float) -> ExtensionSolution:
     """Solve the stationary extension problem for the given causal data."""
-    return ExtensionSolution(profile, s, **kwargs)
+    return ExtensionSolution(profile, s)
 
 
 def compute_g(profile: CausalProfile, s: FractionalOrder | float, x):

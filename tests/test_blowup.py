@@ -195,6 +195,28 @@ def test_blowup_convergence(psi0_default, kappa_half):
     assert -1.3 <= conv.rate_exponent <= -0.7
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_convergence_equals_the_member_loop_bit_for_bit(psi0_default, s):
+    # j other than powers of two, so that x/j + 1 and x (1/j) + 1 differ in rounding
+    j_list, (lo, hi), n = (3, 5, 12, 40, 100), (0.3, 2.7), 57
+    kappa = estimate_kappa(s, psi0_default)
+    conv = check_blowup_convergence(s, psi0_default, j_list, (lo, hi), n_points=n, kappa=kappa)
+    psi = build_psi(s, psi0_default)
+    xs = np.linspace(lo, hi, n)
+    target = kappa.kappa * xs**s
+    loop = [float(np.max(np.abs(BlowupMember(j, psi).value(xs) - target))) for j in j_list]
+    assert conv.sup_errors == tuple(loop)
+
+
+def test_blowup_reads_only_the_order_0_table(monkeypatch, psi0_default):
+    monkeypatch.setattr(blowup, "_PSI_CACHE", OrderedDict())
+    kappa = estimate_kappa(0.3, psi0_default)
+    check_blowup_convergence(0.3, psi0_default, (4, 8, 16, 32, 64), kappa=kappa)
+    edges, tables = build_psi(0.3, psi0_default)._state
+    assert list(tables) == [0]
+    assert edges[-1] < 1.0  # x/j + 1 - b <= 2/4 needs the first three panels only
+
+
 def test_pointwise_limit(psi_half, kappa_half):
     x = 1.0
     errs = [abs(BlowupMember(j, psi_half).value(x) / x**0.5 - kappa_half.kappa)

@@ -70,6 +70,23 @@ def test_derivative_of_solved_extension_is_residual(tmp_path, capsys):
     assert np.max(np.abs(data[:, 1])) <= 1e-5
 
 
+def test_derivative_inside_the_data_span_builds_no_table(tmp_path, capsys, monkeypatch):
+    # every point lies in [a, b], where caputo_value is the closed form alone
+    calls = []
+    quad = ExtensionSolution._smooth_factor_quad
+
+    def counted(self, n, xi):
+        calls.append(n)
+        return quad(self, n, xi)
+
+    monkeypatch.setattr(ExtensionSolution, "_smooth_factor_quad", counted)
+    code, _, _ = run_cli(
+        capsys, "derivative", "--profile", "ramp", "--grid", "0.1:0.9:40",
+        "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 0 and calls == []
+
+
 def test_derivative_rejects_unknown_profile(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "derivative", "--profile", "nonsense", "--grid", "0.1:1:5",

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,25 @@ def test_every_evaluator_takes_an_empty_array(ramp_solution):
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
+def test_reads_at_inf_are_refused_before_any_growth():
+    sol = solve_extension(quadratic_bump_profile(), 0.3)
+    sol.value(np.array([1.5, 3.0]))
+    before = sol._state
+    reads = {
+        "value": lambda x: sol.value(x),
+        "derivative_fast": lambda x: sol.derivative_fast(1, x),
+        "smooth_factor": lambda x: sol.smooth_factor(1, x - sol.b),
+        "caputo_value": lambda x: sol.caputo_value(x),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, read in reads.items():
+            for x in (np.inf, np.array([2.0, np.inf, 1.5])):
+                with pytest.raises(ValueError, match=r"\+inf"):
+                    read(x)
+                assert sol._state is before, name
+
+
 def test_junction_power_behavior(ramp_solution):
     # (u(b+eps) - u(b))/eps^s tends to a finite nonzero limit when g(b) != 0;
     # for the ramp the limit is -4/pi
@@ -256,14 +276,14 @@ def test_junction_power_behavior(ramp_solution):
 
 
 def test_lazy_table_extension(bump_solution):
-    far = 17.0  # beyond the default x_max = b + 10(b-a)
+    far = 17.0  # 16 past b: panels are built out to it on demand
     assert float(bump_solution.value(far)) == pytest.approx(
         float(bump_extension_value(far)), abs=1e-8
     )
 
 
 def test_concurrent_reads_beyond_the_range_match_one_thread():
-    # each thread reaches its own distance past x_max, so the tables grow
+    # each thread reaches its own distance past the last panel, so the tables grow
     # in an order that depends on the scheduling; no read may see it
     def reads(sol, i):
         xs = 1.0 + np.linspace(0.5, 12.0 + 9.0 * i, 64)
@@ -361,7 +381,7 @@ _row = st.tuples(*(st.floats(min_value=-2.0, max_value=2.0) for _ in range(4)))
 @settings(max_examples=6, deadline=None)
 def test_random_profiles_solve_consistently(breaks, rows, s):
     prof = _random_profile(breaks, rows)
-    sol = solve_extension(prof, s, x_max=2.5)
+    sol = solve_extension(prof, s)
     # junction law: u(b+eps) - phi(b) = eps^s H(0) + higher order
     eps = 1e-10
     dev = abs(float(sol.value(1.0 + eps)) - prof.value_at_b)

@@ -33,6 +33,14 @@ from caputo_density.profiles import builtin_profile
 from caputo_density.singular_quadrature import jacobi_end_rule, unit_rule
 
 
+def _tabulated(sol):
+    """sol with orders 0 and 1 read out to 10(b - a), so that its state
+    holds both tables over every panel up to there."""
+    for n in (0, 1):
+        sol.smooth_factor(n, 10.0 * (sol.b - sol.a))
+    return sol
+
+
 def _reference_h(sol, n, xi):
     """(H_n(xi), M_n(xi)) in mpmath from the forcing's float coefficients."""
     s = sol.s.s
@@ -57,7 +65,7 @@ def _reference_h(sol, n, xi):
 @pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9, 0.98])
 @pytest.mark.parametrize("name", ["ramp", "bump"])
 def test_tables_match_mpmath(name, s):
-    sol = solve_extension(builtin_profile(name), s)
+    sol = _tabulated(solve_extension(builtin_profile(name), s))
     edges, _ = sol._state
     for n in (0, 1):
         for p in (0, edges.size // 2 - 1, edges.size - 2):  # first, middle, last panel
@@ -97,7 +105,7 @@ def _per_point_chebval(sol, n, xi):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_gathered_read_equals_chebval_on_each_panel(n):
-    sol = solve_extension(builtin_profile("bump"), 0.3)
+    sol = _tabulated(solve_extension(builtin_profile("bump"), 0.3))
     edges, _ = sol._state
     rng = np.random.default_rng(n)
     inside = np.concatenate([rng.uniform(e0, e1, 5) for e0, e1 in zip(edges[:-1], edges[1:])])
@@ -120,17 +128,21 @@ def test_one_quadrature_call_per_table_build(monkeypatch):
 
     monkeypatch.setattr(ExtensionSolution, "_smooth_factor_quad", counted)
     sol = solve_extension(builtin_profile("bump"), 0.3)
-    assert sorted(calls) == [0, 1]
+    assert calls == []  # construction builds no table
+    sol.value(sol.b + 0.5)  # first read of order 0, past the first panel
+    assert calls == [0]
     sol.smooth_factor(2, 0.5)
-    assert sorted(calls) == [0, 1, 2]
+    assert calls == [0, 2]
+    sol.value(sol.b + np.array([0.1, 0.5]))  # inside the range: no build
+    assert calls == [0, 2]
     edges, _ = sol._state
     sol.value(sol.b + 4.0 * edges[-1])  # grows every built table by several panels
-    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+    assert sorted(calls) == [0, 0, 2, 2]
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_batched_node_values_equal_per_panel_calls(n):
-    sol = solve_extension(builtin_profile("bump"), 0.3)
+    sol = _tabulated(solve_extension(builtin_profile("bump"), 0.3))
     edges, _ = sol._state
     ref = np.polynomial.chebyshev.chebpts2(24)
     nodes = [0.5 * (e0 + e1) + 0.5 * (e1 - e0) * ref for e0, e1 in zip(edges[:-1], edges[1:])]
@@ -140,7 +152,7 @@ def test_batched_node_values_equal_per_panel_calls(n):
 
 
 def test_tables_do_not_depend_on_how_they_grew():
-    one, two = (solve_extension(builtin_profile("bump"), 0.3) for _ in range(2))
+    one, two = (_tabulated(solve_extension(builtin_profile("bump"), 0.3)) for _ in range(2))
     one.value(60.0)
     two.value(25.0)
     two.value(60.0)
@@ -154,10 +166,19 @@ def test_tables_do_not_depend_on_how_they_grew():
 def test_table_tails_certify_the_panel_size(s):
     # ATAP ch. 8: on panels three half-widths from the cut of H_n the
     # coefficients fall like (3 + 2 sqrt 2)^-k, so the last four are at rounding
-    _, tables = solve_extension(builtin_profile("ramp"), s)._state
+    _, tables = _tabulated(solve_extension(builtin_profile("ramp"), s))._state
     for n in (0, 1):
         c = np.abs(tables[n])
         assert np.all(c[:, -4:].max(axis=1) <= 1e-14 * c.max(axis=1)), n
+
+
+def test_a_value_does_not_depend_on_earlier_reads():
+    fresh, grown = (solve_extension(builtin_profile("bump"), 0.3) for _ in range(2))
+    grown.value(60.0)
+    x = grown.b + 1.0
+    assert grown.value(x) == fresh.value(x)
+    for n in (0, 1):
+        assert grown.smooth_factor(n, 1.0)[0] == fresh.smooth_factor(n, 1.0)[0]
 
 
 def _reference_raw_value(sol, x):
