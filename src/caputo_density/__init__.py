@@ -29,7 +29,6 @@ from .density_builder import (
 from .extension_solver import (
     ExtensionSolution,
     JunctionProximityError,
-    compute_g,
     solve_extension,
 )
 from .piecewise import PiecewisePoly
@@ -54,7 +53,6 @@ __all__ = [
     "ResidualReport",
     "ExtensionSolution",
     "solve_extension",
-    "compute_g",
     "JunctionProximityError",
     "Psi0Profile",
     "Combination",

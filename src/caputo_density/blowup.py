@@ -45,6 +45,10 @@ __all__ = [
 
 DEFAULT_J_LIST = (2, 4, 8, 16, 32, 64)
 _DENSE_SAMPLE = 1000
+# the kappa fit's eps grid, 2^-5 down to 2^-14, and the number of
+# expansion coefficients it reports
+_KAPPA_EPS = 2.0 ** -np.arange(5, 15)
+_KAPPA_COEFFICIENTS = 7
 
 
 @dataclass(frozen=True)
@@ -271,32 +275,18 @@ class KappaEstimate:
             raise ValueError("kappa must be strictly positive")
 
 
-def estimate_kappa(
-    s: FractionalOrder | float,
-    profile: Psi0Profile,
-    eps_grid=None,
-    *,
-    n_coefficients: int = 6,
-) -> KappaEstimate:
-    """Fit psi(1+eps) eps^(-s) = kappa + C eps over the eps grid.
+def estimate_kappa(s: FractionalOrder | float, profile: Psi0Profile) -> KappaEstimate:
+    """Fit psi(1+eps) eps^(-s) = kappa + C eps over eps = 2^-5, ..., 2^-14.
 
     psi(1+eps) is evaluated by fresh representation-formula quadrature on
     [1, 1+eps], one ``raw_value`` call for the whole grid (independent of
     the solver's cached expansion, which would presuppose the answer).
     Candidates kappa_a/kappa_b from the closed form of g(1) are reported
-    alongside; exactly one should match.
+    alongside; exactly one should match. The coefficients are
+    C_i = beta(i+1, s) g^(i)(1) / i! for i = 0..6.
     """
     s = FractionalOrder.of(s)
-    if eps_grid is None:
-        eps_grid = 2.0 ** -np.arange(5, 15)
-    eps = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
-    if eps.size < 4:
-        raise ValueError("eps grid needs at least 4 points")
-    if eps[0] > 0.5 or eps[-1] <= 0.0:
-        raise ValueError("eps grid must lie in (0, 0.5]")
-    if eps[0] / eps[-1] < 10.0:
-        raise ValueError("eps grid must span at least a decade")
-
+    eps = _KAPPA_EPS
     psi = build_psi(s, profile)
     vals = psi.raw_value(1.0 + eps)
     scaled = vals * eps ** (-s.s)
@@ -313,7 +303,7 @@ def estimate_kappa(
 
     coeffs = tuple(
         beta(i + 1.0, s.s) * psi.forcing.regular_at_b(i) / math.factorial(i)
-        for i in range(n_coefficients + 1)
+        for i in range(_KAPPA_COEFFICIENTS)
     )
     return KappaEstimate(
         kappa=float(kappa),

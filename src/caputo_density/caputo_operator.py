@@ -60,7 +60,7 @@ def caputo_derivative(
     x,
     u_prime=None,
 ):
-    """D_a^s u(x); exactly 0 for x <= a by causality.
+    """D_a^s u(x); exactly 0 for x <= a by causality, NaN at a NaN x.
 
     u may be a CausalProfile / PiecewisePoly (exact closed form), a solved
     extension or blow-up/jet object (semi-analytic residual path), or a
@@ -78,7 +78,7 @@ def caputo_derivative(
     a = float(a)
     xs = np.asarray(x if isinstance(x, np.ndarray) else float(x), dtype=float)
     flat = xs.ravel()
-    out = np.zeros_like(flat)
+    out = np.where(np.isnan(flat), np.nan, 0.0)
     live = flat > a
     if np.any(live):
         out[live] = _caputo_right_of(u, a, s, flat[live], u_prime)

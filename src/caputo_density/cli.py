@@ -232,8 +232,22 @@ def _write_csv(path: str, config: RunConfig, header: list[str], columns: list[np
             fh.write(text)
 
 
-def _emit_json(report: dict) -> None:
+def _report(config: RunConfig, fields: dict, failures: list[str]) -> int:
+    """Print the command's JSON report and return its exit code.
+
+    The report holds the command, its config and config hash, ``fields``,
+    and an ``exit_reason``: the failures joined by "; " (exit 3), or "ok"
+    when there are none (exit 0).
+    """
+    report = {
+        "command": config.command,
+        "config": config.as_dict(),
+        "config_hash": config.hash(),
+        **fields,
+        "exit_reason": "; ".join(failures) or "ok",
+    }
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    return EXIT_TARGET_MISSED if failures else EXIT_OK
 
 
 def _resolve_profile(config: RunConfig):
@@ -287,24 +301,16 @@ def _cmd_extend(config: RunConfig) -> int:
     residual = sol.caputo_value(grid)
     _write_csv(config.out, config, ["x", "u", "g", "residual"], [grid, u, g, residual])
 
-    report: dict = {
-        "command": "extend",
-        "config": config.as_dict(),
-        "config_hash": config.hash(),
-        "residual_max": float(np.max(np.abs(residual))),
-    }
+    residual_max = float(np.max(np.abs(residual)))
+    fields = {"residual_max": residual_max}
     oracle = builtin_extension_oracle(profile.name) if config.s == 0.5 else None
     if oracle is not None:
-        report["oracle_deviation"] = float(np.max(np.abs(u - oracle(grid))))
-    code = EXIT_OK
+        fields["oracle_deviation"] = float(np.max(np.abs(u - oracle(grid))))
+    failures = []
     # written so that a NaN misses the gate
-    if not report["residual_max"] <= config.tol:
-        report["exit_reason"] = f"residual {report['residual_max']:.3e} above tol {config.tol:g}"
-        code = EXIT_TARGET_MISSED
-    else:
-        report["exit_reason"] = "ok"
-    _emit_json(report)
-    return code
+    if not residual_max <= config.tol:
+        failures.append(f"residual {residual_max:.3e} above tol {config.tol:g}")
+    return _report(config, fields, failures)
 
 
 def _cmd_blowup(config: RunConfig) -> int:
@@ -321,10 +327,7 @@ def _cmd_blowup(config: RunConfig) -> int:
         ["j", "sup_error"],
         [np.asarray(conv.j_list, dtype=float), np.asarray(conv.sup_errors)],
     )
-    report = {
-        "command": "blowup",
-        "config": config.as_dict(),
-        "config_hash": config.hash(),
+    fields = {
         "kappa": {
             "fitted": kappa.kappa,
             "candidate_a": kappa.kappa_a,
@@ -335,14 +338,10 @@ def _cmd_blowup(config: RunConfig) -> int:
         "rate_exponent": conv.rate_exponent,
         "sup_errors": list(conv.sup_errors),
     }
-    code = EXIT_OK
+    failures = []
     if kappa.matched is None:
-        report["exit_reason"] = "fitted kappa matches neither candidate within 1%"
-        code = EXIT_TARGET_MISSED
-    else:
-        report["exit_reason"] = "ok"
-    _emit_json(report)
-    return code
+        failures.append("fitted kappa matches neither candidate within 1%")
+    return _report(config, fields, failures)
 
 
 def _parse_target(spec: str):
@@ -392,15 +391,7 @@ def _cmd_approximate(config: RunConfig) -> int:
     try:
         approx, rep = approximate_function(target, config.k, config.eps, s, profile)
     except (JetInfeasibleError, DeltaUnderflowError, TargetDegreeError) as exc:
-        _emit_json(
-            {
-                "command": "approximate",
-                "config": config.as_dict(),
-                "config_hash": config.hash(),
-                "exit_reason": f"{type(exc).__name__}: {exc}",
-            }
-        )
-        return EXIT_TARGET_MISSED
+        return _report(config, {}, [f"{type(exc).__name__}: {exc}"])
 
     grid = np.linspace(0.0, 1.0, config.n_points)
     header = ["x", "f", "u", "u_minus_f"]
@@ -411,10 +402,7 @@ def _cmd_approximate(config: RunConfig) -> int:
         cols += [target.eval(grid, l), approx.derivative(l, grid)]
     _write_csv(config.out, config, header, cols)
 
-    report = {
-        "command": "approximate",
-        "config": config.as_dict(),
-        "config_hash": config.hash(),
+    fields = {
         "errors": {"per_derivative": list(rep.errors_per_derivative)},
         "epsilon_achieved": rep.epsilon_achieved,
         "residual_max": rep.residual_max,
@@ -422,21 +410,14 @@ def _cmd_approximate(config: RunConfig) -> int:
         "initial_point": rep.initial_point,
         "polynomial_degree": rep.polynomial_degree,
     }
-    code = EXIT_OK
-    reasons = []
+    failures = []
     if not rep.epsilon_achieved < config.eps:
-        reasons.append(f"epsilon_achieved {rep.epsilon_achieved:.3e} >= eps {config.eps:g}")
+        failures.append(f"epsilon_achieved {rep.epsilon_achieved:.3e} >= eps {config.eps:g}")
     if not rep.residual_max <= config.residual_tol:
-        reasons.append(
+        failures.append(
             f"residual {rep.residual_max:.3e} above residual-tol {config.residual_tol:g}"
         )
-    if reasons:
-        report["exit_reason"] = "; ".join(reasons)
-        code = EXIT_TARGET_MISSED
-    else:
-        report["exit_reason"] = "ok"
-    _emit_json(report)
-    return code
+    return _report(config, fields, failures)
 
 
 _HANDLERS = {

@@ -54,6 +54,7 @@ __all__ = [
     "TargetDegreeError",
     "DEFAULT_POOL_J",
     "DEFAULT_POOL_P",
+    "JET_TOL",
 ]
 
 DEFAULT_POOL_J = (2, 4, 8, 16, 32)
@@ -63,6 +64,10 @@ MAX_CK_ORDER = 4
 GRID_POINTS = 1000
 RESIDUAL_POINTS = 200
 DELTA_FLOOR = 1e-8
+# a jet solve is feasible when its residual is at most this
+JET_TOL = 1e-8
+# relative singular-value cutoff of the equilibrated jet solve
+_JET_RCOND = 1e-10
 # delta halving screens each trial on every 9th point of the C^k grid;
 # (GRID_POINTS - 1) is a multiple of it, so the screen keeps both ends
 _SCREEN_STRIDE = 9
@@ -193,87 +198,72 @@ class JetCombination(Combination):
         return float(np.min(1.0 / self.alpha)) / 4.0
 
 
-def _solve_single_point(matrix: np.ndarray, m: int, rcond: float):
+def _solve_single_point(matrix: np.ndarray, m: int):
     """Min-norm least squares for M^T c = e_{m+1} with column equilibration."""
     scale = np.max(np.abs(matrix), axis=0)
     scale[scale == 0.0] = 1.0
     scaled = matrix / scale
     target = np.zeros(m + 1)
     target[m] = 1.0
-    coef, *_ = np.linalg.lstsq(scaled.T, target / scale, rcond=rcond)
+    coef, *_ = np.linalg.lstsq(scaled.T, target / scale, rcond=_JET_RCOND)
     residual = float(np.max(np.abs(matrix.T @ coef - target)))
     cond = float(np.linalg.cond(scaled))
     return coef, residual, cond
 
 
-def prescribe_jet(
-    s: FractionalOrder | float,
-    profile: Psi0Profile,
-    m: int,
-    *,
-    pool_j=DEFAULT_POOL_J,
-    pool_p=DEFAULT_POOL_P,
-    jet_tol: float = 1e-8,
-    rcond: float = 1e-10,
-    fd_step: float | None = None,
-    verify: bool = True,
-) -> JetCombination:
+def prescribe_jet(s: FractionalOrder | float, profile: Psi0Profile, m: int) -> JetCombination:
     """Build a stationary combination with jet (0, ..., 0, 1) of order m at some p.
 
-    Solves each candidate p over the j pool, all from one ``jet_matrix``
-    call, and keeps, among the solves whose residual meets ``jet_tol``,
-    the one of least coefficient mass (their residuals are rounding
-    noise, 1e-15 to 1e-13, and would rank the candidates at random); when
-    none meets it, the smallest residual, which is then reported as
-    infeasible. The returned jet is certified by finite differences of
-    plain v values: one ``value_raw`` call on a 13-node stencil that every
-    order shares, and one Fornberg table whose column l gives the weights
-    of order l, as ``fd_derivative`` would for that order alone.
+    Solves each candidate p of ``DEFAULT_POOL_P`` over the members j of
+    ``DEFAULT_POOL_J``, all from one ``jet_matrix`` call, and keeps, among
+    the solves whose residual meets ``JET_TOL``, the one of least
+    coefficient mass (their residuals are rounding noise, 1e-15 to 1e-13,
+    and would rank the candidates at random); when none meets it, the
+    smallest residual, which is then reported as infeasible. The returned
+    jet is certified by finite differences of plain v values, step
+    0.06 min(p, 1): one ``value_raw`` call on a 13-node stencil that
+    every order shares, and one Fornberg table whose column l gives the
+    weights of order l, as ``fd_derivative`` would for that order alone.
     """
     s = FractionalOrder.of(s)
     if m < 0 or m > MAX_JET_ORDER:
         raise ValueError(f"jet order must lie in 0..{MAX_JET_ORDER}")
-    if len(pool_j) < m + 1:
-        raise ValueError("pool must contain at least m+1 members")
     psi = build_psi(s, profile)
-    members = tuple(BlowupMember(int(j), psi) for j in pool_j)
+    members = tuple(BlowupMember(j, psi) for j in DEFAULT_POOL_J)
 
     solves = []
-    # rows are member-major, so candidate i is every len(pool_p)-th row
-    matrix = jet_matrix(members, pool_p, m)
-    for i, p in enumerate(pool_p):
-        rows = np.ascontiguousarray(matrix[i :: len(pool_p)])
-        coef, residual, cond = _solve_single_point(rows, m, rcond)
+    # rows are member-major, so candidate i is every len(DEFAULT_POOL_P)-th row
+    matrix = jet_matrix(members, DEFAULT_POOL_P, m)
+    for i, p in enumerate(DEFAULT_POOL_P):
+        rows = np.ascontiguousarray(matrix[i :: len(DEFAULT_POOL_P)])
+        coef, residual, cond = _solve_single_point(rows, m)
         solves.append((residual, float(np.sum(np.abs(coef))), float(p), coef, cond))
     # residuals below the tolerance are rounding noise, so they do not rank
-    feasible = [solve for solve in solves if solve[0] <= jet_tol]
+    feasible = [solve for solve in solves if solve[0] <= JET_TOL]
     if feasible:
         residual, _, p, coef, cond = min(feasible, key=lambda solve: solve[1])
     else:
         residual, _, p, coef, cond = min(solves, key=lambda solve: solve[0])
-    if not residual <= jet_tol:
+    if not residual <= JET_TOL:
         raise JetInfeasibleError(
-            f"jet order {m}: best residual {residual:.3e} above tolerance {jet_tol:.1e} "
+            f"jet order {m}: best residual {residual:.3e} above tolerance {JET_TOL:.1e} "
             f"(condition number {cond:.3e})"
         )
 
     combo = JetCombination.sum(
         zip(coef, members), p=p, m=m, jet_residual=residual, condition_number=cond
     )
-    if verify:
-        # step balances stencil truncation against the nonsmooth part of the
-        # quadrature noise, which the 1/h^l weights amplify
-        h = fd_step if fd_step is not None else 0.06 * min(p, 1.0)
-        nodes = _fd_nodes(p, h, _FD_HALF_WIDTH)  # one stencil for every order
-        weights = _fornberg_table(p, nodes, m)
-        values = combo.value_raw(nodes)
-        fd_errors = tuple(
-            abs(float(sum(wi * vi for wi, vi in zip(weights[:, l], values)))
-                - (1.0 if l == m else 0.0))
-            for l in range(m + 1)
-        )
-        combo = dataclasses.replace(combo, fd_jet_errors=fd_errors)
-    return combo
+    # step balances stencil truncation against the nonsmooth part of the
+    # quadrature noise, which the 1/h^l weights amplify
+    nodes = _fd_nodes(p, 0.06 * min(p, 1.0), _FD_HALF_WIDTH)  # one stencil for every order
+    weights = _fornberg_table(p, nodes, m)
+    values = combo.value_raw(nodes)
+    fd_errors = tuple(
+        abs(float(sum(wi * vi for wi, vi in zip(weights[:, l], values)))
+            - (1.0 if l == m else 0.0))
+        for l in range(m + 1)
+    )
+    return dataclasses.replace(combo, fd_jet_errors=fd_errors)
 
 
 # -- rescaled monomials -------------------------------------------------------
@@ -303,10 +293,12 @@ class MonomialReport:
     halvings: int
 
 
-def monomial_ck_errors(jet: JetCombination | None, m: int, k: int, delta: float | None,
-                       n_points: int = GRID_POINTS) -> np.ndarray:
-    """sup_[0,1] |u^(l) - (x^m)^(l)| for l = 0..k at the given delta."""
-    return _monomial_errors(jet, m, k, delta, np.linspace(0.0, 1.0, n_points))
+def monomial_ck_errors(
+    jet: JetCombination | None, m: int, k: int, delta: float | None
+) -> np.ndarray:
+    """sup |u^(l) - (x^m)^(l)| for l = 0..k at the given delta, over the
+    1000-point grid of [0, 1]."""
+    return _monomial_errors(jet, m, k, delta, np.linspace(0.0, 1.0, GRID_POINTS))
 
 
 def _monomial_errors(jet, m: int, k: int, delta, xs: np.ndarray) -> np.ndarray:
@@ -320,11 +312,9 @@ def approximate_monomial(
     m: int,
     k: int,
     eps: float,
-    *,
-    jet: JetCombination | None = None,
-    **jet_options,
 ) -> tuple[Combination, MonomialReport]:
-    """Stationary u with ||u - x^m||_{C^k([0,1])} < eps, by delta halving.
+    """Stationary u with ||u - x^m||_{C^k([0,1])} < eps, by delta halving
+    of the jet ``prescribe_jet`` gives for m.
 
     The jet residual is amplified by delta^(l-m) for l < m, so delta
     cannot shrink forever; underflow below 1e-8 reports failure with the
@@ -351,8 +341,7 @@ def approximate_monomial(
         )
         return _monomial(None, 0, None), report
 
-    if jet is None:
-        jet = prescribe_jet(s, profile, m, **jet_options)
+    jet = prescribe_jet(s, profile, m)
     screen = np.linspace(0.0, 1.0, GRID_POINTS)[::_SCREEN_STRIDE]
     delta = 1.0
     halvings = 0
@@ -416,19 +405,18 @@ class ExpTarget:
 class SampledTarget:
     """Target from (x, y) samples on [0, 1]: a Chebyshev least-squares fit.
 
-    Derivatives come from differentiating the fit; degree adapts to the
-    sample count (capped at 30).
+    Derivatives come from differentiating the fit; the degree is half the
+    sample count, at least 3 and at most 30 and below the sample count.
     """
 
-    def __init__(self, xs, ys, degree: int | None = None):
+    def __init__(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.size != ys.size or xs.size < 4:
             raise ValueError("need matching x/y samples, at least 4")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("target samples must be finite")
-        if degree is None:
-            degree = min(30, xs.size - 1, max(3, xs.size // 2))
+        degree = min(30, xs.size - 1, max(3, xs.size // 2))
         self._fit = np.polynomial.chebyshev.Chebyshev.fit(xs, ys, degree, domain=[0.0, 1.0])
         self.description = f"samples[n={xs.size},deg={degree}]"
 
@@ -461,8 +449,6 @@ class ApproximationReport:
     epsilon_achieved: float
     errors_per_derivative: tuple[float, ...]
     residual_max: float
-    residual_xs: tuple[float, ...]
-    residual_values: tuple[float, ...]
     delta_per_monomial: dict[int, float | None]
     initial_point: float
     polynomial_degree: int
@@ -492,9 +478,6 @@ def approximate_function(
     eps: float,
     s: FractionalOrder | float,
     profile: Psi0Profile,
-    *,
-    residual_points: int = RESIDUAL_POINTS,
-    **jet_options,
 ) -> tuple[CombinedApproximant, ApproximationReport]:
     """Stationary u with ||u - f||_{C^k([0,1])} < eps.
 
@@ -504,7 +487,7 @@ def approximate_function(
     the highest monomial stage two can build, so a target out of reach
     raises TargetDegreeError before any jet is solved. Norms are grid
     norms on 1000 uniform points of [0, 1] (documented surrogate for the
-    sup).
+    sup), and ``residual_max`` is the largest |D^s u| on 200.
     """
     s = FractionalOrder.of(s)
     target = as_target(f)
@@ -541,26 +524,20 @@ def approximate_function(
     budgets: dict[int, float] = {}
     deltas: dict[int, float | None] = {}
     reports: list[MonomialReport] = []
-    jet_cache: dict[int, JetCombination] = {}
     for m in range(degree + 1):
         c_m = float(coefs[m])
         if abs(c_m) <= 1e-14 * scale:
             continue
         budget = eps / (2.0 * abs(c_m) * (degree + 1))
         budgets[m] = budget
-        if m > 0 and m not in jet_cache:
-            jet_cache[m] = prescribe_jet(s, profile, m, **jet_options)
-        approx, rep = approximate_monomial(
-            s, profile, m, k, budget, jet=jet_cache.get(m)
-        )
+        approx, rep = approximate_monomial(s, profile, m, k, budget)
         pieces.append((c_m, approx))
         deltas[m] = rep.delta
         reports.append(rep)
 
     combined = CombinedApproximant.sum(pieces)
     achieved, sups = _ck_grid_error(target, combined, k, np.linspace(0.0, 1.0, GRID_POINTS))
-    res_xs = np.linspace(0.0, 1.0, residual_points)
-    res_vals = combined.caputo_value(res_xs)
+    res_vals = combined.caputo_value(np.linspace(0.0, 1.0, RESIDUAL_POINTS))
 
     report = ApproximationReport(
         target=getattr(target, "description", type(target).__name__),
@@ -568,9 +545,7 @@ def approximate_function(
         eps_requested=eps,
         epsilon_achieved=achieved,
         errors_per_derivative=tuple(sups),
-        residual_max=float(np.max(np.abs(res_vals))) if res_vals.size else 0.0,
-        residual_xs=tuple(float(x) for x in res_xs),
-        residual_values=tuple(float(v) for v in res_vals),
+        residual_max=float(np.max(np.abs(res_vals))),
         delta_per_monomial=deltas,
         initial_point=combined.initial_point,
         polynomial_degree=degree,

@@ -42,7 +42,6 @@ from .special_functions import FractionalOrder, beta, gamma
 __all__ = [
     "ExtensionSolution",
     "solve_extension",
-    "compute_g",
     "JunctionProximityError",
     "MAX_DERIVATIVE_ORDER",
 ]
@@ -64,6 +63,15 @@ _CHEB_POINTS = 24
 
 class JunctionProximityError(ValueError):
     """Raised when a derivative is requested too close to the junction b."""
+
+
+def _check_order(n) -> None:
+    """The one check of a derivative order: an integer in 0..MAX_DERIVATIVE_ORDER."""
+    if n > MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
+    # written so that a NaN fails it
+    if not (n >= 0 and int(n) == n):
+        raise ValueError("derivative order must be a nonnegative integer")
 
 
 def _check_junction_distance(n: int, xi: np.ndarray) -> None:
@@ -315,12 +323,12 @@ class ExtensionSolution:
 
     # -- forcing ---------------------------------------------------------
 
-    def g_value(self, x, order: int = 0):
-        """g^(order)(x) for x >= b, in closed form."""
+    def g_value(self, x):
+        """g(x) = -int_a^b phi'(t)(x-t)^(-s) dt for x >= b, in closed form."""
         xa = np.asarray(x, dtype=float)
         if np.any(xa < self.b):
             raise ValueError("g is defined on [b, infinity)")
-        out = self.forcing.value(order, xa - self.b)
+        out = self.forcing.value(0, xa - self.b)
         return out if isinstance(x, np.ndarray) else float(out)
 
     # -- table construction ------------------------------------------------
@@ -380,8 +388,6 @@ class ExtensionSolution:
         grown state is built aside and swapped in under the lock in one
         step; readers never lock and always see a whole state.
         """
-        if n > MAX_DERIVATIVE_ORDER:
-            raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
         with self._grow_lock:
             edges, tables = self._state
             if xi_max > edges[-1]:
@@ -421,6 +427,7 @@ class ExtensionSolution:
 
     def smooth_factor(self, n: int, xi):
         """Tabulated H_n(xi) (see _smooth_factor_quad) for xi >= 0."""
+        _check_order(n)
         xa = np.atleast_1d(np.asarray(xi, dtype=float))
         return self._eval_table(n, xa)
 
@@ -440,6 +447,7 @@ class ExtensionSolution:
     def derivative_fast(self, n: int, y):
         """u^(n)(y) for y > b from the cached tables (vectorized); like
         ``derivative`` it refuses n >= 1 within 1e-3 of the junction."""
+        _check_order(n)
         ya = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(ya <= self.b):
             raise ValueError("fast derivatives are defined on (b, infinity)")
@@ -462,10 +470,7 @@ class ExtensionSolution:
         ``value``. Refuses y within 1e-3 of the junction for n >= 1: the
         boundary terms (y-b)^(s-n+i) are genuinely singular there.
         """
-        if n < 0 or int(n) != n:
-            raise ValueError("derivative order must be a nonnegative integer")
-        if n > MAX_DERIVATIVE_ORDER:
-            raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
+        _check_order(n)
         if n == 0:
             return self.value(y)
         ya = np.atleast_1d(np.asarray(y, dtype=float))
@@ -473,6 +478,7 @@ class ExtensionSolution:
             raise ValueError("derivatives are defined on (b, infinity)")
         xi = ya - self.b
         _check_junction_distance(n, xi)
+        _reach(xi)  # +inf is refused before any quadrature
         out = polyval(xi, polyder(self._poly, n))
         out = out + xi ** (self.s.s - n) * self._smooth_factor_quad(n, xi)
         return out if isinstance(y, np.ndarray) else float(out[0])
@@ -492,6 +498,7 @@ class ExtensionSolution:
         single-node calls. Each point's sum is reduced on its own.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
+        _reach(xa)  # +inf is refused before any quadrature
         out = np.empty_like(xa)
         ext = xa > self.b
         if not np.all(ext):
@@ -512,7 +519,8 @@ class ExtensionSolution:
         return self._poly.copy()
 
     def caputo_value(self, x):
-        """D_a^s u(x) of the delivered solution (0 for x <= a by causality).
+        """D_a^s u(x) of the delivered solution (0 for x <= a by causality,
+        NaN at a NaN point).
 
         x may be a scalar (a float is returned) or an array. Beyond b the
         extension contributes the junction polynomial in closed form plus
@@ -527,7 +535,7 @@ class ExtensionSolution:
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         _reach(xa)  # +inf is refused before any quadrature
         s = self.s.s
-        out = np.zeros_like(xa)
+        out = np.where(np.isnan(xa), np.nan, 0.0)
         live = xa > self.a
         if np.any(live):
             out[live] = poly_abel_integral(self.profile.derivative_pieces(), xa[live], -s)
@@ -553,13 +561,3 @@ class ExtensionSolution:
 def solve_extension(profile: CausalProfile, s: FractionalOrder | float) -> ExtensionSolution:
     """Solve the stationary extension problem for the given causal data."""
     return ExtensionSolution(profile, s)
-
-
-def compute_g(profile: CausalProfile, s: FractionalOrder | float, x):
-    """g(x) = -int_a^b phi'(t)(x-t)^(-s) dt for x >= b, evaluated exactly."""
-    sol_free = _Forcing(profile, FractionalOrder.of(s))
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < profile.b):
-        raise ValueError("g is defined on [b, infinity)")
-    out = sol_free.value(0, xa - profile.b)
-    return out if isinstance(x, np.ndarray) else float(out)

@@ -42,11 +42,10 @@ def jet_cache(psi0_default):
 
     cache = {}
 
-    def get(m, s=0.5, **kwargs):
-        key = (m, s, tuple(sorted(kwargs.items())))
-        if key not in cache:
-            cache[key] = prescribe_jet(s, psi0_default, m, **kwargs)
-        return cache[key]
+    def get(m, s=0.5):
+        if (m, s) not in cache:
+            cache[m, s] = prescribe_jet(s, psi0_default, m)
+        return cache[m, s]
 
     return get
 

@@ -157,15 +157,6 @@ def test_kappa_expansion_coefficients(kappa_half):
     )
 
 
-def test_kappa_grid_validation(psi0_default):
-    with pytest.raises(ValueError, match="at least 4"):
-        estimate_kappa(0.5, psi0_default, eps_grid=[0.25, 0.1, 0.05])
-    with pytest.raises(ValueError, match="decade"):
-        estimate_kappa(0.5, psi0_default, eps_grid=[0.4, 0.3, 0.2, 0.1])
-    with pytest.raises(ValueError, match="\\(0, 0.5\\]"):
-        estimate_kappa(0.5, psi0_default, eps_grid=[0.8, 0.2, 0.1, 0.05])
-
-
 def test_scaled_values_have_finite_limit(psi_half):
     # psi(1+eps) eps^(-s) differences behave like O(eps)
     s = 0.5

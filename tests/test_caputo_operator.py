@@ -23,6 +23,22 @@ def test_causality_exact_zero():
     assert caputo_derivative(prof, 0.0, 0.5, -4.0) == 0.0
 
 
+def test_nan_point_reads_nan_not_stationary(ramp_solution, jet_cache):
+    # NaN > a is false, which once sent a NaN point down the causal-zero branch
+    xs = np.array([1.5, np.nan, 0.5])
+    prof = linear_profile(0.0, 2.0)
+    jet = jet_cache(1)
+    for name, read in {
+        "profile": lambda x: caputo_derivative(prof, 0.0, 0.5, x),
+        "solution": ramp_solution.caputo_value,
+        "solution via caputo_derivative": lambda x: caputo_derivative(ramp_solution, 0.0, 0.5, x),
+        "combination": jet.caputo_value,
+    }.items():
+        assert np.isnan(read(np.nan)), name
+        got = read(xs)
+        assert np.isnan(got[1]) and got[0] == read(1.5) and got[2] == read(0.5), name
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
 def test_linear_closed_form(s, x):

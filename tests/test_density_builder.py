@@ -123,7 +123,7 @@ def test_prescribe_jet_order_zero(psi0_default, jet_cache):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_prescribe_jet_fd_certificate(jet_cache, m):
-    # finite differences of plain v values confirm the jet to 10x jet_tol
+    # finite differences of plain v values confirm the jet to 10x JET_TOL
     jet = jet_cache(m)
     assert jet.jet_residual <= 1e-8
     for l, err in enumerate(jet.fd_jet_errors):
@@ -146,13 +146,14 @@ def test_jet_stationarity(jet_cache):
 def test_prescribe_jet_validation(psi0_default):
     with pytest.raises(ValueError):
         prescribe_jet(0.5, psi0_default, 5)
-    with pytest.raises(ValueError):
-        prescribe_jet(0.5, psi0_default, 2, pool_j=(2, 4))
 
 
-def test_prescribe_jet_infeasible_tolerance(psi0_default):
+def test_prescribe_jet_infeasible_tolerance(psi0_default, monkeypatch):
+    from caputo_density import density_builder
+
+    monkeypatch.setattr(density_builder, "JET_TOL", 1e-18)
     with pytest.raises(JetInfeasibleError, match="residual"):
-        prescribe_jet(0.5, psi0_default, 3, jet_tol=1e-18, verify=False)
+        prescribe_jet(0.5, psi0_default, 3)
 
 
 # -- monomials ------------------------------------------------------------------------
@@ -167,8 +168,8 @@ def test_monomial_zero_is_exact_constant(psi0_default):
     assert report.achieved == 0.0
 
 
-def test_monomial_linear(psi0_default, jet_cache):
-    approx, report = approximate_monomial(0.5, psi0_default, 1, 0, 1e-2, jet=jet_cache(1))
+def test_monomial_linear(psi0_default):
+    approx, report = approximate_monomial(0.5, psi0_default, 1, 0, 1e-2)
     xs = np.linspace(0.0, 1.0, 200)
     assert np.max(np.abs(approx.value(xs) - xs)) < 1e-2
     grid = np.linspace(0.0, 1.0, 21)
@@ -184,17 +185,17 @@ def test_monomial_delta_linearity(jet_cache):
     assert 0.8 <= slope <= 1.2
 
 
-def test_monomial_budget_to_delta_amplification(psi0_default, jet_cache):
+def test_monomial_budget_to_delta_amplification(psi0_default):
     # l < m errors are delta^(l-m)-amplified jet residuals; the report's
     # achieved error must still respect the budget
-    approx, report = approximate_monomial(0.5, psi0_default, 2, 1, 5e-2, jet=jet_cache(2))
+    approx, report = approximate_monomial(0.5, psi0_default, 2, 1, 5e-2)
     assert report.achieved < 5e-2
     assert sum(report.errors_per_derivative) == pytest.approx(report.achieved)
 
 
-def test_monomial_underflow_diagnostics(psi0_default, jet_cache):
+def test_monomial_underflow_diagnostics(psi0_default):
     with pytest.raises(DeltaUnderflowError, match="delta underflowed"):
-        approximate_monomial(0.5, psi0_default, 1, 0, 1e-13, jet=jet_cache(1))
+        approximate_monomial(0.5, psi0_default, 1, 0, 1e-13)
 
 
 def _unscreened_halving(jet, m, k, eps):
@@ -231,14 +232,14 @@ def test_screened_halving_takes_the_unscreened_delta(psi0_default, jet_cache, s,
     jet = jet_cache(m, s=s)
 
     def screened():
-        _, rep = approximate_monomial(s, psi0_default, m, k, 1e-2, jet=jet)
+        _, rep = approximate_monomial(s, psi0_default, m, k, 1e-2)
         return rep.delta, rep.halvings, rep.errors_per_derivative, rep.achieved
 
     assert _outcome(screened) == _outcome(lambda: _unscreened_halving(jet, m, k, 1e-2))
 
 
 def test_monomial_rescaling_initial_point(psi0_default, jet_cache):
-    approx, report = approximate_monomial(0.5, psi0_default, 1, 0, 1e-2, jet=jet_cache(1))
+    approx, report = approximate_monomial(0.5, psi0_default, 1, 0, 1e-2)
     jet = jet_cache(1)
     assert approx.initial_point == pytest.approx((-jet.p - jet.R) / report.delta)
 
@@ -326,7 +327,7 @@ def test_readme_sin_run_keeps_its_decisions(psi0_default, jet_cache):
 
 
 def test_jet_choice_ignores_rounding_noise(psi0_default, monkeypatch):
-    # residuals below jet_tol are 1e-15..1e-13 of noise; a 1e-13 relative
+    # residuals below JET_TOL are 1e-15..1e-13 of noise; a 1e-13 relative
     # change to the matrix must not change which p is taken
     from caputo_density import density_builder
 
@@ -339,4 +340,4 @@ def test_jet_choice_ignores_rounding_noise(psi0_default, monkeypatch):
 
     monkeypatch.setattr(density_builder, "jet_matrix", perturbed)
     for m, p in README_SIN_P.items():
-        assert prescribe_jet(0.5, psi0_default, m, verify=False).p == p
+        assert prescribe_jet(0.5, psi0_default, m).p == p

@@ -10,7 +10,6 @@ from scipy.special import betainc
 
 from caputo_density.extension_solver import (
     JunctionProximityError,
-    compute_g,
     solve_extension,
 )
 from caputo_density.profiles import (
@@ -30,29 +29,29 @@ from caputo_density.special_functions import reflection
 
 
 def test_g_ramp_closed_form():
-    prof = ramp_profile()
-    assert compute_g(prof, 0.5, 2.0) == pytest.approx(2.0 - 2.0 * math.sqrt(2.0), rel=1e-14)
+    sol = solve_extension(ramp_profile(), 0.5)
+    assert sol.g_value(2.0) == pytest.approx(2.0 - 2.0 * math.sqrt(2.0), rel=1e-14)
     xs = np.linspace(1.0, 9.0, 33)
-    np.testing.assert_allclose(compute_g(prof, 0.5, xs), ramp_forcing_value(xs), atol=1e-13)
+    np.testing.assert_allclose(sol.g_value(xs), ramp_forcing_value(xs), atol=1e-13)
 
 
 def test_g_constant_profile_vanishes():
     prof = constant_profile(2.0, 0.0, 1.0)
     xs = np.linspace(1.0, 5.0, 9)
-    np.testing.assert_allclose(compute_g(prof, 0.5, xs), 0.0, atol=1e-300)
+    np.testing.assert_allclose(solve_extension(prof, 0.5).g_value(xs), 0.0, atol=1e-300)
 
 
 def test_g_bump_closed_form_and_value_at_junction():
-    prof = quadratic_bump_profile()
+    sol = solve_extension(quadratic_bump_profile(), 0.5)
     # the printed closed form evaluates to 32/27 at t = 1 ((4t-3)^(3/2) = 1 there)
-    assert compute_g(prof, 0.5, 1.0) == pytest.approx(32.0 / 27.0, rel=1e-14)
+    assert sol.g_value(1.0) == pytest.approx(32.0 / 27.0, rel=1e-14)
     xs = np.linspace(1.0, 6.0, 21)
-    np.testing.assert_allclose(compute_g(prof, 0.5, xs), bump_forcing_value(xs), atol=1e-12)
+    np.testing.assert_allclose(sol.g_value(xs), bump_forcing_value(xs), atol=1e-12)
 
 
 def test_g_rejects_left_of_b():
     with pytest.raises(ValueError):
-        compute_g(ramp_profile(), 0.5, 0.5)
+        solve_extension(ramp_profile(), 0.5).g_value(0.5)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
@@ -63,7 +62,7 @@ def test_g_against_quadrature_dual_route(s):
     for x in (1.0, 1.7, 4.0):
         num = -quad(lambda t: prof.derivative_value(t) * (x - t) ** (-s), 0.0, 0.75,
                     limit=200)[0]
-        assert compute_g(prof, s, x) == pytest.approx(num, rel=1e-8)
+        assert solve_extension(prof, s).g_value(x) == pytest.approx(num, rel=1e-8)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.6])
@@ -76,7 +75,7 @@ def test_g_singular_route_for_ramp(s):
     for x in (1.0 + 1e-4, 1.2):
         with mpmath.workdps(30):
             num = -float(mpmath.quad(lambda t: (x - t) ** (-s), [0, 1]))
-        assert compute_g(prof, s, x) == pytest.approx(num, rel=1e-10)
+        assert solve_extension(prof, s).g_value(x) == pytest.approx(num, rel=1e-10)
 
 
 # -- the solved extension -----------------------------------------------------
@@ -221,6 +220,27 @@ def test_junction_guard_and_order_cap(ramp_solution):
         ramp_solution.derivative(1, 0.5)
 
 
+@pytest.mark.parametrize("n", [-1, 1.5, 9])
+def test_bad_orders_are_refused_before_any_table(n):
+    from caputo_density.blowup import Combination
+
+    sol = solve_extension(quadratic_bump_profile(), 0.3)
+    sol.smooth_factor(1, 2.0)
+    before = sol._state
+    reads = {
+        "derivative": lambda: sol.derivative(n, 2.0),
+        "derivative_fast": lambda: sol.derivative_fast(n, 2.0),
+        "smooth_factor": lambda: sol.smooth_factor(n, 1.0),
+        "Combination.derivative": lambda: Combination(sol, [1.0], [0.5], [1.5]).derivative(n, 1.0),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, read in reads.items():
+            with pytest.raises(ValueError, match="derivative order"):
+                read()
+            assert sol._state is before and sorted(before[1]) == [1], name
+
+
 def test_fast_derivative_junction_guard(ramp_solution):
     with pytest.raises(JunctionProximityError):
         ramp_solution.derivative_fast(1, 1.0 + 1e-4)
@@ -253,6 +273,8 @@ def test_reads_at_inf_are_refused_before_any_growth():
         "derivative_fast": lambda x: sol.derivative_fast(1, x),
         "smooth_factor": lambda x: sol.smooth_factor(1, x - sol.b),
         "caputo_value": lambda x: sol.caputo_value(x),
+        "raw_value": lambda x: sol.raw_value(x),
+        "derivative": lambda x: sol.derivative(1, x),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")

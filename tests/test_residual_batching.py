@@ -127,7 +127,7 @@ def test_values_do_not_depend_on_the_batch(s, points):
 
 def test_scalar_input_returns_float_everywhere(psi_half, psi0_default):
     member = BlowupMember(4, psi_half)
-    jet = prescribe_jet(0.5, psi0_default, 1, verify=False)
+    jet = prescribe_jet(0.5, psi0_default, 1)
     monomial = jet.rescaled(2.0, 0.5, jet.p)  # m! v(delta x + p) / delta^m, m = 1
     constant, _ = approximate_monomial(0.5, psi0_default, 0, 0, 1e-2)
     combined = CombinedApproximant.sum(((2.0, monomial), (1.0, constant)))
