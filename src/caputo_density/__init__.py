@@ -32,7 +32,7 @@ from .extension_solver import (
     solve_extension,
 )
 from .piecewise import PiecewisePoly
-from .profiles import CausalProfile, builtin_profile, quadratic_bump_profile, ramp_profile
+from .profiles import builtin_profile, quadratic_bump_profile, ramp_profile
 from .singular_quadrature import integrate_singular, kernel_identity_check
 from .special_functions import FractionalOrder, beta, gamma, reflection
 
@@ -44,7 +44,6 @@ __all__ = [
     "integrate_singular",
     "kernel_identity_check",
     "PiecewisePoly",
-    "CausalProfile",
     "ramp_profile",
     "quadratic_bump_profile",
     "builtin_profile",

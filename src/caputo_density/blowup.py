@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension_solver import ExtensionSolution, solve_extension
+from .extension_solver import ExtensionSolution, _check_order, _reach, solve_extension
 from .piecewise import PiecewisePoly, polyder
-from .profiles import CausalProfile, quadratic_bump_profile
+from .profiles import quadratic_bump_profile
 from .singular_quadrature import integrate_singular, poly_abel_integral
 from .special_functions import FractionalOrder, beta, gamma
 
@@ -87,13 +87,7 @@ class Psi0Profile:
     @classmethod
     def default_quadratic(cls) -> "Psi0Profile":
         """(16/9)(x - 3/4)^2 on [0, 3/4], zero on [3/4, 1]."""
-        return cls(quadratic_bump_profile().data)
-
-    def to_causal_profile(self) -> CausalProfile:
-        return CausalProfile(self.data, 0.0, 1.0, name="psi0")
-
-    def fingerprint(self) -> tuple:
-        return self.to_causal_profile().fingerprint()
+        return cls(quadratic_bump_profile())
 
 
 # solved psi per (profile, s); the least recently used
@@ -105,11 +99,11 @@ _PSI_CACHE: OrderedDict[tuple, ExtensionSolution] = OrderedDict()
 def build_psi(s: FractionalOrder | float, profile: Psi0Profile) -> ExtensionSolution:
     """Solve D_0^s psi = 0 on (1, inf) with psi = psi_0 on (-inf, 1] (cached)."""
     s = FractionalOrder.of(s)
-    key = (profile.fingerprint(), s.s)
+    key = (profile.data.fingerprint(), s.s)
     if key in _PSI_CACHE:
         _PSI_CACHE.move_to_end(key)
         return _PSI_CACHE[key]
-    sol = solve_extension(profile.to_causal_profile(), s)
+    sol = solve_extension(profile.data, s)
     _PSI_CACHE[key] = sol
     if len(_PSI_CACHE) > _PSI_CACHE_SIZE:
         _PSI_CACHE.popitem(last=False)
@@ -190,6 +184,7 @@ class Combination:
 
     def derivative(self, l: int, x):
         """u^(l)(x) from psi's tables; for l >= 1 every argument must lie right of b."""
+        _check_order(l)
         if l == 0:
             return self.value(x)
         return self._apply(lambda y: self.psi.derivative_fast(l, y), l, 0.0, x)
@@ -225,8 +220,12 @@ class BlowupMember(Combination):
         rescaled piecewise polynomial exactly and the extension part is
         ``integrate_singular`` on the two halves of (0, x) in t, each with
         the other kernel factor in its integrand, not the residual's rule.
+        Like the tables it refuses +inf, and a NaN point reads NaN.
         """
         x = float(x)
+        if math.isnan(x):
+            return math.nan
+        _reach(np.array([x]))  # +inf is refused before any integral
         j, s = float(self.j), self.s.s
         if x <= -j:
             return 0.0

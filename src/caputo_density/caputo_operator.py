@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import PiecewisePoly
-from .profiles import CausalProfile
 from .singular_quadrature import integrate_singular, poly_abel_integral
 from .special_functions import FractionalOrder, gamma
 
@@ -62,7 +61,7 @@ def caputo_derivative(
 ):
     """D_a^s u(x); exactly 0 for x <= a by causality, NaN at a NaN x.
 
-    u may be a CausalProfile / PiecewisePoly (exact closed form), a solved
+    u may be causal data as a PiecewisePoly (exact closed form), a solved
     extension or blow-up/jet object (semi-analytic residual path), or a
     plain evaluator together with its analytic derivative ``u_prime``
     (``integrate_singular``; u' must be smooth on [a, x]).
@@ -91,16 +90,14 @@ def _caputo_right_of(u, a: float, s: FractionalOrder, xs: np.ndarray, u_prime) -
     if own is not None:
         return own(xs)
 
-    if isinstance(u, (CausalProfile, PiecewisePoly)):
-        data = u.data if isinstance(u, CausalProfile) else u
-        start = data.breakpoints[0]
-        if a > start:
+    if isinstance(u, PiecewisePoly):
+        if a > u.lo:
             raise ValueError("initial point must not be inside the data's memory")
-        if np.any(xs > data.hi):
+        if np.any(xs > u.hi):
             raise ValueError(
                 "data ends before x; solve the extension to differentiate beyond it"
             )
-        return poly_abel_integral(data.derivative_pieces(), xs, -s.s) / gamma(1.0 - s.s)
+        return poly_abel_integral(u.derivative_pieces(), xs, -s.s) / gamma(1.0 - s.s)
 
     if u_prime is None and callable(u):
         raise TypeError("plain evaluators need an analytic derivative u_prime")

@@ -49,7 +49,8 @@ from .density_builder import (
     approximate_function,
 )
 from .extension_solver import solve_extension
-from .profiles import builtin_extension_oracle, builtin_profile
+from .piecewise import PiecewisePoly
+from .profiles import FIXED_SPAN, builtin_extension_oracle, builtin_profile
 from .special_functions import FractionalOrder
 
 EXIT_OK = 0
@@ -150,19 +151,18 @@ def _parse_blowup_inputs(config: RunConfig) -> tuple[tuple[int, ...], tuple[floa
     return check_convergence_inputs(j_list, interval)
 
 
-# built-in profiles whose span is fixed: --a/--b do not apply to them
-_FIXED_SPAN = ("appendix-es1", "appendix-es2", "ramp", "bump")
+def _profile_name(config: RunConfig) -> str | None:
+    """The built-in profile a derivative or extend run solves; None for --poly."""
+    if config.poly is not None:
+        return None
+    return config.profile or ("linear" if config.command == "derivative" else "appendix-es1")
 
 
 def _fixed_span_profile(config: RunConfig) -> str | None:
-    """The fixed-span built-in profile a derivative or extend run solves, if any."""
-    if config.command == "derivative":
-        name = config.profile or "linear"
-    elif config.command == "extend" and config.poly is None:
-        name = config.profile or "appendix-es1"
-    else:
-        return None
-    return name if name in _FIXED_SPAN else None
+    """The fixed-span built-in profile a derivative or extend run solves, if any;
+    --a/--b do not apply to it."""
+    name = _profile_name(config) if config.command in ("derivative", "extend") else None
+    return name if name in FIXED_SPAN else None
 
 
 def _check_config(config: RunConfig) -> None:
@@ -250,16 +250,14 @@ def _report(config: RunConfig, fields: dict, failures: list[str]) -> int:
     return EXIT_TARGET_MISSED if failures else EXIT_OK
 
 
-def _resolve_profile(config: RunConfig):
-    if config.poly is not None:
+def _resolve_profile(config: RunConfig) -> PiecewisePoly:
+    """The data of a derivative or extend run: --poly on [--a, --b], or a built-in profile."""
+    name = _profile_name(config)
+    if name is None:
         coeffs = [float(c) for c in config.poly.split(",")]
-        from .piecewise import PiecewisePoly
-        from .profiles import CausalProfile
-
         lo = 0.0 if config.a is None else config.a
         hi = (lo + 1.0) if config.b is None else config.b
-        return CausalProfile(PiecewisePoly.single(coeffs, lo, hi), lo, hi, name="poly")
-    name = config.profile or "appendix-es1"
+        return PiecewisePoly.single(coeffs, lo, hi)
     return builtin_profile(name, config.a, config.b)
 
 
@@ -273,18 +271,18 @@ def _cmd_derivative(config: RunConfig) -> int:
     if name is not None:
         profile = builtin_profile(name)
         sol = solve_extension(profile, s)
-        if np.any(grid <= profile.a):
+        if np.any(grid <= profile.lo):
             raise ValueError("grid points must lie right of the initial point")
         values = sol.caputo_value(grid)
     else:
-        if config.profile is None and config.poly is None:
-            config = dataclasses.replace(config, profile="linear")
-        if config.poly is None and config.b is None:
-            config = dataclasses.replace(config, b=float(max(grid)))
+        if config.poly is None:
+            # the config, and so its hash, names the profile and where its data ends
+            b = float(max(grid)) if config.b is None else config.b
+            config = dataclasses.replace(config, profile=_profile_name(config), b=b)
         profile = _resolve_profile(config)
-        if np.any(grid > profile.b):
+        if np.any(grid > profile.hi):
             raise ValueError("grid extends beyond the data; use `extend` for x > b")
-        values = caputo_derivative(profile, profile.a, s, grid)
+        values = caputo_derivative(profile, profile.lo, s, grid)
     _write_csv(config.out, config, ["x", "caputo"], [grid, values])
     return EXIT_OK
 
@@ -293,7 +291,7 @@ def _cmd_extend(config: RunConfig) -> int:
     s = FractionalOrder(config.s)
     profile = _resolve_profile(config)
     grid = _parse_grid(config.grid or "1.01:5:200")
-    if np.any(grid <= profile.b):
+    if np.any(grid <= profile.hi):
         raise ValueError("extend grid points must lie strictly right of b")
     sol = solve_extension(profile, s)
     u = sol.value(grid)
@@ -303,7 +301,9 @@ def _cmd_extend(config: RunConfig) -> int:
 
     residual_max = float(np.max(np.abs(residual)))
     fields = {"residual_max": residual_max}
-    oracle = builtin_extension_oracle(profile.name) if config.s == 0.5 else None
+    # --poly (no name) has no oracle
+    name = _profile_name(config)
+    oracle = builtin_extension_oracle(name) if name and config.s == 0.5 else None
     if oracle is not None:
         fields["oracle_deviation"] = float(np.max(np.abs(u - oracle(grid))))
     failures = []

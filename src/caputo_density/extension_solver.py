@@ -34,8 +34,7 @@ import threading
 
 import numpy as np
 
-from .piecewise import MAX_DEGREE, polyder, polyval
-from .profiles import CausalProfile
+from .piecewise import MAX_DEGREE, PiecewisePoly, polyder, polyval, taylor_shift
 from .singular_quadrature import apply_rule, gauss_ladder, poly_abel_integral, unit_rule
 from .special_functions import FractionalOrder, beta, gamma
 
@@ -114,14 +113,14 @@ def _ctilde(s: float, n: int, i: int) -> float:
 class _Forcing:
     """Closed-form power-law representation of g and all its derivatives."""
 
-    def __init__(self, profile: CausalProfile, s: FractionalOrder):
+    def __init__(self, profile: PiecewisePoly, s: FractionalOrder):
         self.profile = profile
         self.s = s
         self._orders: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _build(self, i: int) -> tuple[np.ndarray, ...]:
         s = self.s.s
-        b = self.profile.b
+        b = self.profile.hi
         e = -s - i
         scalar = -_falling(-s, i)  # -(-s)(-s-1)...(-s-i+1); -1 for i = 0
         mixed: dict[tuple[int, float, float], float] = {}
@@ -137,15 +136,9 @@ class _Forcing:
         for tau_lo, tau_hi, dcoeffs in self.profile.derivative_pieces():
             if not np.any(dcoeffs):
                 continue
-            # rebase the piece polynomial about b
-            shift = b - tau_lo
-            p_hat = np.zeros(MAX_DEGREE + 1)
-            for kk in range(dcoeffs.size):
-                if dcoeffs[kk] == 0.0:
-                    continue
-                for k in range(kk + 1):
-                    p_hat[k] += dcoeffs[kk] * math.comb(kk, k) * shift ** (kk - k)
-            for k in range(MAX_DEGREE + 1):
+            # the piece polynomial about b
+            p_hat = taylor_shift(dcoeffs, b - tau_lo)
+            for k in range(p_hat.size):
                 if p_hat[k] == 0.0:
                     continue
                 for r in range(k + 1):
@@ -299,16 +292,15 @@ class ExtensionSolution:
     points.
     """
 
-    def __init__(self, profile: CausalProfile, s: FractionalOrder | float):
+    def __init__(self, profile: PiecewisePoly, s: FractionalOrder | float):
         self.profile = profile
         self.s = FractionalOrder.of(s)
-        self.a = profile.a
-        self.b = profile.b
-        self.value_at_b = profile.value_at_b
+        self.a = profile.lo
+        self.b = profile.hi
+        self.value_at_b = profile.value(profile.hi)
         self.forcing = _Forcing(profile, self.s)
 
-        bp = profile.data.breakpoints
-        self._branch_gap = float(self.b - bp[-2])
+        self._branch_gap = float(self.b - profile.breakpoints[-2])
         sf = self.s.sin_factor
         s_ = self.s.s
         alphas = self.forcing.junction_alphas()
@@ -326,6 +318,7 @@ class ExtensionSolution:
     def g_value(self, x):
         """g(x) = -int_a^b phi'(t)(x-t)^(-s) dt for x >= b, in closed form."""
         xa = np.asarray(x, dtype=float)
+        _reach(xa)  # +inf is refused before any term is summed
         if np.any(xa < self.b):
             raise ValueError("g is defined on [b, infinity)")
         out = self.forcing.value(0, xa - self.b)
@@ -558,6 +551,6 @@ class ExtensionSolution:
         )
 
 
-def solve_extension(profile: CausalProfile, s: FractionalOrder | float) -> ExtensionSolution:
+def solve_extension(profile: PiecewisePoly, s: FractionalOrder | float) -> ExtensionSolution:
     """Solve the stationary extension problem for the given causal data."""
     return ExtensionSolution(profile, s)

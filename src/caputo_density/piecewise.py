@@ -1,10 +1,12 @@
-"""Piecewise cubic polynomials with a constant left tail.
+"""Piecewise cubic polynomials with a constant left tail: the causal data.
 
-These carry the prescribed data of the nonlocal problems: finitely many
-breakpoints, per-piece polynomial coefficients of degree <= 3, and a
-constant value on (-inf, first breakpoint]. Construction verifies
-continuity across every breakpoint; derivatives are evaluated piecewise
-with the right-hand piece used at breakpoints.
+``PiecewisePoly`` is the prescribed data of the nonlocal problems, phi
+on (-inf, b] constant left of the initial point a: breakpoints spanning
+[a, b] = [lo, hi], per-piece coefficients of degree <= 3, and a constant
+value on (-inf, lo]. Such phi is admissible (absolutely continuous, with
+phi'(.)(x-.)^(-s) integrable). Construction verifies continuity across
+every breakpoint; derivatives are evaluated piecewise with the right-hand
+piece used at breakpoints. ``taylor_shift`` re-centres a piece.
 
 ``polyval`` and ``polyder`` serve the power-basis polynomials of the
 solver. They return numpy.polynomial's ``polyval`` and ``polyder`` bit
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-__all__ = ["PiecewisePoly", "polyval", "polyder"]
+__all__ = ["PiecewisePoly", "polyval", "polyder", "taylor_shift"]
 
 _CONTINUITY_TOL = 1e-12
 MAX_DEGREE = 3
@@ -55,8 +57,20 @@ def polyder(c, m: int = 1) -> np.ndarray:
     return c
 
 
+def taylor_shift(c, h) -> np.ndarray:
+    """Coefficients about t + h of the piece sum_k c[k] (x - t)**k, the
+    binomial expansion of (x - t - h + h)**k summed in ascending k."""
+    c = np.asarray(c, dtype=float)
+    out = np.zeros(c.size)
+    for k in range(c.size):
+        for r in range(k + 1):
+            out[r] += c[k] * math.comb(k, r) * h ** (k - r)
+    return out
+
+
 class PiecewisePoly:
-    """Piecewise polynomial of degree <= 3, constant on the left tail.
+    """Causal data: a piecewise polynomial of degree <= 3 on [lo, hi],
+    constant on the left tail (-inf, lo].
 
     Parameters
     ----------
@@ -111,10 +125,6 @@ class PiecewisePoly:
         """One piece on [lo, hi] with coefficients about lo."""
         return cls([lo, hi], [list(coeffs)])
 
-    @classmethod
-    def constant(cls, value: float, lo: float, hi: float) -> "PiecewisePoly":
-        return cls.single([value], lo, hi)
-
     # -- evaluation -------------------------------------------------------
 
     @property
@@ -154,6 +164,10 @@ class PiecewisePoly:
         out = np.where(xa < self.lo, 0.0, out)
         return out if isinstance(x, np.ndarray) else float(out)
 
+    def fingerprint(self) -> tuple:
+        """Hashable identity used to key solver caches."""
+        return (self.left_tail, self.breakpoints.tobytes(), self.coeffs.tobytes())
+
     def derivative_pieces(self):
         """Yield (tau_lo, tau_hi, dcoeffs) of the derivative on each piece."""
         k = np.arange(1, MAX_DEGREE + 1)
@@ -168,17 +182,11 @@ class PiecewisePoly:
 
     def _rebased(self, breakpoints: np.ndarray) -> np.ndarray:
         """Coefficient rows of self on the given refinement of its breakpoints."""
-        out = np.zeros((breakpoints.size - 1, MAX_DEGREE + 1))
-        for j in range(breakpoints.size - 1):
-            tau = breakpoints[j]
-            src = int(np.clip(np.searchsorted(self.breakpoints, tau, "right") - 1, 0, self.coeffs.shape[0] - 1))
-            h = tau - self.breakpoints[src]
-            c = self.coeffs[src]
-            # shift basis (x - tau_src)^k -> powers of (x - tau)
-            for k in range(MAX_DEGREE + 1):
-                for r in range(k + 1):
-                    out[j, r] += c[k] * math.comb(k, r) * h ** (k - r)
-        return out
+        src = self._piece_index(breakpoints[:-1])
+        return np.array([
+            taylor_shift(self.coeffs[j], tau - self.breakpoints[j])
+            for j, tau in zip(src, breakpoints[:-1])
+        ])
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):

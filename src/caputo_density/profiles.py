@@ -1,9 +1,8 @@
-"""Causal prescribed-data profiles and the built-in reference examples.
+"""The built-in causal data profiles and their reference solutions.
 
-A CausalProfile is the data of the nonlocal problem: a piecewise
-polynomial phi on [a, b], constant on (-inf, a]. Membership in the
-admissible class (phi absolutely continuous with phi'(.)(x-.)^(-s)
-integrable) is automatic for piecewise polynomials.
+Every profile is a ``PiecewisePoly``, the causal data type: phi on
+[lo, hi] = [a, b], constant on (-inf, a]. The ramp and the bump have a
+fixed span; ``constant`` and ``linear`` take theirs from the caller.
 
 Two named profiles ship with closed-form solved extensions, used as
 golden oracles by the tests and for the CLI's oracle-deviation report:
@@ -15,14 +14,12 @@ golden oracles by the tests and for the CLI's oracle-deviation report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .piecewise import PiecewisePoly
 
 __all__ = [
-    "CausalProfile",
+    "FIXED_SPAN",
     "ramp_profile",
     "quadratic_bump_profile",
     "constant_profile",
@@ -36,95 +33,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CausalProfile:
-    """Prescribed data phi on (-inf, b], constant left of a."""
-
-    data: PiecewisePoly
-    a: float
-    b: float
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError("profile requires a < b")
-        bp = self.data.breakpoints
-        if bp[0] != self.a or bp[-1] != self.b:
-            raise ValueError("data breakpoints must span exactly [a, b]")
-
-    def value(self, x):
-        """phi(x) for x <= b (constant left of a)."""
-        return self.data.value(x)
-
-    def derivative_value(self, x):
-        """phi'(x); zero on (-inf, a], right-piece value at breakpoints."""
-        return self.data.derivative_value(x)
-
-    @property
-    def value_at_b(self) -> float:
-        return float(self.data.value(self.b))
-
-    def derivative_pieces(self):
-        return self.data.derivative_pieces()
-
-    def fingerprint(self) -> tuple:
-        """Hashable identity used to key solver caches."""
-        return (
-            self.a,
-            self.b,
-            self.data.left_tail,
-            self.data.breakpoints.tobytes(),
-            self.data.coeffs.tobytes(),
-        )
-
-
-def ramp_profile() -> CausalProfile:
+def ramp_profile() -> PiecewisePoly:
     """phi(x) = x on [0, 1], zero on (-inf, 0]."""
-    return CausalProfile(PiecewisePoly([0.0, 1.0], [[0.0, 1.0]]), 0.0, 1.0, name="appendix-es1")
+    return PiecewisePoly([0.0, 1.0], [[0.0, 1.0]])
 
 
-def quadratic_bump_profile() -> CausalProfile:
+def quadratic_bump_profile() -> PiecewisePoly:
     """(16/9)(x - 3/4)^2 on [0, 3/4], zero on [3/4, 1], constant 1 left of 0."""
-    data = PiecewisePoly(
+    return PiecewisePoly(
         [0.0, 0.75, 1.0],
         [[1.0, -8.0 / 3.0, 16.0 / 9.0], [0.0]],
         left_tail=1.0,
     )
-    return CausalProfile(data, 0.0, 1.0, name="appendix-es2")
 
 
-def constant_profile(value: float = 1.0, a: float = 0.0, b: float = 1.0) -> CausalProfile:
-    return CausalProfile(PiecewisePoly.constant(value, a, b), a, b, name="constant")
+def constant_profile(value: float = 1.0, a: float = 0.0, b: float = 1.0) -> PiecewisePoly:
+    return PiecewisePoly.single([value], a, b)
 
 
-def linear_profile(a: float = 0.0, b: float = 1.0) -> CausalProfile:
+def linear_profile(a: float = 0.0, b: float = 1.0) -> PiecewisePoly:
     """phi(x) = x - a on [a, b] (slope one, causal from a)."""
-    return CausalProfile(PiecewisePoly.single([0.0, 1.0], a, b), a, b, name="linear")
+    return PiecewisePoly.single([0.0, 1.0], a, b)
 
 
-_BUILTINS = {
-    "appendix-es1": lambda: ramp_profile(),
-    "ramp": lambda: ramp_profile(),
-    "appendix-es2": lambda: quadratic_bump_profile(),
-    "bump": lambda: quadratic_bump_profile(),
-    "constant": lambda: constant_profile(),
-    "linear": lambda: linear_profile(),
+# the built-in profiles by name, with a fixed span or with one set by a/b
+_FIXED = {
+    "appendix-es1": ramp_profile,
+    "ramp": ramp_profile,
+    "appendix-es2": quadratic_bump_profile,
+    "bump": quadratic_bump_profile,
 }
+_SPANNED = {
+    "constant": lambda lo, hi: constant_profile(1.0, lo, hi),
+    "linear": linear_profile,
+}
+FIXED_SPAN = frozenset(_FIXED)
 
 
-def builtin_profile(name: str, a: float | None = None, b: float | None = None) -> CausalProfile:
-    """Look up a named profile; a/b override the span for constant/linear."""
-    try:
-        make = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown profile {name!r}; choose from {sorted(_BUILTINS)}") from None
-    if name in ("constant", "linear"):
-        lo = 0.0 if a is None else float(a)
-        hi = 1.0 if b is None else float(b)
-        if name == "constant":
-            return constant_profile(1.0, lo, hi)
-        return linear_profile(lo, hi)
-    return make()
+def builtin_profile(name: str, a: float | None = None, b: float | None = None) -> PiecewisePoly:
+    """Look up a named profile; a/b override the span [0, 1] of constant/linear."""
+    if name in _FIXED:
+        return _FIXED[name]()
+    if name in _SPANNED:
+        return _SPANNED[name](0.0 if a is None else float(a), 1.0 if b is None else float(b))
+    raise ValueError(f"unknown profile {name!r}; choose from {sorted(_FIXED | _SPANNED)}")
 
 
 # -- closed-form solved extensions of the two reference profiles (s = 1/2) --

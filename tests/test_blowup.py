@@ -120,6 +120,16 @@ def test_direct_residual_finite_at_small_order(psi0_default):
     assert abs(value) <= 1e-12  # v_j is stationary: the exact value is 0
 
 
+def test_direct_residual_reads_nan_and_refuses_inf(psi_half):
+    member = BlowupMember(4, psi_half)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(member.caputo_value_direct(np.nan))
+        with pytest.raises(ValueError, match=r"cannot read at \+inf"):
+            member.caputo_value_direct(np.inf)
+    assert member.caputo_value_direct(-np.inf) == 0.0
+
+
 # -- kappa ---------------------------------------------------------------------------
 
 
@@ -282,6 +292,15 @@ def test_combination_is_its_term_sum(psi_half):
     assert combo.initial_point == min((psi_half.a - beta) / alpha for _, alpha, beta in terms)
     assert combo.initial_point == -18.0  # v_8(x/2 + 1) is causal from x/2 + 1 = -8
     assert constant.initial_point == -1.0
+
+
+def test_equal_profiles_share_one_cached_psi(monkeypatch):
+    monkeypatch.setattr(blowup, "_PSI_CACHE", OrderedDict())
+    one, two = Psi0Profile.default_quadratic(), Psi0Profile.default_quadratic()
+    assert one.data is not two.data
+    assert one.data.fingerprint() == two.data.fingerprint()
+    assert build_psi(0.5, two) is build_psi(0.5, one)
+    assert len(blowup._PSI_CACHE) == 1
 
 
 def test_evicted_psi_is_rebuilt_equal(monkeypatch, psi0_default):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from caputo_density import caputo_operator
 from caputo_density.caputo_operator import caputo_derivative, caputo_residual
 from caputo_density.piecewise import PiecewisePoly
-from caputo_density.profiles import CausalProfile, constant_profile, linear_profile, ramp_profile
+from caputo_density.profiles import constant_profile, linear_profile, ramp_profile
 from caputo_density.special_functions import gamma
 
 
@@ -148,8 +148,7 @@ def test_residual_dispatch_over_blowup_and_jet_objects(psi_half, jet_cache):
 
 def _poly_profile():
     # what `derivative --poly 1,2,-0.5,0.25 --a -1 --b 2` differentiates
-    return CausalProfile(PiecewisePoly.single([1.0, 2.0, -0.5, 0.25], -1.0, 2.0), -1.0, 2.0,
-                         name="poly")
+    return PiecewisePoly.single([1.0, 2.0, -0.5, 0.25], -1.0, 2.0)
 
 
 @pytest.mark.parametrize("make,s", [
@@ -159,12 +158,12 @@ def _poly_profile():
 ], ids=["linear", "ramp", "poly"])
 def test_array_call_equals_the_scalar_loop_bit_for_bit(make, s):
     prof = make()
-    grid = np.concatenate([np.linspace(prof.a - 1.0, prof.data.hi, 61), [prof.a, prof.data.hi]])
-    got = caputo_derivative(prof, prof.a, s, grid)
-    want = np.array([caputo_derivative(prof, prof.a, s, float(x)) for x in grid])
+    grid = np.concatenate([np.linspace(prof.lo - 1.0, prof.hi, 61), [prof.lo, prof.hi]])
+    got = caputo_derivative(prof, prof.lo, s, grid)
+    want = np.array([caputo_derivative(prof, prof.lo, s, float(x)) for x in grid])
     assert got.shape == grid.shape and got.tobytes() == want.tobytes()
-    assert np.all(got[grid <= prof.a] == 0.0) and np.any(got != 0.0)
-    assert caputo_derivative(prof, prof.a, s, grid.reshape(3, 3, 7)).tobytes() == want.tobytes()
+    assert np.all(got[grid <= prof.lo] == 0.0) and np.any(got != 0.0)
+    assert caputo_derivative(prof, prof.lo, s, grid.reshape(3, 3, 7)).tobytes() == want.tobytes()
 
 
 def test_array_call_of_a_plain_evaluator_equals_the_scalar_loop():

@@ -232,6 +232,7 @@ def test_bad_orders_are_refused_before_any_table(n):
         "derivative_fast": lambda: sol.derivative_fast(n, 2.0),
         "smooth_factor": lambda: sol.smooth_factor(n, 1.0),
         "Combination.derivative": lambda: Combination(sol, [1.0], [0.5], [1.5]).derivative(n, 1.0),
+        "bare constant": lambda: Combination(None, (), (), (), 1.0).derivative(n, 0.5),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -275,6 +276,7 @@ def test_reads_at_inf_are_refused_before_any_growth():
         "caputo_value": lambda x: sol.caputo_value(x),
         "raw_value": lambda x: sol.raw_value(x),
         "derivative": lambda x: sol.derivative(1, x),
+        "g_value": lambda x: sol.g_value(x),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -283,6 +285,9 @@ def test_reads_at_inf_are_refused_before_any_growth():
                 with pytest.raises(ValueError, match=r"\+inf"):
                     read(x)
                 assert sol._state is before, name
+        # a NaN still reads NaN
+        assert math.isnan(sol.g_value(np.nan))
+        assert np.isnan(sol.g_value(np.array([2.0, np.nan]))[1])
 
 
 def test_junction_power_behavior(ramp_solution):
@@ -345,14 +350,14 @@ def _independent_extension_value(prof, s, x, dps=30):
         sf = mpmath.sin(mpmath.pi * s) / mpmath.pi
 
         def inner(tau):
-            z = (prof.b - tau) / (x - tau)
+            z = (prof.hi - tau) / (x - tau)
             return mpmath.beta(1 - s, s) * (
                 1 - mpmath.betainc(1 - s, s, 0, z, regularized=True)
             )
 
-        stops = [float(t) for t in prof.data.breakpoints]
+        stops = [float(t) for t in prof.breakpoints]
         val = mpmath.quad(lambda t: prof.derivative_value(float(t)) * inner(t), stops)
-        return float(prof.value_at_b - sf * val)
+        return float(prof.value(prof.hi) - sf * val)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.9])
@@ -374,7 +379,6 @@ def test_extreme_orders_against_independent_oracle(s, make):
 def _random_profile(breaks, rows):
     """Continuous piecewise-cubic data on [0, 1] from raw coefficients."""
     from caputo_density.piecewise import PiecewisePoly
-    from caputo_density.profiles import CausalProfile
 
     bp = np.concatenate([[0.0], np.asarray(breaks), [1.0]])
     coeffs = []
@@ -384,7 +388,7 @@ def _random_profile(breaks, rows):
         coeffs.append(c)
         w = bp[j + 1] - bp[j]
         value = ((c[3] * w + c[2]) * w + c[1]) * w + c[0]
-    return CausalProfile(PiecewisePoly(bp, coeffs), 0.0, 1.0, name="random")
+    return PiecewisePoly(bp, coeffs)
 
 
 from hypothesis import given, settings
@@ -406,7 +410,7 @@ def test_random_profiles_solve_consistently(breaks, rows, s):
     sol = solve_extension(prof, s)
     # junction law: u(b+eps) - phi(b) = eps^s H(0) + higher order
     eps = 1e-10
-    dev = abs(float(sol.value(1.0 + eps)) - prof.value_at_b)
+    dev = abs(float(sol.value(1.0 + eps)) - prof.value(prof.hi))
     h0 = abs(float(sol.smooth_factor(0, 0.0)[0]))
     assert dev <= (h0 + 0.5) * eps**s + 1e-10
     # representation-formula path agrees with the cached expansion

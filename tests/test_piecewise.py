@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caputo_density.piecewise import PiecewisePoly, polyder, polyval
+from caputo_density.piecewise import PiecewisePoly, polyder, polyval, taylor_shift
 from caputo_density.singular_quadrature import _stable_pow_diff
 
 
@@ -81,6 +81,19 @@ def test_addition_merges_breakpoints():
     assert set(np.round(combo.breakpoints, 12)) == {0.0, 0.5, 0.75, 1.0}
     xs = np.linspace(-0.5, 1.0, 31)
     np.testing.assert_allclose(combo.value(xs), p.value(xs) + q.value(xs), atol=1e-12)
+
+
+@given(st.lists(coeff, min_size=1, max_size=4), st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=200)
+def test_taylor_shift_recentres_the_piece(c, t, h, dx):
+    # sum_k c[k] (x - t)^k, re-centred at t + h, is the same polynomial
+    shifted = taylor_shift(c, h)
+    assert shifted.shape == (len(c),)
+    assert np.array_equal(taylor_shift(c, 0.0), c)
+    x = t + dx
+    scale = sum(abs(ck) * (abs(dx) + 2.0 * abs(h) + 1.0) ** k for k, ck in enumerate(c))
+    assert abs(polyval(x - (t + h), shifted) - polyval(x - t, c)) <= 1e-13 * scale
 
 
 @given(st.floats(min_value=1e-12, max_value=10.0), st.floats(min_value=0.0, max_value=0.99),
