@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension_solver import ExtensionSolution, _check_order, _reach, solve_extension
-from .piecewise import PiecewisePoly, polyder
+from .piecewise import PiecewisePoly, polyder, taylor_shift
 from .profiles import quadratic_bump_profile
 from .singular_quadrature import integrate_singular, poly_abel_integral
 from .special_functions import FractionalOrder, beta, gamma
@@ -41,14 +41,14 @@ __all__ = [
     "check_blowup_convergence",
     "check_convergence_inputs",
     "DEFAULT_J_LIST",
+    "DEFAULT_INTERVAL",
 ]
 
 DEFAULT_J_LIST = (2, 4, 8, 16, 32, 64)
+DEFAULT_INTERVAL = (0.5, 2.0)
 _DENSE_SAMPLE = 1000
-# the kappa fit's eps grid, 2^-5 down to 2^-14, and the number of
-# expansion coefficients it reports
+# the kappa fit's eps grid, 2^-5 down to 2^-14
 _KAPPA_EPS = 2.0 ** -np.arange(5, 15)
-_KAPPA_COEFFICIENTS = 7
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,12 @@ class Psi0Profile:
         ts = np.linspace(0.0, 0.75, _DENSE_SAMPLE, endpoint=False)
         if np.max(self.data.derivative_value(ts)) >= 0.0:
             raise ValueError("psi_0 must be strictly decreasing on [0, 3/4)")
-        for tau in bp[1:-1]:
-            left = self._left_derivative(float(tau))
+        for j, tau in enumerate(bp[1:-1]):
+            # the left piece's slope at tau: its coefficient of (x - tau)
+            left = taylor_shift(self.data.coeffs[j], tau - bp[j])[1]
             right = float(self.data.derivative_value(float(tau)))
             if abs(left - right) > 1e-9:
                 raise ValueError(f"psi_0 is not C^1 at breakpoint {tau}")
-
-    def _left_derivative(self, tau: float) -> float:
-        idx = int(np.searchsorted(self.data.breakpoints, tau)) - 1
-        h = tau - self.data.breakpoints[idx]
-        c = self.data.coeffs[idx]
-        return float((3.0 * c[3] * h + 2.0 * c[2]) * h + c[1])
 
     @classmethod
     def default_quadratic(cls) -> "Psi0Profile":
@@ -260,14 +255,11 @@ class KappaEstimate:
     """Fitted limit constant with the two analytic candidates and diagnostics."""
 
     kappa: float
-    fit_slope: float
     fit_exponent: float
     fit_residual: float
     kappa_a: float
     kappa_b: float
     matched: str | None
-    coefficients: tuple[float, ...]
-    eps_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.kappa > 0.0:
@@ -281,8 +273,7 @@ def estimate_kappa(s: FractionalOrder | float, profile: Psi0Profile) -> KappaEst
     [1, 1+eps], one ``raw_value`` call for the whole grid (independent of
     the solver's cached expansion, which would presuppose the answer).
     Candidates kappa_a/kappa_b from the closed form of g(1) are reported
-    alongside; exactly one should match. The coefficients are
-    C_i = beta(i+1, s) g^(i)(1) / i! for i = 0..6.
+    alongside; exactly one should match.
     """
     s = FractionalOrder.of(s)
     eps = _KAPPA_EPS
@@ -299,21 +290,13 @@ def estimate_kappa(s: FractionalOrder | float, profile: Psi0Profile) -> KappaEst
     match_a = abs(kappa - kappa_a) <= 0.01 * abs(kappa_a)
     match_b = abs(kappa - kappa_b) <= 0.01 * abs(kappa_b)
     matched = "a" if (match_a and not match_b) else "b" if (match_b and not match_a) else None
-
-    coeffs = tuple(
-        beta(i + 1.0, s.s) * psi.forcing.regular_at_b(i) / math.factorial(i)
-        for i in range(_KAPPA_COEFFICIENTS)
-    )
     return KappaEstimate(
         kappa=float(kappa),
-        fit_slope=float(slope),
         fit_exponent=fit_exponent,
         fit_residual=fit_residual,
         kappa_a=float(kappa_a),
         kappa_b=float(kappa_b),
         matched=matched,
-        coefficients=coeffs,
-        eps_grid=tuple(float(e) for e in eps),
     )
 
 
@@ -324,8 +307,6 @@ class BlowupConvergence:
     j_list: tuple[int, ...]
     sup_errors: tuple[float, ...]
     rate_exponent: float
-    kappa: KappaEstimate
-    interval: tuple[float, float]
 
 
 def check_convergence_inputs(j_list, interval) -> tuple[tuple[int, ...], tuple[float, float]]:
@@ -346,10 +327,10 @@ def check_blowup_convergence(
     s: FractionalOrder | float,
     profile: Psi0Profile,
     j_list=DEFAULT_J_LIST,
-    interval: tuple[float, float] = (0.5, 2.0),
+    interval: tuple[float, float] = DEFAULT_INTERVAL,
     *,
     n_points: int = 200,
-    kappa: KappaEstimate | None = None,
+    kappa: KappaEstimate,
 ) -> BlowupConvergence:
     """sup_{x in I} |v_j(x) - kappa x^s| for each j and the log-log rate in j.
 
@@ -359,8 +340,6 @@ def check_blowup_convergence(
     """
     s = FractionalOrder.of(s)
     j_list, (x_lo, x_hi) = check_convergence_inputs(j_list, interval)
-    if kappa is None:
-        kappa = estimate_kappa(s, profile)
     psi = build_psi(s, profile)
     xs = np.linspace(x_lo, x_hi, n_points)
     target = kappa.kappa * xs**s.s
@@ -373,6 +352,4 @@ def check_blowup_convergence(
         j_list=j_list,
         sup_errors=tuple(float(e) for e in sups),
         rate_exponent=rate,
-        kappa=kappa,
-        interval=(float(x_lo), float(x_hi)),
     )

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blowup import (
+    DEFAULT_INTERVAL,
     DEFAULT_J_LIST,
     Psi0Profile,
     check_blowup_convergence,
@@ -136,7 +137,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _parse_blowup_inputs(config: RunConfig) -> tuple[tuple[int, ...], tuple[float, float]]:
     """--j-list (j1,j2,...) and --interval (lo:hi), parsed and validated."""
-    j_list, interval = DEFAULT_J_LIST, (0.5, 2.0)
+    j_list, interval = DEFAULT_J_LIST, DEFAULT_INTERVAL
     if config.j_list is not None:
         try:
             j_list = tuple(int(j) for j in config.j_list.split(","))
@@ -158,13 +159,6 @@ def _profile_name(config: RunConfig) -> str | None:
     return config.profile or ("linear" if config.command == "derivative" else "appendix-es1")
 
 
-def _fixed_span_profile(config: RunConfig) -> str | None:
-    """The fixed-span built-in profile a derivative or extend run solves, if any;
-    --a/--b do not apply to it."""
-    name = _profile_name(config) if config.command in ("derivative", "extend") else None
-    return name if name in FIXED_SPAN else None
-
-
 def _check_config(config: RunConfig) -> None:
     """Every setting a command reads that no handler checks before its solve."""
     _check_finite("--s", config.s)
@@ -180,12 +174,6 @@ def _check_config(config: RunConfig) -> None:
         raise ValueError("give either --profile or --poly, not both")
     if config.out != "-" and not os.path.isdir(os.path.dirname(config.out) or "."):
         raise ValueError(f"--out directory of {config.out!r} does not exist")
-    fixed = _fixed_span_profile(config)
-    if fixed is not None and (config.a is not None or config.b is not None):
-        raise ValueError(
-            f"--a/--b do not apply to the {fixed} profile; they set the span of "
-            "--poly and of the constant and linear profiles"
-        )
     _check_count("--n-points", config.n_points)
     for name in ("eps", "tol", "residual_tol"):
         _check_positive("--" + name.replace("_", "-"), getattr(config, name))
@@ -267,9 +255,9 @@ def _resolve_profile(config: RunConfig) -> PiecewisePoly:
 def _cmd_derivative(config: RunConfig) -> int:
     grid = _parse_grid(config.grid or "0.1:2:40")
     s = FractionalOrder(config.s)
-    name = _fixed_span_profile(config)
-    if name is not None:
-        profile = builtin_profile(name)
+    name = _profile_name(config)
+    if name in FIXED_SPAN:
+        profile = builtin_profile(name, config.a, config.b)
         sol = solve_extension(profile, s)
         if np.any(grid <= profile.lo):
             raise ValueError("grid points must lie right of the initial point")

@@ -139,27 +139,28 @@ class PiecewisePoly:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, self.coeffs.shape[0] - 1)
 
-    def value(self, x):
-        """Evaluate at x (scalar or array); x beyond the last breakpoint is rejected."""
+    def _locate(self, x):
+        """x clamped to hi, its offset in its piece and that piece's
+        coefficients; x beyond the last breakpoint is rejected."""
         xa = np.asarray(x, dtype=float)
         span = self.hi - self.lo
         if np.any(xa > self.hi + 1e-12 * span):
             raise ValueError("evaluation beyond the last breakpoint")
         xa = np.minimum(xa, self.hi)
         idx = self._piece_index(xa)
-        dx = xa - self.breakpoints[idx]
-        c = self.coeffs[idx]
+        return xa, xa - self.breakpoints[idx], self.coeffs[idx]
+
+    def value(self, x):
+        """Evaluate at x (scalar or array); x beyond the last breakpoint is rejected."""
+        xa, dx, c = self._locate(x)
         out = ((c[..., 3] * dx + c[..., 2]) * dx + c[..., 1]) * dx + c[..., 0]
         out = np.where(xa <= self.lo, self.left_tail, out)
         return out if isinstance(x, np.ndarray) else float(out)
 
     def derivative_value(self, x):
-        """Piecewise derivative; zero on the left tail, right-piece at breakpoints."""
-        xa = np.asarray(x, dtype=float)
-        xa = np.minimum(xa, self.hi)
-        idx = self._piece_index(xa)
-        dx = xa - self.breakpoints[idx]
-        c = self.coeffs[idx]
+        """Piecewise derivative; zero on the left tail, right-piece at breakpoints,
+        and like ``value`` rejected beyond the last breakpoint."""
+        xa, dx, c = self._locate(x)
         out = (3.0 * c[..., 3] * dx + 2.0 * c[..., 2]) * dx + c[..., 1]
         out = np.where(xa < self.lo, 0.0, out)
         return out if isinstance(x, np.ndarray) else float(out)

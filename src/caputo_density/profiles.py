@@ -2,7 +2,8 @@
 
 Every profile is a ``PiecewisePoly``, the causal data type: phi on
 [lo, hi] = [a, b], constant on (-inf, a]. The ramp and the bump have a
-fixed span; ``constant`` and ``linear`` take theirs from the caller.
+fixed span and refuse an a or b; ``constant`` and ``linear`` take theirs
+from the caller.
 
 Two named profiles ship with closed-form solved extensions, used as
 golden oracles by the tests and for the CLI's oracle-deviation report:
@@ -71,8 +72,14 @@ FIXED_SPAN = frozenset(_FIXED)
 
 
 def builtin_profile(name: str, a: float | None = None, b: float | None = None) -> PiecewisePoly:
-    """Look up a named profile; a/b override the span [0, 1] of constant/linear."""
+    """Look up a named profile; a/b override the span [0, 1] of constant/linear
+    and are refused for the fixed-span profiles."""
     if name in _FIXED:
+        if a is not None or b is not None:
+            raise ValueError(
+                f"--a/--b do not apply to the {name} profile; they set the span of "
+                "--poly and of the constant and linear profiles"
+            )
         return _FIXED[name]()
     if name in _SPANNED:
         return _SPANNED[name](0.0 if a is None else float(a), 1.0 if b is None else float(b))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caputo_density.piecewise import PiecewisePoly, polyder, polyval, taylor_shift
+from caputo_density.profiles import FIXED_SPAN, builtin_profile, ramp_profile
 from caputo_density.singular_quadrature import _stable_pow_diff
 
 
@@ -24,6 +25,31 @@ def test_value_and_left_tail():
 def test_value_rejects_beyond_last_breakpoint():
     with pytest.raises(ValueError):
         quad_bump().value(1.5)
+
+
+def test_derivative_rejects_beyond_last_breakpoint_like_value():
+    ramp = ramp_profile()
+    for evaluate in (ramp.value, ramp.derivative_value):
+        with pytest.raises(ValueError, match="evaluation beyond the last breakpoint"):
+            evaluate(5.0)
+        with pytest.raises(ValueError, match="evaluation beyond the last breakpoint"):
+            evaluate(np.array([0.5, 1.0 + 1e-9]))
+        evaluate(1.0 + 1e-13)  # within the 1e-12 slack of the span
+    assert ramp.derivative_value(1.0) == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_SPAN))
+@pytest.mark.parametrize("a,b", [(3.0, 4.0), (3.0, None), (None, 4.0)])
+def test_fixed_span_profiles_refuse_a_span(name, a, b):
+    with pytest.raises(ValueError, match=f"^--a/--b do not apply to the {name} profile; "):
+        builtin_profile(name, a, b)
+
+
+def test_spanned_profiles_take_the_given_span():
+    for name in ("constant", "linear"):
+        p = builtin_profile(name, 3.0, 4.0)
+        assert (p.lo, p.hi) == (3.0, 4.0)
+    assert builtin_profile("linear", 3.0, 4.0).value(3.5) == 0.5
 
 
 def test_derivative_uses_right_piece_at_breakpoints():
