@@ -37,7 +37,8 @@ def main() -> int:
                     "epsilon_achieved": rep.epsilon_achieved,
                     "residual_max": rep.residual_max,
                     "initial_point": rep.initial_point,
-                    "delta_per_monomial": {str(m): d for m, d in rep.delta_per_monomial.items()},
+                    "terms": rep.terms,
+                    "coefficient_mass": rep.coefficient_mass,
                     "seconds": round(elapsed, 2),
                 },
                 sort_keys=True,

@@ -46,8 +46,9 @@ from .density_builder import (
     PolyTarget,
     SampledTarget,
     SinTarget,
-    TargetDegreeError,
     approximate_function,
+    approximate_monomial,
+    residual_max,
 )
 from .extension_solver import solve_extension
 from .piecewise import PiecewisePoly
@@ -370,16 +371,23 @@ def _cmd_approximate(config: RunConfig) -> int:
     s = FractionalOrder(config.s)
     profile = Psi0Profile.default_quadratic()
     if config.m is not None:
-        # single-monomial mode: approximate x^m directly
+        # single-monomial mode: the jet construction for x^m
         if config.f is not None:
             raise ValueError("give either --f or --m, not both")
         target = PolyTarget([0.0] * config.m + [1.0])
+        try:
+            approx, mono = approximate_monomial(s, profile, config.m, config.k, config.eps)
+        except (JetInfeasibleError, DeltaUnderflowError) as exc:
+            return _report(config, {}, [f"{type(exc).__name__}: {exc}"])
+        errors, achieved = mono.errors_per_derivative, mono.achieved
+        residual = residual_max(approx)
+        route = {"delta": {str(config.m): mono.delta}}
     else:
         target = _parse_target(config.f or "x^2")
-    try:
         approx, rep = approximate_function(target, config.k, config.eps, s, profile)
-    except (JetInfeasibleError, DeltaUnderflowError, TargetDegreeError) as exc:
-        return _report(config, {}, [f"{type(exc).__name__}: {exc}"])
+        errors, achieved = rep.errors_per_derivative, rep.epsilon_achieved
+        residual = rep.residual_max
+        route = {"terms": rep.terms, "coefficient_mass": rep.coefficient_mass}
 
     grid = np.linspace(0.0, 1.0, config.n_points)
     header = ["x", "f", "u", "u_minus_f"]
@@ -391,20 +399,17 @@ def _cmd_approximate(config: RunConfig) -> int:
     _write_csv(config.out, config, header, cols)
 
     fields = {
-        "errors": {"per_derivative": list(rep.errors_per_derivative)},
-        "epsilon_achieved": rep.epsilon_achieved,
-        "residual_max": rep.residual_max,
-        "delta": {str(m): d for m, d in rep.delta_per_monomial.items()},
-        "initial_point": rep.initial_point,
-        "polynomial_degree": rep.polynomial_degree,
+        "errors": {"per_derivative": list(errors)},
+        "epsilon_achieved": achieved,
+        "residual_max": residual,
+        "initial_point": approx.initial_point,
+        **route,
     }
     failures = []
-    if not rep.epsilon_achieved < config.eps:
-        failures.append(f"epsilon_achieved {rep.epsilon_achieved:.3e} >= eps {config.eps:g}")
-    if not rep.residual_max <= config.residual_tol:
-        failures.append(
-            f"residual {rep.residual_max:.3e} above residual-tol {config.residual_tol:g}"
-        )
+    if not achieved < config.eps:
+        failures.append(f"epsilon_achieved {achieved:.3e} >= eps {config.eps:g}")
+    if not residual <= config.residual_tol:
+        failures.append(f"residual {residual:.3e} above residual-tol {config.residual_tol:g}")
     return _report(config, fields, failures)
 
 

@@ -1,24 +1,27 @@
-"""Constructive density: jets, rescaled monomials, polynomial targets.
+"""Constructive density: stationary approximants of smooth targets on [0, 1].
 
-Pipeline: pick a point p and a pool of blow-up members v_j, solve a
-regularized least-squares system for coefficients c with
+Targets: every u(x) = c0 + sum_i A_i psi(x/L_i + 1 + c_i/L_i) with
+c_i > 0 is stationary on [0, 1] from -(L_i + c_i): psi is stationary on
+(1, inf) and constant left of 0. ``approximate_function`` fits such a
+sum to f by one least-squares collocation of u^(l) = f^(l), l <= k,
+over the smallest term pool of a fixed ladder that meets the tolerance.
+
+Monomials, the paper's own construction: pick a point p and a pool of
+blow-up members v_j, solve a regularized least-squares system for
+coefficients c with
 
     v := sum_i c_i v_{j_i},   v^(l)(p) = 0 for l < m,  v^(m)(p) = 1,
 
-then rescale u(x) = m! v(delta x + p) / delta^m so u tracks x^m on [0, 1]
-with C^k error O(delta), and finally assemble any smooth target from a
-Chebyshev polynomial fit, one rescaled jet per monomial. Stationarity
-survives every stage by linearity and the exact rescaling identity
-D_a^s u(x) = delta^(s-m) D_{-R}^s v(delta x + p), a = (-p-R)/delta.
-Every stage is a ``Combination`` of affine rescalings of psi: a jet
-concatenates members, a monomial rescales a jet, and the final sum
-concatenates monomials.
+then rescale u(x) = m! v(delta x + p) / delta^m so u tracks x^m on
+[0, 1] with C^k error O(delta); stationarity survives by the exact
+rescaling identity D_a^s u(x) = delta^(s-m) D_{-R}^s v(delta x + p),
+a = (-p-R)/delta. The jet matrices are Vandermonde-like and genuinely
+ill conditioned (rows of v_j^(l)(p) collapse onto the jet of kappa x^s
+as j grows), so the solve uses column equilibration plus truncated SVD,
+and every jet carries a finite-difference certificate computed from
+plain values of v, independent of the derivative formula.
 
-The jet matrices are Vandermonde-like and genuinely ill conditioned
-(rows of v_j^(l)(p) collapse onto the jet of kappa x^s as j grows), so
-the solve uses column equilibration plus truncated SVD, and every
-returned combination carries a finite-difference certificate of its jet
-computed from plain values of v, independent of the derivative formula.
+Every result is a ``Combination`` of affine rescalings of psi.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ __all__ = [
     "as_target",
     "JetInfeasibleError",
     "DeltaUnderflowError",
-    "TargetDegreeError",
+    "residual_max",
     "DEFAULT_POOL_J",
     "DEFAULT_POOL_P",
     "JET_TOL",
@@ -73,6 +76,19 @@ _JET_RCOND = 1e-10
 _SCREEN_STRIDE = 9
 # the FD certificate's stencil has 2 * 6 + 1 nodes
 _FD_HALF_WIDTH = 6
+# the target fit's term pools, smallest first: psi(x/L + 1 + c/L) for each
+# (L, c), branch points clustered toward x = 0; rung 0 is the constant
+# alone. The least beta - 1, 0.05/16, clears psi's 1e-3 junction guard.
+FIT_LADDER = (
+    (),
+    tuple((1.0, c) for c in (0.5, 1.0, 2.0, 4.0, 8.0)),
+    tuple((L, c) for L in (1.0, 4.0) for c in (0.25, 1.0, 4.0, 16.0)),
+    tuple((L, float(c)) for L in (1.0, 4.0, 16.0) for c in np.geomspace(0.05, 50.0, 8)),
+)
+# the fit collocates at this many first-kind Chebyshev points of [0, 1]
+FIT_POINTS = 80
+# relative singular-value cutoff of the column-normalized fit
+_FIT_RCOND = 1e-14
 
 
 class JetInfeasibleError(RuntimeError):
@@ -81,10 +97,6 @@ class JetInfeasibleError(RuntimeError):
 
 class DeltaUnderflowError(RuntimeError):
     """The rescaling parameter underflowed before reaching the error budget."""
-
-
-class TargetDegreeError(RuntimeError):
-    """The polynomial stage would need a degree beyond the supported cap."""
 
 
 # -- finite differences ----------------------------------------------------
@@ -318,7 +330,8 @@ def approximate_monomial(
 
     The jet residual is amplified by delta^(l-m) for l < m, so delta
     cannot shrink forever; underflow below 1e-8 reports failure with the
-    C^k error at the last delta tried instead of looping.
+    delta of the least screened error and its full-grid C^k error
+    instead of looping.
 
     Each delta is first screened on every 9th point of the 1000-point
     grid, both ends included, and only a screen below eps is checked on
@@ -345,19 +358,24 @@ def approximate_monomial(
     screen = np.linspace(0.0, 1.0, GRID_POINTS)[::_SCREEN_STRIDE]
     delta = 1.0
     halvings = 0
+    best_screened, best_delta = math.inf, delta
     while True:
-        if np.sum(_monomial_errors(jet, m, k, delta, screen)) < eps:
+        screened = float(np.sum(_monomial_errors(jet, m, k, delta, screen)))
+        if screened < eps:
             errs = monomial_ck_errors(jet, m, k, delta)
             achieved = float(np.sum(errs))
             if achieved < eps:
                 break
+        if screened < best_screened:
+            best_screened, best_delta = screened, delta
         if 0.5 * delta < DELTA_FLOOR:
             # quote the full grid's error, which the screen may have skipped
-            achieved = float(np.sum(monomial_ck_errors(jet, m, k, delta)))
+            achieved = float(np.sum(monomial_ck_errors(jet, m, k, best_delta)))
             raise DeltaUnderflowError(
-                f"monomial m={m}: delta underflowed below {DELTA_FLOOR:g} at "
-                f"C^{k} error {achieved:.3e} (budget {eps:.3e}); the jet residual "
-                f"{jet.jet_residual:.3e} is amplified by delta^-{m}"
+                f"monomial m={m}: delta underflowed below {DELTA_FLOOR:g}; the best "
+                f"delta tried, {best_delta:g}, gives C^{k} error {achieved:.3e} (budget "
+                f"{eps:.3e}); the jet residual {jet.jet_residual:.3e} is amplified by "
+                f"delta^-{m}"
             )
         delta *= 0.5
         halvings += 1
@@ -449,19 +467,16 @@ class ApproximationReport:
     epsilon_achieved: float
     errors_per_derivative: tuple[float, ...]
     residual_max: float
-    delta_per_monomial: dict[int, float | None]
     initial_point: float
-    polynomial_degree: int
-    polynomial_stage_error: float
-    monomial_budgets: dict[int, float]
-    monomial_reports: tuple[MonomialReport, ...]
+    terms: int
+    coefficient_mass: float
 
     @property
     def ok(self) -> bool:
         return self.epsilon_achieved < self.eps_requested
 
 
-# the density result: a sum of monomial approximants, stationary by linearity
+# the density result: a fitted sum of psi rescalings, stationary by linearity
 CombinedApproximant = Combination
 
 
@@ -472,6 +487,31 @@ def _ck_grid_error(target, approx, k: int, xs: np.ndarray) -> tuple[float, list[
     return float(np.sum(sups)), sups
 
 
+def residual_max(u: Combination) -> float:
+    """max |D^s u| over 200 uniform points of [0, 1]."""
+    return float(np.max(np.abs(u.caputo_value(np.linspace(0.0, 1.0, RESIDUAL_POINTS)))))
+
+
+def _fit(target, k: int, psi, pool) -> CombinedApproximant:
+    """c0 + sum_i A_i psi(x/L_i + 1 + c_i/L_i) over the pool, by least squares
+    on u^(l) = f^(l) for l = 0..k at the Chebyshev points, columns scaled
+    to unit norm; one psi call per order."""
+    x = 0.5 + 0.5 * np.cos((2 * np.arange(FIT_POINTS) + 1) * np.pi / (2 * FIT_POINTS))
+    alpha = np.array([1.0 / L for L, _ in pool])
+    beta = np.array([1.0 + c / L for L, c in pool])
+    y = (alpha[:, None] * x + beta[:, None]).ravel()  # term-major
+    blocks = []
+    for l in range(k + 1):
+        psi_l = psi.value(y) if l == 0 else psi.derivative_fast(l, y)
+        columns = np.reshape(psi_l, (alpha.size, x.size)).T * alpha**l
+        blocks.append(np.column_stack([np.full(x.size, float(l == 0)), columns]))
+    matrix = np.concatenate(blocks)
+    norms = np.linalg.norm(matrix, axis=0)
+    rhs = np.concatenate([target.eval(x, l) for l in range(k + 1)])
+    coef = np.linalg.lstsq(matrix / norms, rhs, rcond=_FIT_RCOND)[0] / norms
+    return CombinedApproximant(psi, coef[1:], alpha, beta, float(coef[0]))
+
+
 def approximate_function(
     f,
     k: int,
@@ -479,65 +519,28 @@ def approximate_function(
     s: FractionalOrder | float,
     profile: Psi0Profile,
 ) -> tuple[CombinedApproximant, ApproximationReport]:
-    """Stationary u with ||u - f||_{C^k([0,1])} < eps.
+    """Stationary u with ||u - f||_{C^k([0,1])} < eps, fitted in one step.
 
-    Stage one fits a Chebyshev interpolant P of minimal degree n with
-    C^k grid error below eps/2; stage two approximates each monomial of
-    P within eps/(2 |c_m| (n+1)) and sums. n is at most MAX_JET_ORDER,
-    the highest monomial stage two can build, so a target out of reach
-    raises TargetDegreeError before any jet is solved. Norms are grid
+    u = c0 + sum_i A_i psi(x/L_i + 1 + c_i/L_i) over the first pool of
+    ``FIT_LADDER`` whose fit meets eps; when none does, the last pool's
+    fit, whose report then misses eps (``ok`` is False). Norms are grid
     norms on 1000 uniform points of [0, 1] (documented surrogate for the
     sup), and ``residual_max`` is the largest |D^s u| on 200.
+    ``coefficient_mass`` is sum |A_i|, which rounding noise scales with.
     """
     s = FractionalOrder.of(s)
     target = as_target(f)
+    if not 0 <= k <= MAX_CK_ORDER:
+        raise ValueError(f"derivative order k must lie in 0..{MAX_CK_ORDER}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
 
-    cheb = None
-    poly_error = math.inf
-    degree = 0
-    for n in range(MAX_JET_ORDER + 1):
-        cand = np.polynomial.chebyshev.Chebyshev.interpolate(
-            lambda x: np.asarray(target.eval(x, 0), dtype=float), n, domain=[0.0, 1.0]
-        )
-        xs = np.linspace(0.0, 1.0, GRID_POINTS)
-        err = 0.0
-        for l in range(k + 1):
-            pl = cand.deriv(l) if l else cand
-            err += float(np.max(np.abs(pl(xs) - target.eval(xs, l))))
-        if err < eps / 2.0:
-            cheb, poly_error, degree = cand, err, n
+    psi = build_psi(s, profile)
+    for pool in FIT_LADDER:
+        approx = _fit(target, k, psi, pool)
+        achieved, sups = _ck_grid_error(target, approx, k, np.linspace(0.0, 1.0, GRID_POINTS))
+        if achieved < eps:
             break
-    if cheb is None:
-        raise TargetDegreeError(
-            f"no polynomial of degree <= {MAX_JET_ORDER} reaches C^{k} error {eps / 2:.3e}; "
-            "increase eps"
-        )
-
-    power = cheb.convert(kind=np.polynomial.Polynomial)
-    coefs = np.zeros(degree + 1)
-    coefs[: power.coef.size] = power.coef
-    scale = max(1.0, float(np.max(np.abs(coefs))))
-
-    pieces: list[tuple[float, Combination]] = []
-    budgets: dict[int, float] = {}
-    deltas: dict[int, float | None] = {}
-    reports: list[MonomialReport] = []
-    for m in range(degree + 1):
-        c_m = float(coefs[m])
-        if abs(c_m) <= 1e-14 * scale:
-            continue
-        budget = eps / (2.0 * abs(c_m) * (degree + 1))
-        budgets[m] = budget
-        approx, rep = approximate_monomial(s, profile, m, k, budget)
-        pieces.append((c_m, approx))
-        deltas[m] = rep.delta
-        reports.append(rep)
-
-    combined = CombinedApproximant.sum(pieces)
-    achieved, sups = _ck_grid_error(target, combined, k, np.linspace(0.0, 1.0, GRID_POINTS))
-    res_vals = combined.caputo_value(np.linspace(0.0, 1.0, RESIDUAL_POINTS))
 
     report = ApproximationReport(
         target=getattr(target, "description", type(target).__name__),
@@ -545,12 +548,9 @@ def approximate_function(
         eps_requested=eps,
         epsilon_achieved=achieved,
         errors_per_derivative=tuple(sups),
-        residual_max=float(np.max(np.abs(res_vals))),
-        delta_per_monomial=deltas,
-        initial_point=combined.initial_point,
-        polynomial_degree=degree,
-        polynomial_stage_error=poly_error,
-        monomial_budgets=budgets,
-        monomial_reports=tuple(reports),
+        residual_max=residual_max(approx),
+        initial_point=approx.initial_point,
+        terms=int(approx.A.size),
+        coefficient_mass=float(np.sum(np.abs(approx.A))),
     )
-    return combined, report
+    return approx, report

@@ -388,7 +388,7 @@ def _no_solve(*args, **kwargs):
 
 _SOLVES = (
     "solve_extension", "caputo_derivative", "estimate_kappa",
-    "check_blowup_convergence", "approximate_function",
+    "check_blowup_convergence", "approximate_function", "approximate_monomial",
 )
 
 
@@ -508,8 +508,7 @@ def test_settings_a_command_never_reads_exit_2(tmp_path, capsys, monkeypatch, ar
 def test_cli_runs_leave_numpy_ma_unimported(tmp_path):
     # numpy 2.4 takes 13.5 ms and 0.7 MB to import numpy.ma, which a plain
     # np.unique pulls in; the package's own runs must not. numpy.polynomial
-    # (5 ms) is left to the approximate command's polynomial stage: the
-    # derivative, extend and blowup runs before it must not load it
+    # (5 ms) is left to csv: targets: no other run loads it
     src = os.path.dirname(os.path.dirname(caputo_density.__file__))
     code = (
         "import sys\n"
@@ -519,15 +518,16 @@ def test_cli_runs_leave_numpy_ma_unimported(tmp_path):
         f"u = main(['blowup', '--out', {str(tmp_path / 'u.csv')!r}])\n"
         "print(d, b, u, 'numpy.polynomial' in sys.modules)\n"
         f"a = main(['approximate', '--f', 'sin', '--k', '1', '--out', {str(tmp_path / 'a.csv')!r}])\n"
-        "print(a, 'numpy.ma' in sys.modules)\n"
+        f"m = main(['approximate', '--m', '1', '--out', {str(tmp_path / 'm.csv')!r}])\n"
+        "print(a, m, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[-3] == "0 0 0 False"
-    assert lines[-1] == "0 False"
+    assert lines[-4] == "0 0 0 False"
+    assert lines[-1] == "0 0 False False"
 
 
 @pytest.mark.parametrize("command,field,value", [
@@ -726,16 +726,15 @@ def test_fuzzed_config_exits_2_with_one_line(tmp_path_factory, command_text):
     ("--f", "exp", "--k", "2", "--eps", "0.05"),
     ("--f", "exp", "--k", "3", "--eps", "0.1"),
 ], ids=["sin-k2", "exp-k2", "exp-k3"])
-def test_target_beyond_the_jet_orders_exits_3_before_any_jet(tmp_path, capsys, monkeypatch, argv):
-    # each needs a polynomial of degree 5 or more, and no jet beyond x^4 exists
+def test_target_beyond_degree_4_is_fitted_without_any_jet(tmp_path, capsys, monkeypatch, argv):
+    # each would need a polynomial of degree 5 or more; the fit builds no jet
     from caputo_density import density_builder
 
     monkeypatch.setattr(density_builder, "prescribe_jet", _no_solve)
     code, stdout, err = run_cli(capsys, "approximate", *argv, "--out", str(tmp_path / "o.csv"))
-    assert code == 3
+    assert code == 0, stdout
     assert err == ""
-    reason = json.loads(stdout)["exit_reason"]
-    assert reason.startswith("TargetDegreeError: no polynomial of degree <= 4"), reason
+    assert json.loads(stdout)["exit_reason"] == "ok"
 
 
 @pytest.mark.parametrize("command", sorted(_BAD_FLAGS))
