@@ -1,11 +1,7 @@
 """Command-line surface: CSV curves and JSON reports for each pipeline stage.
 
-Subcommands
------------
-derivative   Caputo derivative of a named or polynomial profile over a grid.
-extend       Solve the stationary extension; CSV of x, u, g, residual.
-blowup       Blow-up convergence table and the fitted limit constant.
-approximate  Build a stationary approximant of a target in C^k([0,1]).
+Subcommands: derivative, extend, blowup and approximate. ``--help`` lists
+them, and ``COMMAND --help`` the flags of one, from the tables at the end.
 
 Everything is deterministic: identical configs produce byte-identical
 outputs, and every CSV starts with a `# config-hash:` comment followed by
@@ -15,14 +11,11 @@ missed.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 
@@ -86,11 +79,9 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         """The command and those of its own settings that are set."""
-        own = _own_keys(self.command)
-        return {
-            k: v for k, v in dataclasses.asdict(self).items()
-            if v is not None and (k == "command" or k in own)
-        }
+        own = _FLAGS[self.command]  # "config" is not a field
+        return {k: v for k, v in dataclasses.asdict(self).items()
+                if v is not None and (k == "command" or k in own)}
 
     def hash(self) -> str:
         # the output destination does not change what is computed
@@ -173,6 +164,8 @@ def _check_config(config: RunConfig) -> None:
             raise ValueError(f"--{name} must be a string, got {value!r}")
     if config.profile is not None and config.poly is not None:
         raise ValueError("give either --profile or --poly, not both")
+    if config.out != "-" and os.path.isdir(config.out):
+        raise ValueError(f"--out {config.out!r} is a directory")
     if config.out != "-" and not os.path.isdir(os.path.dirname(config.out) or "."):
         raise ValueError(f"--out directory of {config.out!r} does not exist")
     _check_count("--n-points", config.n_points)
@@ -184,35 +177,9 @@ def _check_config(config: RunConfig) -> None:
     _parse_blowup_inputs(config)
 
 
-# a value that starts like a negative number: -1e-3, -.5, -1,2, -1:2:10, -inf
-_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
-
-
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """'--eps -1e-3' as '--eps=-1e-3', so the value reaches the checks.
-
-    argparse reads a negative number as a value only in the forms -1 and
-    -.5, and takes a token such as -1e-3, -1,2 or -inf for an unknown
-    option. Every flag of this CLI takes a value, so such a token right
-    after a flag is joined to it.
-    """
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _write_csv(path: str, config: RunConfig, header: list[str], columns: list[np.ndarray]) -> None:
     lines = [f"# config-hash: {config.hash()}", ",".join(header)]
-    rows = zip(*columns)
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns))
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -239,11 +206,19 @@ def _report(config: RunConfig, fields: dict, failures: list[str]) -> int:
     return EXIT_TARGET_MISSED if failures else EXIT_OK
 
 
+def _coefficients(flag: str, spec: str, prefix: str = "") -> list[float]:
+    """The numbers c0,c1,... that follow ``prefix`` in the value of ``flag``."""
+    try:
+        return [float(c) for c in spec[len(prefix):].split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be {prefix}c0,c1,..., got {spec!r}") from None
+
+
 def _resolve_profile(config: RunConfig) -> PiecewisePoly:
     """The data of a derivative or extend run: --poly on [--a, --b], or a built-in profile."""
     name = _profile_name(config)
     if name is None:
-        coeffs = [float(c) for c in config.poly.split(",")]
+        coeffs = _coefficients("--poly", config.poly)
         lo = 0.0 if config.a is None else config.a
         hi = (lo + 1.0) if config.b is None else config.b
         return PiecewisePoly.single(coeffs, lo, hi)
@@ -310,18 +285,11 @@ def _cmd_blowup(config: RunConfig) -> int:
     conv = check_blowup_convergence(
         s, profile, j_list, interval, n_points=config.n_points, kappa=kappa
     )
-    _write_csv(
-        config.out,
-        config,
-        ["j", "sup_error"],
-        [np.asarray(conv.j_list, dtype=float), np.asarray(conv.sup_errors)],
-    )
+    columns = [np.asarray(conv.j_list, dtype=float), np.asarray(conv.sup_errors)]
+    _write_csv(config.out, config, ["j", "sup_error"], columns)
     fields = {
-        "kappa": {
-            "fitted": kappa.kappa,
-            "candidate_a": kappa.kappa_a,
-            "candidate_b": kappa.kappa_b,
-        },
+        "kappa": {"fitted": kappa.kappa, "candidate_a": kappa.kappa_a,
+                  "candidate_b": kappa.kappa_b},
         "matched": kappa.matched,
         "fit_exponent": kappa.fit_exponent,
         "rate_exponent": conv.rate_exponent,
@@ -341,7 +309,7 @@ def _parse_target(spec: str):
     if spec in ("x^2", "x2"):
         return PolyTarget([0.0, 0.0, 1.0])
     if spec.startswith("poly:"):
-        return PolyTarget([float(c) for c in spec[5:].split(",")])
+        return PolyTarget(_coefficients("--f", spec, "poly:"))
     if spec.startswith("csv:"):
         rows = []
         with open(spec[4:], encoding="utf-8") as fh:
@@ -413,91 +381,123 @@ def _cmd_approximate(config: RunConfig) -> int:
     return _report(config, fields, failures)
 
 
-_HANDLERS = {
-    "derivative": _cmd_derivative,
-    "extend": _cmd_extend,
-    "blowup": _cmd_blowup,
-    "approximate": _cmd_approximate,
+# every flag of every subcommand, {command: {dest: (type, help)}}; the flag
+# is --dest with "-" for "_". Parsing, --help and the settings a command
+# owns (its config keys and config hash) all read this table.
+_COMMON = {
+    "config": (str, "JSON file of defaults, merged under the flags"),
+    "s": (float, "fractional order in (0,1)"),
+    "out": (str, "CSV output path ('-' for stdout)"),
 }
+_DATA = {
+    "profile": (str, "built-in profile name"),
+    "poly": (str, "data polynomial c0,c1,..."),
+    "a": (float, "initial point"),
+    "b": (float, "data right end"),
+    "grid": (str, "evaluation grid lo:hi:n"),
+}
+_FLAGS = {
+    "derivative": {**_COMMON, **_DATA},
+    "extend": {**_COMMON, **_DATA, "tol": (float, "residual gate (exit 3)")},
+    "blowup": {
+        **_COMMON,
+        "j_list": (str, "comma list of j"),
+        "interval": (str, "convergence interval lo:hi"),
+        "n_points": (int, "points of the convergence interval"),
+    },
+    "approximate": {
+        **_COMMON,
+        "f": (str, "target: sin, exp, x^2, poly:..., csv:PATH"),
+        "k": (int, "C^k norm order (0..4)"),
+        "m": (int, "approximate the monomial x^m"),
+        "eps": (float, "target C^k error"),
+        "residual_tol": (float, "Caputo residual gate on [0,1]"),
+        "n_points": (int, "CSV grid points on [0,1]"),
+    },
+}
+# {command: (handler, summary)}
+_COMMANDS = {
+    "derivative": (_cmd_derivative, "Caputo derivative of a named or polynomial profile (CSV)"),
+    "extend": (_cmd_extend, "the stationary extension: CSV of x, u, g, residual + JSON"),
+    "blowup": (_cmd_blowup, "blow-up convergence table and the fitted limit constant"),
+    "approximate": (_cmd_approximate, "stationary approximant of a target in C^k([0,1])"),
+}
+_HELP = ("-h", "--help")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="caputo-density",
-        description="Caputo-stationary extensions, blow-up limits and density approximants.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("derivative", "Caputo derivative of a profile over a grid (CSV)"),
-        ("extend", "solve the stationary extension (CSV + JSON summary)"),
-        ("blowup", "blow-up convergence and the limit constant (CSV + JSON)"),
-        ("approximate", "C^k density approximant of a target (CSV + JSON report)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON file of defaults, merged under the flags")
-        p.add_argument("--s", type=float, default=None, help="fractional order in (0,1)")
-        p.add_argument("--out", default=None, help="CSV output path ('-' for stdout)")
-        if name in ("derivative", "extend"):
-            p.add_argument("--profile", default=None, help="built-in profile name")
-            p.add_argument("--poly", default=None, help="data polynomial c0,c1,...")
-            p.add_argument("--a", type=float, default=None, help="initial point")
-            p.add_argument("--b", type=float, default=None, help="data right end")
-            p.add_argument("--grid", default=None, help="evaluation grid lo:hi:n")
-        if name == "extend":
-            p.add_argument("--tol", type=float, default=None, help="residual gate (exit 3)")
-        if name == "blowup":
-            p.add_argument("--j-list", dest="j_list", default=None, help="comma list of j")
-            p.add_argument("--interval", default=None, help="convergence interval lo:hi")
-            p.add_argument("--n-points", dest="n_points", type=int, default=None)
-        if name == "approximate":
-            p.add_argument("--f", default=None, help="target: sin, exp, x^2, poly:..., csv:PATH")
-            p.add_argument("--k", type=int, default=None, help="C^k norm order (0..4)")
-            p.add_argument("--m", type=int, default=None, help="approximate the monomial x^m")
-            p.add_argument("--eps", type=float, default=None, help="target C^k error")
-            p.add_argument(
-                "--residual-tol", dest="residual_tol", type=float, default=None,
-                help="Caputo residual gate on [0,1]",
-            )
-            p.add_argument("--n-points", dest="n_points", type=int, default=None)
-    return parser
+def _help(command: str | None) -> str:
+    """The top-level help (command None) or the flags of one subcommand."""
+    if command is None:
+        rows = (f"  {name:<12} {summary}" for name, (_, summary) in _COMMANDS.items())
+        return "\n".join([
+            "usage: caputo-density COMMAND [--flag VALUE ...]", "",
+            "Caputo-stationary extensions, blow-up limits and density approximants.", "",
+            "commands:", *rows, "", "COMMAND --help lists its flags.", ""])
+    rows = (f"  {'--' + dest.replace('_', '-') + ' ' + kind.__name__.upper():<22} {text}"
+            for dest, (kind, text) in _FLAGS[command].items())
+    return "\n".join([f"usage: caputo-density {command} [--flag VALUE | --flag=VALUE ...]", "",
+                      _COMMANDS[command][1], "", "flags:", *rows, ""])
 
 
-@functools.cache
-def _own_keys(command: str) -> frozenset[str]:
-    """The settings a subcommand reads: the destinations of its own flags."""
-    return frozenset(vars(_build_parser().parse_args([command]))) - {"command", "config"}
+def _parse_argv(argv: list[str]) -> tuple[str | None, dict | None]:
+    """(command, {dest: value}); the values are None when help is asked for.
+
+    A flag's value is the text after "=", else the next token unless that starts
+    with "--" (so -1e-3, -inf, -1,2 are values). A repeated flag's last value wins.
+    """
+    if argv and argv[0] in _HELP:
+        return None, None
+    if not argv or argv[0] not in _FLAGS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ValueError(f"{given}; use one of {', '.join(_FLAGS)}")
+    command, values, tokens = argv[0], {}, iter(argv[1:])
+    flags = {"--" + d.replace("_", "-"): (d, kind) for d, (kind, _) in _FLAGS[command].items()}
+    for token in tokens:
+        if token in _HELP:
+            return command, None
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{command} has no flag {flag!r}")
+        dest, kind = flags[flag]
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag} needs a value")
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag} must be {what}, got {value!r}") from None
+    return command, values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
+def _resolve_config(command: str, values: dict) -> RunConfig:
+    config = RunConfig(command=command)
+    if path := values.pop("config", None):
+        with open(path, encoding="utf-8") as fh:
             fields = json.load(fh)
         if not isinstance(fields, dict):
             raise ValueError("--config must hold a JSON object")
-        # only the subcommand's own flags (the subcommand itself comes
-        # from the command line); null keeps a default
-        own = _own_keys(args.command)
+        # only the subcommand's own flags, not the subcommand; null keeps a default
         for key, value in fields.items():
-            if key not in own:
+            if key == "config" or key not in _FLAGS[command]:
                 raise ValueError(f"unknown config key {key!r}")
             if value is not None:
                 setattr(config, key, value)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
+    for key, value in values.items():
         setattr(config, key, value)
     return config
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        config = _resolve_config(args)
+        command, values = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+        if values is None:
+            sys.stdout.write(_help(command))
+            return EXIT_OK
+        config = _resolve_config(command, values)
         _check_config(config)
-        return _HANDLERS[args.command](config)
+        return _COMMANDS[command][0](config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

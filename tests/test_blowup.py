@@ -178,7 +178,7 @@ def test_scaled_values_have_finite_limit(psi_half):
     assert abs(vals[1e-3] - vals[1e-4]) <= 0.2 * abs(vals[1e-2] - vals[1e-3])
 
 
-@pytest.mark.parametrize("s", [0.25, 0.75])
+@pytest.mark.parametrize("s", [0.002, 0.25, 0.75, 0.998])
 def test_kappa_other_orders(psi0_default, s):
     est = estimate_kappa(s, psi0_default)
     assert est.matched == "b"

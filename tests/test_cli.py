@@ -375,7 +375,7 @@ def test_blowup_rejects_a_single_j(tmp_path, capsys):
     ("extend", "--tol", "-1e-5"),
 ])
 def test_negative_values_in_exponent_form_reach_the_checks(tmp_path, capsys, argv):
-    # argparse alone reads -1e-4 as an option and prints its usage
+    # the token after a flag is its value, even when it starts with a single '-'
     code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "o.csv"))
     assert code == 2
     assert stdout == ""
@@ -409,6 +409,9 @@ _SOLVES = (
     (("derivative", "--a", "inf"), "--a must be a finite number"),
     (("approximate", "--f", "inf"), "target coefficients must be finite"),
     (("approximate", "--f", "poly:1,nan"), "target coefficients must be finite"),
+    (("extend", "--poly", "1,,2"), "--poly must be c0,c1,..., got '1,,2'"),
+    (("approximate", "--f", "poly:"), "--f must be poly:c0,c1,..., got 'poly:'"),
+    (("approximate", "--f", "poly:1,,2"), "--f must be poly:c0,c1,..., got 'poly:1,,2'"),
 ])
 def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
     for name in _SOLVES:
@@ -691,10 +694,7 @@ def _run_checked(argv) -> tuple[int, str, str]:
         for name in _SOLVES:
             mp.setattr(cli, name, _no_solve)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own errors
-                code = exc.code
+            code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -703,6 +703,89 @@ def _assert_one_line_error(code, stdout, stderr) -> None:
     assert stdout == ""
     assert stderr.count("\n") == 1 and stderr.startswith("error: "), stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "no command given"),
+    (("nonsense",), "unknown command 'nonsense'"),
+    (("--s", "0.5", "extend"), "unknown command '--s'"),
+    (("blowup", "--bogus", "1"), "blowup has no flag '--bogus'"),
+    (("blowup", "--eps", "1"), "blowup has no flag '--eps'"),
+    (("derivative", "--tol", "1e-3"), "derivative has no flag '--tol'"),
+    (("approximate", "--ep", "1e-3"), "approximate has no flag '--ep'"),
+    (("approximate", "--n_points", "5"), "approximate has no flag '--n_points'"),
+    (("extend", "-s", "0.5"), "extend has no flag '-s'"),
+    (("extend", "stray"), "extend has no flag 'stray'"),
+    (("extend", "--grid"), "--grid needs a value"),
+    (("extend", "--grid", "--s", "0.5"), "--grid needs a value"),
+    (("extend", "--s", "--"), "--s needs a value"),
+    (("derivative", "--s", "half"), "--s must be a number, got 'half'"),
+    (("derivative", "--a", "1,2"), "--a must be a number, got '1,2'"),
+    (("derivative", "--b="), "--b must be a number, got ''"),
+    (("extend", "--tol", "1e"), "--tol must be a number, got '1e'"),
+    (("approximate", "--eps", "0.01x"), "--eps must be a number, got '0.01x'"),
+    (("approximate", "--residual-tol", "tol"), "--residual-tol must be a number, got 'tol'"),
+    (("approximate", "--k", "1.5"), "--k must be an integer, got '1.5'"),
+    (("approximate", "--m", "x"), "--m must be an integer, got 'x'"),
+    (("blowup", "--n-points", "5e1"), "--n-points must be an integer, got '5e1'"),
+])
+def test_malformed_argv_exits_2_with_one_line(argv, message):
+    code, stdout, stderr = _run_checked(list(argv))
+    _assert_one_line_error(code, stdout, stderr)
+    assert message in stderr
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_FLAGS))
+def test_out_that_is_a_directory_exits_2_before_any_solve(tmp_path, command):
+    code, stdout, stderr = _run_checked([command, "--out", str(tmp_path)])
+    _assert_one_line_error(code, stdout, stderr)
+    assert f"--out {str(tmp_path)!r} is a directory" in stderr
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",)] + [
+    (command, flag) for command in sorted(_BAD_FLAGS) for flag in ("--help", "-h")], ids=" ".join)
+def test_help_exits_0_and_lists_every_flag(argv):
+    code, stdout, stderr = _run_checked(list(argv))
+    assert code == 0 and stderr == ""
+    if len(argv) == 1:
+        assert all(command in stdout for command in _BAD_FLAGS)
+    else:
+        flags = {"--config", "--out"} | set(_BAD_FLAGS[argv[0]])
+        listed = {line.split()[0] for line in stdout.splitlines() if line.startswith("  --")}
+        assert listed == flags
+
+
+def test_flag_equals_value_reads_as_flag_value(capsys):
+    spaced = ["derivative", "--poly", "-1,2", "--s", "0.3", "--grid", "0.1:0.9:5"]
+    joined = ["derivative", "--poly=-1,2", "--s=0.3", "--grid=0.1:0.9:5"]
+    repeated = ["derivative", "--s", "0.9", "--poly=-1,2", "--grid", "0.1:0.9:5", "--s=0.3"]
+    outputs = [run_cli(capsys, *argv) for argv in (spaced, joined, repeated)]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("argv,config_hash", [
+    ("derivative --profile linear --s 0.5 --grid 0.1:2:40", "a24f9b9414d41944"),
+    ("extend --profile appendix-es1 --grid 1.01:5:200", "53f87a74a140ecff"),
+    ("blowup --j-list 4,8,16,32,64", "ecb3460681dfd869"),
+    ("approximate --f sin --k 1 --eps 5e-2", "b5c834f1814868f5"),
+    ("approximate --m 1 --k 0 --eps 1e-2", "c8c0190331dcd503"),
+], ids=["derivative", "extend", "blowup", "approximate-f", "approximate-m"])
+def test_readme_config_hashes_are_pinned(tmp_path, capsys, argv, config_hash):
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(capsys, *argv.split(), "--out", str(out))
+    assert code == 0, err
+    assert out.read_text().splitlines()[0] == f"# config-hash: {config_hash}"
+
+
+def test_cli_import_leaves_argparse_unimported():
+    src = os.path.dirname(os.path.dirname(caputo_density.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, caputo_density.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 @given(_BAD_ARGV)

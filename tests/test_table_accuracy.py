@@ -62,7 +62,7 @@ def _reference_h(sol, n, xi):
         return float(h), float(m)
 
 
-@pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9, 0.98])
+@pytest.mark.parametrize("s", [0.002, 0.02, 0.1, 0.5, 0.9, 0.98, 0.998])
 @pytest.mark.parametrize("name", ["ramp", "bump"])
 def test_tables_match_mpmath(name, s):
     sol = _tabulated(solve_extension(builtin_profile(name), s))
@@ -162,7 +162,7 @@ def test_tables_do_not_depend_on_how_they_grew():
         assert np.array_equal(t1[n], t2[n])
 
 
-@pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9, 0.98])
+@pytest.mark.parametrize("s", [0.002, 0.02, 0.1, 0.5, 0.9, 0.98, 0.998])
 def test_table_tails_certify_the_panel_size(s):
     # ATAP ch. 8: on panels three half-widths from the cut of H_n the
     # coefficients fall like (3 + 2 sqrt 2)^-k, so the last four are at rounding
