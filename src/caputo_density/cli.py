@@ -1,7 +1,11 @@
 """Command-line surface: CSV curves and JSON reports for each pipeline stage.
 
-Subcommands: derivative, extend, blowup and approximate. ``--help`` lists
-them, and ``COMMAND --help`` the flags of one, from the tables at the end.
+Subcommands
+-----------
+derivative   Caputo derivative of a named or polynomial profile over a grid.
+extend       Solve the stationary extension; CSV of x, u, g, residual.
+blowup       Blow-up convergence table and the fitted limit constant.
+approximate  Build a stationary approximant of a target in C^k([0,1]).
 
 Everything is deterministic: identical configs produce byte-identical
 outputs, and every CSV starts with a `# config-hash:` comment followed by
@@ -79,9 +83,11 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         """The command and those of its own settings that are set."""
-        own = _FLAGS[self.command]  # "config" is not a field
-        return {k: v for k, v in dataclasses.asdict(self).items()
-                if v is not None and (k == "command" or k in own)}
+        own = _FLAGS[self.command]
+        return {
+            k: v for k, v in dataclasses.asdict(self).items()
+            if v is not None and (k == "command" or k in own)
+        }
 
     def hash(self) -> str:
         # the output destination does not change what is computed
@@ -177,9 +183,14 @@ def _check_config(config: RunConfig) -> None:
     _parse_blowup_inputs(config)
 
 
+def _fmt(v: float) -> str:
+    return f"{float(v):.17g}"
+
+
 def _write_csv(path: str, config: RunConfig, header: list[str], columns: list[np.ndarray]) -> None:
     lines = [f"# config-hash: {config.hash()}", ",".join(header)]
-    lines.extend(",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns))
+    rows = zip(*columns)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -285,11 +296,18 @@ def _cmd_blowup(config: RunConfig) -> int:
     conv = check_blowup_convergence(
         s, profile, j_list, interval, n_points=config.n_points, kappa=kappa
     )
-    columns = [np.asarray(conv.j_list, dtype=float), np.asarray(conv.sup_errors)]
-    _write_csv(config.out, config, ["j", "sup_error"], columns)
+    _write_csv(
+        config.out,
+        config,
+        ["j", "sup_error"],
+        [np.asarray(conv.j_list, dtype=float), np.asarray(conv.sup_errors)],
+    )
     fields = {
-        "kappa": {"fitted": kappa.kappa, "candidate_a": kappa.kappa_a,
-                  "candidate_b": kappa.kappa_b},
+        "kappa": {
+            "fitted": kappa.kappa,
+            "candidate_a": kappa.kappa_a,
+            "candidate_b": kappa.kappa_b,
+        },
         "matched": kappa.matched,
         "fit_exponent": kappa.fit_exponent,
         "rate_exponent": conv.rate_exponent,
@@ -381,11 +399,10 @@ def _cmd_approximate(config: RunConfig) -> int:
     return _report(config, fields, failures)
 
 
-# every flag of every subcommand, {command: {dest: (type, help)}}; the flag
+# the settings of every subcommand, {command: {dest: (type, help)}}; the flag
 # is --dest with "-" for "_". Parsing, --help and the settings a command
 # owns (its config keys and config hash) all read this table.
 _COMMON = {
-    "config": (str, "JSON file of defaults, merged under the flags"),
     "s": (float, "fractional order in (0,1)"),
     "out": (str, "CSV output path ('-' for stdout)"),
 }
@@ -423,6 +440,8 @@ _COMMANDS = {
     "approximate": (_cmd_approximate, "stationary approximant of a target in C^k([0,1])"),
 }
 _HELP = ("-h", "--help")
+# every command also takes --config, which is no setting of its own
+_CONFIG = {"config": (str, "JSON file of defaults, merged under the flags")}
 
 
 def _help(command: str | None) -> str:
@@ -434,7 +453,7 @@ def _help(command: str | None) -> str:
             "Caputo-stationary extensions, blow-up limits and density approximants.", "",
             "commands:", *rows, "", "COMMAND --help lists its flags.", ""])
     rows = (f"  {'--' + dest.replace('_', '-') + ' ' + kind.__name__.upper():<22} {text}"
-            for dest, (kind, text) in _FLAGS[command].items())
+            for dest, (kind, text) in {**_CONFIG, **_FLAGS[command]}.items())
     return "\n".join([f"usage: caputo-density {command} [--flag VALUE | --flag=VALUE ...]", "",
                       _COMMANDS[command][1], "", "flags:", *rows, ""])
 
@@ -451,7 +470,8 @@ def _parse_argv(argv: list[str]) -> tuple[str | None, dict | None]:
         given = f"unknown command {argv[0]!r}" if argv else "no command given"
         raise ValueError(f"{given}; use one of {', '.join(_FLAGS)}")
     command, values, tokens = argv[0], {}, iter(argv[1:])
-    flags = {"--" + d.replace("_", "-"): (d, kind) for d, (kind, _) in _FLAGS[command].items()}
+    flags = {"--" + d.replace("_", "-"): (d, kind)
+             for d, (kind, _) in {**_CONFIG, **_FLAGS[command]}.items()}
     for token in tokens:
         if token in _HELP:
             return command, None
@@ -480,7 +500,7 @@ def _resolve_config(command: str, values: dict) -> RunConfig:
             raise ValueError("--config must hold a JSON object")
         # only the subcommand's own flags, not the subcommand; null keeps a default
         for key, value in fields.items():
-            if key == "config" or key not in _FLAGS[command]:
+            if key not in _FLAGS[command]:
                 raise ValueError(f"unknown config key {key!r}")
             if value is not None:
                 setattr(config, key, value)
