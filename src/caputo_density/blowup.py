@@ -47,6 +47,9 @@ __all__ = [
 DEFAULT_J_LIST = (2, 4, 8, 16, 32, 64)
 DEFAULT_INTERVAL = (0.5, 2.0)
 _DENSE_SAMPLE = 1000
+# fingerprints of psi_0 data that passed Psi0Profile's checks, at most
+# _PSI_CACHE_SIZE of them
+_ADMISSIBLE: set[tuple] = set()
 # the kappa fit's eps grid, 2^-5 down to 2^-14
 _KAPPA_EPS = 2.0 ** -np.arange(5, 15)
 
@@ -58,11 +61,16 @@ class Psi0Profile:
     Constant on (-inf, 0], identically zero on [3/4, 1], with strictly
     negative derivative on [0, 3/4); all three checked on a dense sample
     at construction. C^1 matching is verified at interior breakpoints.
+    The checks run once per data fingerprint: data equal to data that
+    passed them are admitted without a second sample.
     """
 
     data: PiecewisePoly
 
     def __post_init__(self) -> None:
+        key = self.data.fingerprint()
+        if key in _ADMISSIBLE:
+            return
         bp = self.data.breakpoints
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("psi_0 data must span exactly [0, 1]")
@@ -78,6 +86,9 @@ class Psi0Profile:
             right = float(self.data.derivative_value(float(tau)))
             if abs(left - right) > 1e-9:
                 raise ValueError(f"psi_0 is not C^1 at breakpoint {tau}")
+        if len(_ADMISSIBLE) >= _PSI_CACHE_SIZE:
+            _ADMISSIBLE.pop()
+        _ADMISSIBLE.add(key)
 
     @classmethod
     def default_quadratic(cls) -> "Psi0Profile":
@@ -215,13 +226,14 @@ class BlowupMember(Combination):
         rescaled piecewise polynomial exactly and the extension part is
         ``integrate_singular`` on the two halves of (0, x) in t, each with
         the other kernel factor in its integrand, not the residual's rule.
-        Like the tables it refuses +inf, and a NaN point reads NaN.
+        Like the tables it refuses +inf and points beyond their reach, and
+        a NaN point reads NaN.
         """
         x = float(x)
         if math.isnan(x):
             return math.nan
-        _reach(np.array([x]))  # +inf is refused before any integral
         j, s = float(self.j), self.s.s
+        _reach(np.array([x / j]), self.psi._max_xi)  # refused before any integral
         if x <= -j:
             return 0.0
         pieces = []

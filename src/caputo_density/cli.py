@@ -16,6 +16,7 @@ missed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -83,13 +84,16 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         """The command and those of its own settings that are set."""
-        own = _FLAGS[self.command]
-        return {
-            k: v for k, v in dataclasses.asdict(self).items()
-            if v is not None and (k == "command" or k in own)
-        }
+        fields = {"command": self.command}
+        for key in _FLAGS[self.command]:
+            if (value := getattr(self, key)) is not None:
+                fields[key] = value
+        return fields
 
+    @functools.cached_property
     def hash(self) -> str:
+        """The config hash of the command's outputs, computed on first read:
+        a command changes no setting after its config is checked."""
         # the output destination does not change what is computed
         payload = {k: v for k, v in self.as_dict().items() if k != "out"}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -170,6 +174,8 @@ def _check_config(config: RunConfig) -> None:
             raise ValueError(f"--{name} must be a string, got {value!r}")
     if config.profile is not None and config.poly is not None:
         raise ValueError("give either --profile or --poly, not both")
+    if config.out == "":
+        raise ValueError("--out must name a file, or '-' for stdout")
     if config.out != "-" and os.path.isdir(config.out):
         raise ValueError(f"--out {config.out!r} is a directory")
     if config.out != "-" and not os.path.isdir(os.path.dirname(config.out) or "."):
@@ -183,14 +189,10 @@ def _check_config(config: RunConfig) -> None:
     _parse_blowup_inputs(config)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _write_csv(path: str, config: RunConfig, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [f"# config-hash: {config.hash()}", ",".join(header)]
-    rows = zip(*columns)
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines = [f"# config-hash: {config.hash}", ",".join(header)]
+    row = ",".join(["%.17g"] * len(columns))
+    lines.extend(row % values for values in zip(*(column.tolist() for column in columns)))
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -209,7 +211,7 @@ def _report(config: RunConfig, fields: dict, failures: list[str]) -> int:
     report = {
         "command": config.command,
         "config": config.as_dict(),
-        "config_hash": config.hash(),
+        "config_hash": config.hash,
         **fields,
         "exit_reason": "; ".join(failures) or "ok",
     }

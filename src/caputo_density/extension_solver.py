@@ -35,7 +35,7 @@ import threading
 import numpy as np
 
 from .piecewise import MAX_DEGREE, PiecewisePoly, polyder, polyval, taylor_shift
-from .singular_quadrature import apply_rule, gauss_ladder, poly_abel_integral, unit_rule
+from .singular_quadrature import _MAX_DEPTH, apply_rule, gauss_ladder, poly_abel_integral, unit_rule
 from .special_functions import FractionalOrder, beta, gamma
 
 __all__ = [
@@ -47,7 +47,8 @@ __all__ = [
 
 MAX_DERIVATIVE_ORDER = 8
 _JUNCTION_GUARD = 1e-3
-# raw_value's first band [0, 2^-40] resolves g's junction branch w^(1-s)
+# raw_value's first band [0, 2^-40] resolves g's junction branch w^(1-s),
+# where the data have one
 _RAW_DEPTH = 40
 # Chebyshev points per table panel. Every panel of the ladder, edges
 # (2^k - 1) gap/2, lies at least 3 half-widths from the only
@@ -81,13 +82,20 @@ def _check_junction_distance(n: int, xi: np.ndarray) -> None:
         )
 
 
-def _reach(x: np.ndarray) -> float:
+def _reach(x: np.ndarray, limit: float = math.inf) -> float:
     """The largest point of a read, 0 for none; refuses a point at +inf,
-    toward which no table can grow."""
+    toward which no table can grow, and one beyond ``limit``, which a
+    solution sets to the reach of its deepest quadrature rule."""
     top = float(np.max(x)) if x.size else 0.0
-    # a NaN hides an inf from max, so the test behind it runs then too
-    if not top < math.inf and np.any(x == math.inf):
-        raise ValueError("cannot read at +inf: the tables cover finite points only")
+    # a NaN hides an inf from max, so the tests behind it run then too
+    if not top < limit:
+        if np.any(x == math.inf):
+            raise ValueError("cannot read at +inf: the tables cover finite points only")
+        if np.any(x > limit):
+            raise ValueError(
+                f"cannot read at x - b = {float(np.max(x[x > limit])):.6g}: the quadrature "
+                f"reaches 2^{_MAX_DEPTH - 1} gaps = {limit:.6g} right of b"
+            )
     return top
 
 
@@ -143,6 +151,11 @@ class _Forcing:
                     continue
                 for r in range(k + 1):
                     pw = r + e + 1.0
+                    if pw == 0.0:  # r = i - 1 with s below the spacing of floats at i
+                        raise ValueError(
+                            f"fractional order {s!r} is too close to 0 for derivative "
+                            f"order {i}: -s - {i} rounds to -{i}"
+                        )
                     cc = scalar * p_hat[k] * math.comb(k, r) * (-1.0) ** r / pw
                     add_mixed(cc, k - r, b - tau_lo, pw)
                     if tau_hi == b:
@@ -170,8 +183,12 @@ class _Forcing:
         m_coef, m_jpow, m_dtau, m_pw, _, _ = self._terms(i)
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
+        # terms of neighbouring pieces share their powers: each is taken once
+        powers: dict[tuple[float, float], np.ndarray] = {}
         for c, j, d, p in zip(m_coef, m_jpow, m_dtau, m_pw):
-            out += c * xi**j * (xi + d) ** p
+            if (d, p) not in powers:
+                powers[d, p] = (xi + d) ** p
+            out += c * xi**j * powers[d, p]
         return out
 
     def singular_part(self, i: int, xi):
@@ -271,25 +288,27 @@ class ExtensionSolution:
     Construction builds no table. Each order's Chebyshev table is built
     on its first read, 24 points per panel and one ``_smooth_factor_quad``
     call over the nodes of every panel, and matches the analytic factor
-    to rounding for every s (checked against mpmath for s from 0.02 to
-    0.98). The panels are one fixed ladder from b, widths gap/2, gap,
+    to rounding for every s (checked against mpmath for s from 0.002 to
+    0.998). The panels are one fixed ladder from b, widths gap/2, gap,
     2 gap, ..., and every built table grows along it when a point lies
-    beyond the covered range, only as far as that point; a +inf point is
-    refused. A table is read in one Clenshaw sweep over all points of a
-    call, each gathering its own panel's coefficients. The panel edges
-    and the tables are one state, grown aside and swapped in one step
-    under a lock, and every read works on one snapshot of it, so
-    concurrent reads are safe, growth included; a panel's coefficients,
-    and so every table value, do not depend on when, how far or with
-    which other panels it was built. The
-    tables and the Caputo residual are both ``gauss_ladder`` integrals,
-    one ``unit_rule`` per s and depth class; ``raw_value`` takes one
-    rule per s. The rules live in the pure, bounded, read-only caches of
-    ``singular_quadrature`` and are shared by every solution. Evaluators
-    accept scalars or arrays. ``raw_value`` applies one rule to all
-    points of an array, in blocks, ``caputo_value`` one rule per depth
-    class, and ``derivative`` makes one fresh-quadrature call for all
-    points.
+    beyond the covered range, only as far as that point. Every read
+    refuses, before any growth, a point at +inf or more than 2^59 gaps
+    right of b, which no ``gauss_ladder`` rule reaches. A table is read
+    in one Clenshaw sweep over all points of a call, each gathering its
+    own panel's coefficients. The panel edges and the tables are one
+    state, grown aside and swapped in one step under a lock, and every
+    read works on one snapshot of it, so concurrent reads are safe,
+    growth included; a panel's coefficients, and so every table value,
+    do not depend on when, how far or with which other panels it was
+    built. The tables and the Caputo residual are both ``gauss_ladder``
+    integrals, one ``unit_rule`` per s and depth class. ``raw_value`` is
+    one too for branch-free data; data with a junction branch take one
+    rule per s there. The rules live in the pure, bounded, read-only
+    caches of ``singular_quadrature`` and are shared by every solution.
+    Evaluators accept scalars or arrays. ``caputo_value`` applies one
+    rule per depth class to all points of an array, ``raw_value`` one
+    rule per depth class or its one rule, in blocks, and ``derivative``
+    makes one fresh-quadrature call for all points.
     """
 
     def __init__(self, profile: PiecewisePoly, s: FractionalOrder | float):
@@ -301,9 +320,13 @@ class ExtensionSolution:
         self.forcing = _Forcing(profile, self.s)
 
         self._branch_gap = float(self.b - profile.breakpoints[-2])
+        # the reach of gauss_ladder's deepest rule; every read refuses points beyond
+        self._max_xi = 2.0 ** (_MAX_DEPTH - 1) * self._branch_gap
         sf = self.s.sin_factor
         s_ = self.s.s
         alphas = self.forcing.junction_alphas()
+        # whether g carries a junction branch; raw_value sizes its rule by it
+        self._branched = any(alpha != 0.0 for alpha in alphas.values())
         poly = np.zeros(MAX_DEGREE + 2)
         for k, alpha in alphas.items():
             poly[k + 1] = sf * alpha * beta(k + 2.0 - s_, s_)
@@ -318,7 +341,7 @@ class ExtensionSolution:
     def g_value(self, x):
         """g(x) = -int_a^b phi'(t)(x-t)^(-s) dt for x >= b, in closed form."""
         xa = np.asarray(x, dtype=float)
-        _reach(xa)  # +inf is refused before any term is summed
+        _reach(xa - self.b, self._max_xi)  # refused before any term is summed
         if np.any(xa < self.b):
             raise ValueError("g is defined on [b, infinity)")
         out = self.forcing.value(0, xa - self.b)
@@ -408,11 +431,11 @@ class ExtensionSolution:
         bit and does not depend on the other points of the call.
         """
         edges, tables = self._state
-        xi_max = _reach(xi)
+        xi_max = _reach(xi, self._max_xi)
         if n not in tables or xi_max > edges[-1]:
             edges, tables = self._grow(n, xi_max)
         coefs = tables[n]
-        panel = np.clip(np.searchsorted(edges, xi, side="right") - 1, 0, coefs.shape[0] - 1)
+        panel = np.searchsorted(edges[1:-1], xi, side="right")
         e0, e1 = edges[panel], edges[panel + 1]
         return _clenshaw((2.0 * xi - e0 - e1) / (e1 - e0), coefs, panel)
 
@@ -471,7 +494,7 @@ class ExtensionSolution:
             raise ValueError("derivatives are defined on (b, infinity)")
         xi = ya - self.b
         _check_junction_distance(n, xi)
-        _reach(xi)  # +inf is refused before any quadrature
+        _reach(xi, self._max_xi)  # refused before any quadrature
         out = polyval(xi, polyder(self._poly, n))
         out = out + xi ** (self.s.s - n) * self._smooth_factor_quad(n, xi)
         return out if isinstance(y, np.ndarray) else float(out[0])
@@ -480,27 +503,35 @@ class ExtensionSolution:
         """u(x) in the representation-formula shape: fresh quadrature of g.
 
         With w = (t - b)/(x - b), u(x) = phi(b) + (sin pi s/pi) (x-b)^s
-        int_0^1 g(b + (x-b) w) (1-w)^(s-1) dw. The rule for the last
-        integral, ``unit_rule(1, s - 1, 40)`` (508 nodes), is shared by
-        every x: its first band [0, 2^-40] resolves the junction branch
-        w^(1-s) of g, so the full g is integrated, independently of the
-        tables' P + xi^s H_0 split. x may be a scalar (a float is
-        returned) or an array. The rule is applied by ``apply_rule``, in
-        blocks of at most 8192 values of g: one block for a whole FD
-        stencil of a jet (13 nodes times its members) is slower than 13
-        single-node calls. Each point's sum is reduced on its own.
+        int_0^1 g(b + (x-b) w) (1-w)^(s-1) dw, with the full closed-form g
+        at the point itself, independently of the tables' P + xi^s H_0
+        split. The rule is sized to g:
+
+        - data with a junction branch (some alpha_k != 0, e.g. the ramp)
+          take ``unit_rule(1, s - 1, 40)`` (508 nodes) at every x: its
+          first band [0, 2^-40] resolves the branch w^(1-s) of g. It is
+          applied by ``apply_rule``, in blocks of at most 8192 values of g;
+        - branch-free data (psi_0, the bump) make one ``gauss_ladder``
+          call, the depth rule of the table nodes: g(b + xi w) is then
+          analytic at w = 0 and cut only at w = -gap/xi, so a point takes
+          40 nodes up to xi = gap/2 and 12 more per doubling beyond.
+
+        x may be a scalar (a float is returned) or an array. Each point's
+        sum is reduced on its own.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        _reach(xa)  # +inf is refused before any quadrature
+        _reach(xa - self.b, self._max_xi)  # refused before any quadrature
         out = np.empty_like(xa)
         ext = xa > self.b
         if not np.all(ext):
             out[~ext] = self.value(xa[~ext])
         s = self.s.s
         xi = xa[ext] - self.b
-        integral = apply_rule(
-            lambda z: self.forcing.value(0, z), xi, *unit_rule(1.0, s - 1.0, _RAW_DEPTH)
-        )
+        g = lambda z: self.forcing.value(0, z)
+        if self._branched:
+            integral = apply_rule(g, xi, *unit_rule(1.0, s - 1.0, _RAW_DEPTH))
+        else:
+            integral = gauss_ladder(g, xi, 1.0, s - 1.0, self._branch_gap)
         out[ext] = self.value_at_b + self.s.sin_factor * xi**s * integral
         return out if isinstance(x, np.ndarray) else float(out[0])
 
@@ -526,7 +557,7 @@ class ExtensionSolution:
         the other points of the array.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        _reach(xa)  # +inf is refused before any quadrature
+        _reach(xa - self.b, self._max_xi)  # refused before any quadrature
         s = self.s.s
         out = np.where(np.isnan(xa), np.nan, 0.0)
         live = xa > self.a

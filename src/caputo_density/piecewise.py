@@ -136,8 +136,8 @@ class PiecewisePoly:
         return float(self.breakpoints[-1])
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.clip(idx, 0, self.coeffs.shape[0] - 1)
+        """The piece of each x: the first left of lo, the last right of hi."""
+        return np.searchsorted(self.breakpoints[1:-1], x, side="right")
 
     def _locate(self, x):
         """x clamped to hi, its offset in its piece and that piece's

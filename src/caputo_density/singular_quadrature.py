@@ -14,10 +14,11 @@ integration of Abel kernels. Its users differ only in (p, b, depth):
 - ``gauss_ladder``, for int_0^1 w^(p-1) (1-w)^b f(xi w) dw at many xi
   with f cut at (-inf, -gap]: each point takes the depth its own branch
   point w = -gap/xi needs. It serves the tables of the solver's
-  analytic factors (p = 1, b = s - 1) and the Caputo residual (p = s,
-  b = -s);
-- the representation formula behind ``raw_value``, whose integrand
-  carries the junction branch w^(1-s) at w = 0;
+  analytic factors (p = 1, b = s - 1), the Caputo residual (p = s,
+  b = -s) and the representation formula behind ``raw_value`` for
+  data whose g has no junction branch (p = 1, b = s - 1);
+- ``raw_value`` for data with a junction branch, whose integrand
+  carries w^(1-s) at w = 0: one rule of depth 40 at every point;
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
   singular point x_s at one endpoint.
 
@@ -107,7 +108,7 @@ _SINGULAR_DEPTH = 12
 # values of f per block of an apply_rule call; bounds its memory
 _BLOCK_NODES = 8192
 # deepest gauss_ladder rule (748 nodes): it resolves points up to 2^59
-# gaps right of the cut, and no grid can ask for more bands than this
+# gaps right of b, and ExtensionSolution refuses reads beyond
 _MAX_DEPTH = 60
 
 
@@ -150,11 +151,12 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     depth) only; both arrays are read-only and built on first use. The
     cache holds 32 rules: a run at one s needs one per depth class of
     its table nodes and one per depth class of its residual points, plus
-    those of ``raw_value`` and ``integrate_singular`` (11 in the README's
-    five runs together). The start panel is cached per p and the end
-    panel per b: the table, residual and ``raw_value`` rules of one s
-    take two of each (p = 1, s and b = s - 1, -s), and p = 1 serves
-    every s.
+    ``integrate_singular``'s and, for data with a junction branch,
+    ``raw_value``'s depth-40 rule (11 in the README's five runs
+    together; branch-free ``raw_value`` reads share the table rules).
+    The start panel is cached per p and the end panel per b: the table,
+    residual and ``raw_value`` rules of one s take two of each (p = 1, s
+    and b = s - 1, -s), and p = 1 serves every s.
     """
     edge = 0.5**depth
     x, g = _jacobi_start_rule(p)  # w = edge (1 + x)/2

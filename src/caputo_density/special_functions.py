@@ -14,7 +14,11 @@ __all__ = ["FractionalOrder", "gamma", "beta", "reflection"]
 
 @dataclass(frozen=True)
 class FractionalOrder:
-    """Order s of the fractional derivative, restricted to (0, 1) strictly."""
+    """Order s of the fractional derivative, restricted to (0, 1) strictly.
+
+    s must also keep s - 1 above -1 in floating point (s above about
+    5.6e-17): the quadrature rules take s - 1 as a Jacobi exponent.
+    """
 
     s: float
 
@@ -22,6 +26,8 @@ class FractionalOrder:
         s = float(self.s)
         if not (0.0 < s < 1.0):
             raise ValueError(f"fractional order must satisfy 0 < s < 1, got {s}")
+        if s - 1.0 == -1.0:
+            raise ValueError(f"fractional order {s!r} is too close to 0: s - 1 rounds to -1")
         object.__setattr__(self, "s", s)
 
     @classmethod

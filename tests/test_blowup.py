@@ -48,6 +48,31 @@ def test_kinked_profile_rejected():
         Psi0Profile(data)
 
 
+def test_profile_checks_run_once_per_data_fingerprint(monkeypatch):
+    monkeypatch.setattr(blowup, "_ADMISSIBLE", set())
+    samples = []
+    checked = PiecewisePoly.derivative_value
+
+    def counted(self, x):
+        samples.append(np.size(x))
+        return checked(self, x)
+
+    monkeypatch.setattr(PiecewisePoly, "derivative_value", counted)
+    one = Psi0Profile.default_quadratic()
+    assert samples, "the first profile is checked"
+    first = len(samples)
+    two = Psi0Profile.default_quadratic()
+    assert len(samples) == first  # equal data: not sampled again
+    assert one.data is not two.data
+    assert one.data.fingerprint() == two.data.fingerprint()
+    # data that fail the checks are never admitted, however often they come
+    flat = PiecewisePoly([0.0, 1.0], [[0.0]], left_tail=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            Psi0Profile(flat)
+    assert blowup._ADMISSIBLE == {one.data.fingerprint()}
+
+
 def test_wrong_span_rejected():
     with pytest.raises(ValueError, match="span"):
         Psi0Profile(PiecewisePoly([0.0, 0.5], [[1.0, -2.0]], left_tail=1.0))
@@ -128,6 +153,14 @@ def test_direct_residual_reads_nan_and_refuses_inf(psi_half):
         with pytest.raises(ValueError, match=r"cannot read at \+inf"):
             member.caputo_value_direct(np.inf)
     assert member.caputo_value_direct(-np.inf) == 0.0
+
+
+def test_direct_residual_refuses_points_beyond_the_ladder(psi_half):
+    member = BlowupMember(4, psi_half)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"reaches 2\^59 gaps"):
+            member.caputo_value_direct(1e300)
 
 
 # -- kappa ---------------------------------------------------------------------------

@@ -412,6 +412,8 @@ _SOLVES = (
     (("extend", "--poly", "1,,2"), "--poly must be c0,c1,..., got '1,,2'"),
     (("approximate", "--f", "poly:"), "--f must be poly:c0,c1,..., got 'poly:'"),
     (("approximate", "--f", "poly:1,,2"), "--f must be poly:c0,c1,..., got 'poly:1,,2'"),
+    (("extend", "--s", "1e-300"), "fractional order 1e-300 is too close to 0"),
+    (("blowup", "--s", "1e-300"), "fractional order 1e-300 is too close to 0"),
 ])
 def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
     for name in _SOLVES:
@@ -740,6 +742,41 @@ def test_out_that_is_a_directory_exits_2_before_any_solve(tmp_path, command):
     code, stdout, stderr = _run_checked([command, "--out", str(tmp_path)])
     _assert_one_line_error(code, stdout, stderr)
     assert f"--out {str(tmp_path)!r} is a directory" in stderr
+
+
+@pytest.mark.parametrize("command", ["derivative", "extend", "blowup", "approximate"])
+def test_empty_out_exits_2_before_any_solve(command):
+    code, stdout, stderr = _run_checked([command, "--out", ""])
+    _assert_one_line_error(code, stdout, stderr)
+    assert "--out must name a file" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("blowup", "--s", "0.5", "--interval", "1e-300:1e300"),
+    ("extend", "--profile", "bump", "--grid", "1.01:1e30:3"),
+    ("derivative", "--profile", "ramp", "--grid", "0.1:1e30:3"),
+])
+def test_reads_beyond_the_ladder_exit_2_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot read at x - b = ")
+    assert "reaches 2^59 gaps" in err
+    assert not out.exists()
+
+
+def test_extend_at_an_order_too_small_for_its_derivative_exits_2(tmp_path, capsys):
+    # 1 + 1e-16 rounds to 1: the order-1 forcing exponent -s - 1 would be -1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, "extend", "--s", "1e-16", "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: fractional order 1e-16 is too close to 0 for derivative order 1: " \
+        "-s - 1 rounds to -1\n"
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("-h",)] + [

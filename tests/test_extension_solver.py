@@ -278,16 +278,41 @@ def test_reads_at_inf_are_refused_before_any_growth():
         "derivative": lambda x: sol.derivative(1, x),
         "g_value": lambda x: sol.g_value(x),
     }
+    # gauss_ladder's deepest rule resolves points up to 2^59 gaps right of b
+    reach = 2.0**59 * (sol.b - sol.profile.breakpoints[-2])
+    refused = [(np.inf, r"\+inf"), (np.array([2.0, np.inf, 1.5]), r"\+inf"),
+               (sol.b + 2.0 * reach, r"reaches 2\^59 gaps"),
+               (np.array([2.0, 1e300, 1.5]), r"reaches 2\^59 gaps")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, read in reads.items():
-            for x in (np.inf, np.array([2.0, np.inf, 1.5])):
-                with pytest.raises(ValueError, match=r"\+inf"):
+            for x, message in refused:
+                with pytest.raises(ValueError, match=message):
                     read(x)
                 assert sol._state is before, name
+        # a NaN hides the far point from max; it is refused all the same
+        with pytest.raises(ValueError, match=r"reaches 2\^59 gaps"):
+            sol.value(np.array([np.nan, 1e300]))
         # a NaN still reads NaN
         assert math.isnan(sol.g_value(np.nan))
         assert np.isnan(sol.g_value(np.array([2.0, np.nan]))[1])
+        # the farthest point the rules reach is still read
+        assert np.isfinite(sol.raw_value(sol.b + reach))
+        assert np.isfinite(sol.g_value(sol.b + reach))
+
+
+@pytest.mark.parametrize("make", [quadratic_bump_profile, ramp_profile])
+def test_regular_part_equals_the_term_by_term_sum_bit_for_bit(make):
+    # the powers shared by several terms are taken once; every product and
+    # sum keeps its order
+    forcing = solve_extension(make(), 0.3).forcing
+    xi = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 57)])
+    for i in range(4):
+        c, j, d, p, _, _ = forcing._terms(i)
+        expect = np.zeros_like(xi)
+        for term in zip(c, j, d, p):
+            expect += term[0] * xi ** term[1] * (xi + term[2]) ** term[3]
+        assert np.array_equal(forcing.regular_part(i, xi), expect), i
 
 
 def test_junction_power_behavior(ramp_solution):

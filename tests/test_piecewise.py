@@ -151,3 +151,14 @@ def test_polyder_equals_numpy_for_every_order():
             assert got.dtype == want.dtype and got.shape == want.shape, (length, m)
             assert np.array_equal(got, want), (length, m)
         assert polyder(c, 0) is not c
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_SPAN))
+def test_piece_index_is_the_clipped_right_search(name):
+    # left of lo the first piece, right of hi (and at NaN) the last, and
+    # a breakpoint belongs to the piece it starts
+    poly = builtin_profile(name)
+    bp = poly.breakpoints
+    x = np.concatenate([bp, bp - 1e-9, bp + 1e-9, [-np.inf, np.inf, np.nan]])
+    expect = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, poly.coeffs.shape[0] - 1)
+    assert np.array_equal(poly._piece_index(x), expect)

@@ -75,3 +75,17 @@ def test_fractional_order_coercion():
     order = FractionalOrder.of(0.25)
     assert FractionalOrder.of(order) is order
     assert order.sin_factor == pytest.approx(math.sin(math.pi * 0.25) / math.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-300, 2.0**-54, 5e-17])
+def test_order_whose_s_minus_1_rounds_to_minus_1_is_refused(s):
+    # the quadrature rules take s - 1 as a Jacobi exponent, which must exceed -1
+    assert s - 1.0 == -1.0
+    with pytest.raises(ValueError, match=f"fractional order {s!r} is too close to 0"):
+        FractionalOrder(s)
+
+
+def test_least_order_whose_s_minus_1_stays_above_minus_1_is_accepted():
+    s = 2.0**-53
+    assert s - 1.0 > -1.0
+    assert FractionalOrder(s).s == s

@@ -182,46 +182,97 @@ def test_a_value_does_not_depend_on_earlier_reads():
 
 
 def _reference_raw_value(sol, x):
-    """u(x) in mpmath from the forcing's float coefficients, g's branch included."""
+    """(u(x), M(x)) in mpmath from the forcing's float coefficients, g's
+    branch included; M is what raw_value sums, every term of g and phi(b)
+    taken in absolute value."""
     s = sol.s.s
     c, j, d, p, pc, pq = sol.forcing._terms(0)
     with mpmath.workdps(30):
         sm, xi = mpmath.mpf(s), mpmath.mpf(x) - mpmath.mpf(sol.b)
 
-        def g(v):
+        def terms(v):
             z = xi * (1 - v ** (1 / sm))
-            regular = (mpmath.mpf(ci) * z ** int(ji) * (z + mpmath.mpf(di)) ** mpmath.mpf(pi)
-                       for ci, ji, di, pi in zip(c, j, d, p))
-            branch = (mpmath.mpf(ci) * z ** mpmath.mpf(qi) for ci, qi in zip(pc, pq))
-            return mpmath.fsum(regular) + mpmath.fsum(branch)
+            regular = [mpmath.mpf(ci) * z ** int(ji) * (z + mpmath.mpf(di)) ** mpmath.mpf(pi)
+                       for ci, ji, di, pi in zip(c, j, d, p)]
+            branch = [mpmath.mpf(ci) * z ** mpmath.mpf(qi) for ci, qi in zip(pc, pq)]
+            return regular + branch
 
-        integral = mpmath.quad(g, [0, 1]) / sm
+        integral = mpmath.quad(lambda v: mpmath.fsum(terms(v)), [0, 1]) / sm
+        size = mpmath.quad(lambda v: mpmath.fsum(abs(t) for t in terms(v)), [0, 1]) / sm
         sf = mpmath.sin(mpmath.pi * sm) / mpmath.pi
-        return float(mpmath.mpf(sol.value_at_b) + sf * xi**sm * integral)
+        phi_b = mpmath.mpf(sol.value_at_b)
+        return float(phi_b + sf * xi**sm * integral), float(abs(phi_b) + sf * xi**sm * size)
 
 
-@pytest.mark.parametrize("s", [0.02, 0.1, 0.5, 0.9, 0.98])
+@pytest.mark.parametrize("s", [0.002, 0.02, 0.1, 0.5, 0.9, 0.98, 0.998])
 @pytest.mark.parametrize("name", ["ramp", "bump"])
 def test_raw_value_matches_mpmath(name, s):
+    # the error is measured against M: at s = 0.002 the ramp's u ~ 1e-4 is
+    # what is left of phi(b) = 1, so rounding of M's size is all that remains
     sol = solve_extension(builtin_profile(name), s)
     xs = sol.b + np.array([2.0**-14, 0.01, 0.5, 2.0, 8.0])  # the kappa fit's least step first
-    ref = np.array([_reference_raw_value(sol, x) for x in xs])
-    np.testing.assert_allclose(sol.raw_value(xs), ref, rtol=1e-12, atol=0.0)
+    ref, size = np.array([_reference_raw_value(sol, x) for x in xs]).T
+    error = np.abs(sol.raw_value(xs) - ref)
+    assert np.all(error <= 1e-14 * size), error / size
+    if 0.01 < s < 0.99:
+        # away from the ends no cancellation eats u: the relative bound holds too
+        np.testing.assert_allclose(sol.raw_value(xs), ref, rtol=1e-12, atol=0.0)
 
 
 def test_raw_value_rows_do_not_depend_on_the_batch():
-    # 16 points of the 508-node rule fill one block of 8192 values, so the
-    # 49 points right of b take 4 blocks
-    sol = solve_extension(builtin_profile("bump"), 0.3)
+    # the ramp's 16 points of the 508-node rule fill one block of 8192 values,
+    # so the 49 points right of b take 4 blocks; the bump's points go through
+    # gauss_ladder, grouped by depth
     xs = np.concatenate([[0.5, 1.0], 1.0 + np.geomspace(1e-6, 8.0, 49)])
-    batched = sol.raw_value(xs)
-    for i, x in enumerate(xs):
-        assert batched[i] == sol.raw_value(float(x))
-    assert np.array_equal(sol.raw_value(xs[::-1])[::-1], batched)
+    for name in ("ramp", "bump"):
+        sol = solve_extension(builtin_profile(name), 0.3)
+        batched = sol.raw_value(xs)
+        for i, x in enumerate(xs):
+            assert batched[i] == sol.raw_value(float(x)), name
+        assert np.array_equal(sol.raw_value(xs[::-1])[::-1], batched), name
+
+
+def _forcing_evaluations(sol, xs) -> int:
+    """How many values of g one raw_value call over xs takes."""
+    count = 0
+    value = sol.forcing.value
+
+    def counted(i, z):
+        nonlocal count
+        count += np.size(z)
+        return value(i, z)
+
+    sol.forcing.value = counted
+    try:
+        sol.raw_value(xs)
+    finally:
+        del sol.forcing.value
+    return count
+
+
+@pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
+def test_raw_rule_is_sized_to_the_junction_branch(s):
+    # the kappa fit's points: 2^-5 .. 2^-14 right of b
+    xs = 1.0 + 2.0 ** -np.arange(5, 15)
+    ramp = solve_extension(builtin_profile("ramp"), s)  # g carries w^(1-s) at b
+    assert any(ramp.forcing.junction_alphas().values())
+    assert unit_rule(1.0, s - 1.0, _RAW_DEPTH)[0].size == 508
+    assert _forcing_evaluations(ramp, xs) == 508 * xs.size
+    # branch-free data take gauss_ladder's depth per point, as the table nodes do
+    bump = solve_extension(builtin_profile("bump"), s)
+    assert not any(bump.forcing.junction_alphas().values())
+    gap = bump.b - bump.profile.breakpoints[-2]
+    depth = np.clip(np.ceil(np.log2(2.0 * (xs - bump.b) / gap)), 1, 60).astype(int)
+    expect = sum(unit_rule(1.0, s - 1.0, int(d))[0].size for d in depth)
+    assert expect == 40 * xs.size  # every kappa point lies within half a gap of b
+    assert _forcing_evaluations(bump, xs) == expect
+    # far points take deeper rules
+    far = bump.b + np.array([8.0, 1e3])
+    assert _forcing_evaluations(bump, far) == (20 + 12 * 5 + 20) + (20 + 12 * 12 + 20)
 
 
 def test_cached_table_and_raw_value_rules_are_read_only():
-    sol = solve_extension(builtin_profile("bump"), 0.3)
+    sol = solve_extension(builtin_profile("ramp"), 0.3)  # a junction branch: the 508-node rule
     sol.raw_value(1.5)
     for arrays in (jacobi_end_rule(0.3 - 1.0), unit_rule(1.0, 0.3 - 1.0, _RAW_DEPTH)):
         for a in arrays:
