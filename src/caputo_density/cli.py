@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
@@ -25,6 +24,15 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    # hashlib is heavy to load (OpenSSL's libcrypto); try the lean built-in first
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256  # builds without the built-in module
 
 from .blowup import (
     DEFAULT_INTERVAL,
@@ -58,6 +66,14 @@ EXIT_INVALID = 2
 EXIT_TARGET_MISSED = 3
 # largest grid or sample count a run may ask for
 MAX_POINTS = 1_000_000
+# largest |coefficient| of --poly and --f (poly:, a constant, csv: values)
+# and largest |--a|, |--b|. The forcing multiplies a coefficient by at most
+# 27 (derivative, shift and expansion binomials), by 1/s or 1/(1 - s)
+# (< 1e16) and by a cube of lengths up to 2^59 spans past b, (2^60 * 2e30)^3
+# < 1.3e145: every term stays below 1e263, under the float range (1.8e308).
+# The fit's derivatives of a --f target multiply it by at most j^4 per term.
+MAX_COEFFICIENT = 1e100
+MAX_COORDINATE = 1e30
 
 
 @dataclass
@@ -97,7 +113,7 @@ class RunConfig:
         # the output destination does not change what is computed
         payload = {k: v for k, v in self.as_dict().items() if k != "out"}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
 
 def _check_int(name: str, n, lo: int, hi: int) -> int:
@@ -126,6 +142,13 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+def _check_bounded(name: str, values, bound: float, given) -> None:
+    """The one check of every coefficient, sample value and span end: at
+    most ``bound`` in magnitude. NaN and inf pass it; the data refuse them."""
+    if any(bound < abs(v) < math.inf for v in values):
+        raise ValueError(f"{name} must be at most {bound:g} in magnitude, got {given!r}")
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
@@ -134,6 +157,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid must be lo:hi:n, got {spec!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"grid bounds must be finite with lo < hi, got {spec!r}")
+    if hi - lo == math.inf:
+        raise ValueError(f"grid span hi - lo overflows, got {spec!r}")
     return np.linspace(lo, hi, _check_count("grid point count n", n))
 
 
@@ -166,8 +191,9 @@ def _check_config(config: RunConfig) -> None:
     _check_finite("--s", config.s)
     FractionalOrder(config.s)
     for name in ("a", "b"):
-        if getattr(config, name) is not None:
-            _check_finite("--" + name, getattr(config, name))
+        if (value := getattr(config, name)) is not None:
+            _check_finite("--" + name, value)
+            _check_bounded("--" + name, [value], MAX_COORDINATE, value)
     for name in ("profile", "poly", "grid", "f", "out"):
         value = getattr(config, name)
         if value is not None and not isinstance(value, str):
@@ -222,9 +248,11 @@ def _report(config: RunConfig, fields: dict, failures: list[str]) -> int:
 def _coefficients(flag: str, spec: str, prefix: str = "") -> list[float]:
     """The numbers c0,c1,... that follow ``prefix`` in the value of ``flag``."""
     try:
-        return [float(c) for c in spec[len(prefix):].split(",")]
+        coeffs = [float(c) for c in spec[len(prefix):].split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be {prefix}c0,c1,..., got {spec!r}") from None
+    _check_bounded(f"{flag} coefficients", coeffs, MAX_COEFFICIENT, spec)
+    return coeffs
 
 
 def _resolve_profile(config: RunConfig) -> PiecewisePoly:
@@ -345,6 +373,7 @@ def _parse_target(spec: str):
                     raise ValueError(f"csv target rows must hold x,y, got {line!r}")
                 rows.append(row)
         data = np.asarray(rows, dtype=float).reshape(-1, 2)
+        _check_bounded("--f sample values", data[:, 1].tolist(), MAX_COEFFICIENT, spec)
         return SampledTarget(data[:, 0], data[:, 1])
     try:
         const = float(spec)
@@ -352,6 +381,7 @@ def _parse_target(spec: str):
         raise ValueError(
             f"unknown target {spec!r}; use sin, exp, x^2, poly:c0,c1,..., csv:PATH or a constant"
         ) from None
+    _check_bounded("--f", [const], MAX_COEFFICIENT, spec)
     return PolyTarget([const])
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import caputo_density
 from caputo_density import cli
-from caputo_density.cli import MAX_CK_ORDER, MAX_JET_ORDER, MAX_POINTS, RunConfig, main
+from caputo_density.cli import (
+    MAX_CK_ORDER, MAX_COEFFICIENT, MAX_JET_ORDER, MAX_POINTS, RunConfig, main,
+)
 from caputo_density.extension_solver import ExtensionSolution
 from caputo_density.special_functions import gamma
 
@@ -414,6 +417,16 @@ _SOLVES = (
     (("approximate", "--f", "poly:1,,2"), "--f must be poly:c0,c1,..., got 'poly:1,,2'"),
     (("extend", "--s", "1e-300"), "fractional order 1e-300 is too close to 0"),
     (("blowup", "--s", "1e-300"), "fractional order 1e-300 is too close to 0"),
+    # huge but finite data, refused before it overflows
+    (("extend", "--poly", "1e308,1e308"), "--poly coefficients must be at most 1e+100"),
+    (("extend", "--poly", "1,1e308"), "--poly coefficients must be at most 1e+100"),
+    (("derivative", "--poly", "1e308,1e308", "--grid", "0.1:0.9:3"),
+     "--poly coefficients must be at most 1e+100"),
+    (("approximate", "--f", "poly:1e308,1e308"), "--f coefficients must be at most 1e+100"),
+    (("extend", "--poly", "1", "--a", "-1e308", "--b", "1e308"), "--a must be at most 1e+30"),
+    (("extend", "--poly", "1", "--b", "1e308"), "--b must be at most 1e+30"),
+    (("approximate", "--f", "-1e308"), "--f must be at most 1e+100"),
+    (("derivative", "--grid", "-1e308:1e308:3"), "grid span hi - lo overflows"),
 ])
 def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
     for name in _SOLVES:
@@ -823,6 +836,116 @@ def test_cli_import_leaves_argparse_unimported():
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_cli_import_leaves_hashlib_unimported():
+    # hashlib loads OpenSSL's libcrypto; the config hash takes the built-in SHA-256
+    src = os.path.dirname(os.path.dirname(caputo_density.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, caputo_density.cli; print('hashlib' in sys.modules, '_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
+def _hashlib_hash(config: RunConfig) -> str:
+    """The hash contract: SHA-256 of the sorted compact JSON of the command's
+    own settings without out, its first 16 hex digits."""
+    payload = {k: v for k, v in config.as_dict().items() if k != "out"}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv", [
+    "derivative --profile linear --s 0.5 --grid 0.1:2:40",
+    "extend --profile appendix-es1 --grid 1.01:5:200",
+    "blowup --j-list 4,8,16,32,64",
+    "approximate --f sin --k 1 --eps 5e-2",
+    "approximate --m 1 --k 0 --eps 1e-2",
+], ids=["derivative", "extend", "blowup", "approximate-f", "approximate-m"])
+def test_config_hash_is_hashlib_sha256(argv):
+    config = cli._resolve_config(*cli._parse_argv(argv.split()))
+    assert config.hash == _hashlib_hash(config)
+
+
+_HASH_VALUE = {
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    int: st.integers(-10**6, 10**6),
+    str: st.text(max_size=12),
+}
+
+
+@st.composite
+def _drawn_config(draw):
+    command = draw(st.sampled_from(sorted(cli._FLAGS)))
+    config = RunConfig(command=command)
+    for dest, (kind, _) in cli._FLAGS[command].items():
+        if draw(st.booleans()):
+            setattr(config, dest, draw(st.one_of(st.none(), _HASH_VALUE[kind])))
+    return config
+
+
+@given(_drawn_config())
+@settings(max_examples=200, deadline=None)
+def test_drawn_config_hash_is_hashlib_sha256(config):
+    assert config.hash == _hashlib_hash(config)
+
+
+def test_huge_csv_samples_exit_2_with_one_line(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("x,f\n" + "\n".join(f"{x},{y}" for x, y in
+                                         [(0, 1), (0.25, 1e300), (0.5, 1), (0.75, 1), (1, 1)]))
+    code, stdout, stderr = _run_checked(["approximate", "--f", f"csv:{path}"])
+    _assert_one_line_error(code, stdout, stderr)
+    assert "--f sample values must be at most 1e+100" in stderr
+
+
+def test_data_at_the_bounds_runs_with_finite_outputs(tmp_path):
+    # every coefficient at the bound, the span ends at theirs, order near 1
+    big = repr(MAX_COEFFICIENT)
+    for argv in (
+        ["extend", "--s", "0.999", "--poly", f"{big},-{big},{big},-{big}", "--a", "-1e30",
+         "--b", "1e30", "--grid", "2e30:5e47:3"],
+        ["derivative", "--s", "0.001", "--poly", f"0,0,0,{big}", "--a", "-1e30", "--b", "1e30",
+         "--grid", "-9e29:1e30:4"],
+        ["approximate", "--f", "poly:" + ",".join([big] * 9), "--k", "4"],
+    ):
+        assert _assert_finite_run(argv, tmp_path / "o.csv") in (0, 3)
+
+
+def _assert_finite_run(argv, out) -> int:
+    """main(argv): exit 2 with one line, or no warning and only finite numbers out."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+    if code == 2:
+        _assert_one_line_error(code, stdout.getvalue(), stderr.getvalue())
+        return code
+    assert code in (0, 3) and stderr.getvalue() == "", (code, stderr.getvalue())
+    _, _, data = read_csv(out)
+    assert np.all(np.isfinite(data))
+    if stdout.getvalue():
+        def refuse(name):
+            raise AssertionError(f"{name} in the JSON report")
+
+        json.loads(stdout.getvalue(), parse_constant=refuse)
+    return code
+
+
+_HUGE_COEFFS = st.lists(
+    st.one_of(st.floats(-2.0, 2.0), st.floats(-1e308, 1e308)), min_size=1, max_size=4
+).map(lambda cs: ",".join(map(repr, cs)))
+
+
+@given(st.sampled_from(["derivative", "extend"]), _HUGE_COEFFS, st.floats(0.02, 0.98))
+@settings(max_examples=60, deadline=None)
+def test_huge_coefficients_exit_2_or_stay_finite(tmp_path_factory, command, poly, s):
+    grid = "0.1:0.9:5" if command == "derivative" else "1.01:5:5"
+    out = tmp_path_factory.mktemp("huge") / "o.csv"
+    _assert_finite_run([command, "--s", repr(s), "--poly", poly, "--grid", grid], out)
 
 
 @given(_BAD_ARGV)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caputo_density.piecewise import PiecewisePoly, polyder, polyval, taylor_shift
@@ -112,14 +112,20 @@ def test_addition_merges_breakpoints():
 @given(st.lists(coeff, min_size=1, max_size=4), st.floats(min_value=-5.0, max_value=5.0),
        st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=200)
+# 1e-13 * scale underflows to 0; the two sides differ by one subnormal
+@example(c=[0.0, 0.0, 5e-324], t=0.0, h=1.75, dx=0.0)
 def test_taylor_shift_recentres_the_piece(c, t, h, dx):
     # sum_k c[k] (x - t)^k, re-centred at t + h, is the same polynomial
     shifted = taylor_shift(c, h)
     assert shifted.shape == (len(c),)
     assert np.array_equal(taylor_shift(c, 0.0), c)
     x = t + dx
-    scale = sum(abs(ck) * (abs(dx) + 2.0 * abs(h) + 1.0) ** k for k, ck in enumerate(c))
-    assert abs(polyval(x - (t + h), shifted) - polyval(x - t, c)) <= 1e-13 * scale
+    weights = [(abs(dx) + 2.0 * abs(h) + 1.0) ** k for k in range(len(c))]
+    scale = sum(abs(ck) * w for ck, w in zip(c, weights))
+    # the rounding bound's absolute term, a few smallest subnormals per
+    # term, matters only where the relative term underflows
+    tiny = 4 * 5e-324 * sum(weights)
+    assert abs(polyval(x - (t + h), shifted) - polyval(x - t, c)) <= 1e-13 * scale + tiny
 
 
 @given(st.floats(min_value=1e-12, max_value=10.0), st.floats(min_value=0.0, max_value=0.99),
