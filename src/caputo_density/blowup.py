@@ -143,7 +143,7 @@ class Combination:
             raise ValueError("need one A, one alpha > 0 and one beta per term")
 
     @classmethod
-    def sum(cls, pieces, **fields) -> "Combination":
+    def sum(cls, pieces) -> "Combination":
         """sum_k w_k u_k for (w_k, u_k) pairs sharing one psi: the terms concatenated."""
         pieces = [(float(w), u) for w, u in pieces]
         psi = next((u.psi for _, u in pieces if u.psi is not None), None)
@@ -155,7 +155,6 @@ class Combination:
             np.concatenate([[]] + [u.alpha for _, u in pieces]),
             np.concatenate([[]] + [u.beta for _, u in pieces]),
             sum(w * u.c0 for w, u in pieces),
-            **fields,
         )
 
     def rescaled(self, scale: float, delta: float, p: float) -> "Combination":
@@ -268,7 +267,6 @@ class KappaEstimate:
 
     kappa: float
     fit_exponent: float
-    fit_residual: float
     kappa_a: float
     kappa_b: float
     matched: str | None
@@ -292,8 +290,7 @@ def estimate_kappa(s: FractionalOrder | float, profile: Psi0Profile) -> KappaEst
     psi = build_psi(s, profile)
     vals = psi.raw_value(1.0 + eps)
     scaled = vals * eps ** (-s.s)
-    slope, kappa = np.polyfit(eps, scaled, 1)
-    fit_residual = float(np.max(np.abs(scaled - (kappa + slope * eps))))
+    kappa = np.polyfit(eps, scaled, 1)[1]
     fit_exponent = float(np.polyfit(np.log(eps), np.log(np.abs(vals)), 1)[0])
 
     g1 = psi.g_value(psi.b)
@@ -305,7 +302,6 @@ def estimate_kappa(s: FractionalOrder | float, profile: Psi0Profile) -> KappaEst
     return KappaEstimate(
         kappa=float(kappa),
         fit_exponent=fit_exponent,
-        fit_residual=fit_residual,
         kappa_a=float(kappa_a),
         kappa_b=float(kappa_b),
         matched=matched,

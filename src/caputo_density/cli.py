@@ -54,7 +54,6 @@ from .density_builder import (
     SinTarget,
     approximate_function,
     approximate_monomial,
-    residual_max,
 )
 from .extension_solver import solve_extension
 from .piecewise import PiecewisePoly
@@ -74,6 +73,10 @@ MAX_POINTS = 1_000_000
 # The fit's derivatives of a --f target multiply it by at most j^4 per term.
 MAX_COEFFICIENT = 1e100
 MAX_COORDINATE = 1e30
+# least data span b - a of an extend run. Near b the order-1 forcing (read
+# by the residual) also multiplies a coefficient by up to span^(-s) < 1/span:
+# 1e100 * 27 * 1e16 / 1e-145 = 2.7e262, so every term stays below 1e263.
+MIN_SPAN = 1e-145
 
 
 @dataclass
@@ -295,6 +298,9 @@ def _cmd_derivative(config: RunConfig) -> int:
 def _cmd_extend(config: RunConfig) -> int:
     s = FractionalOrder(config.s)
     profile = _resolve_profile(config)
+    if (span := profile.hi - profile.lo) < MIN_SPAN:
+        raise ValueError(f"data span --b - --a = {span:g} is below {MIN_SPAN:g}, too short "
+                         "for the forcing")
     grid = _parse_grid(config.grid or "1.01:5:200")
     if np.any(grid <= profile.hi):
         raise ValueError("extend grid points must lie strictly right of b")
@@ -394,18 +400,12 @@ def _cmd_approximate(config: RunConfig) -> int:
             raise ValueError("give either --f or --m, not both")
         target = PolyTarget([0.0] * config.m + [1.0])
         try:
-            approx, mono = approximate_monomial(s, profile, config.m, config.k, config.eps)
+            approx, rep = approximate_monomial(s, profile, config.m, config.k, config.eps)
         except (JetInfeasibleError, DeltaUnderflowError) as exc:
             return _report(config, {}, [f"{type(exc).__name__}: {exc}"])
-        errors, achieved = mono.errors_per_derivative, mono.achieved
-        residual = residual_max(approx)
-        route = {"delta": {str(config.m): mono.delta}}
     else:
         target = _parse_target(config.f or "x^2")
         approx, rep = approximate_function(target, config.k, config.eps, s, profile)
-        errors, achieved = rep.errors_per_derivative, rep.epsilon_achieved
-        residual = rep.residual_max
-        route = {"terms": rep.terms, "coefficient_mass": rep.coefficient_mass}
 
     grid = np.linspace(0.0, 1.0, config.n_points)
     header = ["x", "f", "u", "u_minus_f"]
@@ -416,13 +416,17 @@ def _cmd_approximate(config: RunConfig) -> int:
         cols += [target.eval(grid, l), approx.derivative(l, grid)]
     _write_csv(config.out, config, header, cols)
 
+    achieved, residual = rep.epsilon_achieved, rep.residual_max
     fields = {
-        "errors": {"per_derivative": list(errors)},
+        "errors": {"per_derivative": list(rep.errors_per_derivative)},
         "epsilon_achieved": achieved,
         "residual_max": residual,
-        "initial_point": approx.initial_point,
-        **route,
+        "initial_point": rep.initial_point,
+        "terms": rep.terms,
+        "coefficient_mass": rep.coefficient_mass,
     }
+    if config.m is not None:
+        fields["delta"] = {str(config.m): rep.delta}
     failures = []
     if not achieved < config.eps:
         failures.append(f"epsilon_achieved {achieved:.3e} >= eps {config.eps:g}")

@@ -26,7 +26,6 @@ Every result is a ``Combination`` of affine rescalings of psi.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ from .special_functions import FractionalOrder
 __all__ = [
     "JetCombination",
     "CombinedApproximant",
-    "MonomialReport",
     "ApproximationReport",
     "jet_matrix",
     "prescribe_jet",
@@ -67,6 +65,8 @@ MAX_CK_ORDER = 4
 GRID_POINTS = 1000
 RESIDUAL_POINTS = 200
 DELTA_FLOOR = 1e-8
+# delta halving tries 1, 1/2, ..., 2^-26: every power of 1/2 down to DELTA_FLOOR
+_DELTAS = tuple(0.5**h for h in range(27))
 # a jet solve is feasible when its residual is at most this
 JET_TOL = 1e-8
 # relative singular-value cutoff of the equilibrated jet solve
@@ -198,7 +198,7 @@ class JetCombination(Combination):
     m: int
     jet_residual: float
     condition_number: float
-    fd_jet_errors: tuple[float, ...] = ()
+    fd_jet_errors: tuple[float, ...]
 
     @property
     def R(self) -> float:
@@ -262,20 +262,21 @@ def prescribe_jet(s: FractionalOrder | float, profile: Psi0Profile, m: int) -> J
             f"(condition number {cond:.3e})"
         )
 
-    combo = JetCombination.sum(
-        zip(coef, members), p=p, m=m, jet_residual=residual, condition_number=cond
-    )
+    terms = Combination.sum(zip(coef, members))
     # step balances stencil truncation against the nonsmooth part of the
     # quadrature noise, which the 1/h^l weights amplify
     nodes = _fd_nodes(p, 0.06 * min(p, 1.0), _FD_HALF_WIDTH)  # one stencil for every order
     weights = _fornberg_table(p, nodes, m)
-    values = combo.value_raw(nodes)
+    values = terms.value_raw(nodes)
     fd_errors = tuple(
         abs(float(sum(wi * vi for wi, vi in zip(weights[:, l], values)))
             - (1.0 if l == m else 0.0))
         for l in range(m + 1)
     )
-    return dataclasses.replace(combo, fd_jet_errors=fd_errors)
+    return JetCombination(
+        psi, terms.A, terms.alpha, terms.beta, terms.c0,
+        p=p, m=m, jet_residual=residual, condition_number=cond, fd_jet_errors=fd_errors,
+    )
 
 
 # -- rescaled monomials -------------------------------------------------------
@@ -290,19 +291,6 @@ def _monomial(jet: JetCombination | None, m: int, delta: float | None) -> Combin
     if jet is None:
         return Combination(None, (), (), (), 1.0)
     return jet.rescaled(math.factorial(m) / delta**m, delta, jet.p)
-
-
-@dataclass(frozen=True)
-class MonomialReport:
-    m: int
-    k: int
-    eps_budget: float
-    delta: float | None
-    errors_per_derivative: tuple[float, ...]
-    achieved: float
-    jet_residual: float
-    fd_jet_errors: tuple[float, ...]
-    halvings: int
 
 
 def monomial_ck_errors(
@@ -324,14 +312,15 @@ def approximate_monomial(
     m: int,
     k: int,
     eps: float,
-) -> tuple[Combination, MonomialReport]:
+) -> tuple[Combination, ApproximationReport]:
     """Stationary u with ||u - x^m||_{C^k([0,1])} < eps, by delta halving
     of the jet ``prescribe_jet`` gives for m.
 
-    The jet residual is amplified by delta^(l-m) for l < m, so delta
-    cannot shrink forever; underflow below 1e-8 reports failure with the
-    delta of the least screened error and its full-grid C^k error
-    instead of looping.
+    The trial deltas are 1, 1/2, ..., 2^-26. The jet residual is amplified
+    by delta^(l-m) for l < m, so delta cannot shrink forever; when no
+    trial meets eps, ``DeltaUnderflowError`` quotes the delta of the least
+    screened error and its full-grid C^k error. The report's ``delta`` is
+    the delta taken (None for m = 0, the exact constant 1).
 
     Each delta is first screened on every 9th point of the 1000-point
     grid, both ends included, and only a screen below eps is checked on
@@ -346,46 +335,30 @@ def approximate_monomial(
         raise ValueError(f"derivative order k must lie in 0..{MAX_CK_ORDER}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    target = PolyTarget([0.0] * m + [1.0])
     if m == 0:
-        report = MonomialReport(
-            m=0, k=k, eps_budget=eps, delta=None,
-            errors_per_derivative=tuple(0.0 for _ in range(k + 1)),
-            achieved=0.0, jet_residual=0.0, fd_jet_errors=(), halvings=0,
-        )
-        return _monomial(None, 0, None), report
+        u = _monomial(None, 0, None)
+        return _certified(target, u, k, eps, monomial_ck_errors(None, 0, k, None))
 
     jet = prescribe_jet(s, profile, m)
     screen = np.linspace(0.0, 1.0, GRID_POINTS)[::_SCREEN_STRIDE]
-    delta = 1.0
-    halvings = 0
-    best_screened, best_delta = math.inf, delta
-    while True:
+    best_screened, best_delta = math.inf, 1.0
+    for delta in _DELTAS:
         screened = float(np.sum(_monomial_errors(jet, m, k, delta, screen)))
         if screened < eps:
-            errs = monomial_ck_errors(jet, m, k, delta)
-            achieved = float(np.sum(errs))
-            if achieved < eps:
-                break
+            sups = monomial_ck_errors(jet, m, k, delta)
+            if float(np.sum(sups)) < eps:
+                return _certified(target, _monomial(jet, m, delta), k, eps, sups, delta)
         if screened < best_screened:
             best_screened, best_delta = screened, delta
-        if 0.5 * delta < DELTA_FLOOR:
-            # quote the full grid's error, which the screen may have skipped
-            achieved = float(np.sum(monomial_ck_errors(jet, m, k, best_delta)))
-            raise DeltaUnderflowError(
-                f"monomial m={m}: delta underflowed below {DELTA_FLOOR:g}; the best "
-                f"delta tried, {best_delta:g}, gives C^{k} error {achieved:.3e} (budget "
-                f"{eps:.3e}); the jet residual {jet.jet_residual:.3e} is amplified by "
-                f"delta^-{m}"
-            )
-        delta *= 0.5
-        halvings += 1
-    report = MonomialReport(
-        m=m, k=k, eps_budget=eps, delta=delta,
-        errors_per_derivative=tuple(float(e) for e in errs),
-        achieved=achieved, jet_residual=jet.jet_residual,
-        fd_jet_errors=jet.fd_jet_errors, halvings=halvings,
+    # quote the full grid's error, which the screen may have skipped
+    achieved = float(np.sum(monomial_ck_errors(jet, m, k, best_delta)))
+    raise DeltaUnderflowError(
+        f"monomial m={m}: delta underflowed below {DELTA_FLOOR:g}; the best "
+        f"delta tried, {best_delta:g}, gives C^{k} error {achieved:.3e} (budget "
+        f"{eps:.3e}); the jet residual {jet.jet_residual:.3e} is amplified by "
+        f"delta^-{m}"
     )
-    return _monomial(jet, m, delta), report
 
 
 # -- targets -------------------------------------------------------------------
@@ -434,6 +407,9 @@ class SampledTarget:
             raise ValueError("need matching x/y samples, at least 4")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("target samples must be finite")
+        outside = xs[(xs < 0.0) | (xs > 1.0)]
+        if outside.size:
+            raise ValueError(f"target samples must lie in 0 <= x <= 1, got x = {outside[0]:g}")
         degree = min(30, xs.size - 1, max(3, xs.size // 2))
         self._fit = np.polynomial.chebyshev.Chebyshev.fit(xs, ys, degree, domain=[0.0, 1.0])
         self.description = f"samples[n={xs.size},deg={degree}]"
@@ -459,7 +435,13 @@ def as_target(f):
 
 @dataclass(frozen=True)
 class ApproximationReport:
-    """Everything the density run certifies, for reporting and CI gating."""
+    """Everything a density run certifies, for reporting and CI gating.
+
+    Both routes fill it: ``approximate_function`` and
+    ``approximate_monomial``. ``coefficient_mass`` is sum |A_i|, which
+    rounding noise scales with; ``delta`` is the monomial's rescaling
+    (None for the fit and for m = 0).
+    """
 
     target: str
     k: int
@@ -470,6 +452,7 @@ class ApproximationReport:
     initial_point: float
     terms: int
     coefficient_mass: float
+    delta: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -490,6 +473,25 @@ def _ck_grid_error(target, approx, k: int, xs: np.ndarray) -> tuple[float, list[
 def residual_max(u: Combination) -> float:
     """max |D^s u| over 200 uniform points of [0, 1]."""
     return float(np.max(np.abs(u.caputo_value(np.linspace(0.0, 1.0, RESIDUAL_POINTS)))))
+
+
+def _certified(
+    target, u: Combination, k: int, eps: float, sups, delta: float | None = None
+) -> tuple[Combination, ApproximationReport]:
+    """u with its report, from the C^k sups of the 1000-point grid that the
+    route's search measured; the residual is computed here, once."""
+    return u, ApproximationReport(
+        target=getattr(target, "description", type(target).__name__),
+        k=k,
+        eps_requested=eps,
+        epsilon_achieved=float(np.sum(sups)),
+        errors_per_derivative=tuple(float(e) for e in sups),
+        residual_max=residual_max(u),
+        initial_point=u.initial_point,
+        terms=int(u.A.size),
+        coefficient_mass=float(np.sum(np.abs(u.A))),
+        delta=delta,
+    )
 
 
 def _fit(target, k: int, psi, pool) -> CombinedApproximant:
@@ -526,7 +528,6 @@ def approximate_function(
     fit, whose report then misses eps (``ok`` is False). Norms are grid
     norms on 1000 uniform points of [0, 1] (documented surrogate for the
     sup), and ``residual_max`` is the largest |D^s u| on 200.
-    ``coefficient_mass`` is sum |A_i|, which rounding noise scales with.
     """
     s = FractionalOrder.of(s)
     target = as_target(f)
@@ -541,16 +542,4 @@ def approximate_function(
         achieved, sups = _ck_grid_error(target, approx, k, np.linspace(0.0, 1.0, GRID_POINTS))
         if achieved < eps:
             break
-
-    report = ApproximationReport(
-        target=getattr(target, "description", type(target).__name__),
-        k=k,
-        eps_requested=eps,
-        epsilon_achieved=achieved,
-        errors_per_derivative=tuple(sups),
-        residual_max=residual_max(approx),
-        initial_point=approx.initial_point,
-        terms=int(approx.A.size),
-        coefficient_mass=float(np.sum(np.abs(approx.A))),
-    )
-    return approx, report
+    return _certified(target, approx, k, eps, sups)

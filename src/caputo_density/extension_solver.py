@@ -151,10 +151,12 @@ class _Forcing:
                     continue
                 for r in range(k + 1):
                     pw = r + e + 1.0
-                    if pw == 0.0:  # r = i - 1 with s below the spacing of floats at i
+                    if pw == 0.0:
+                        # -s - i rounds to -i (r = i - 1) or to -(i + 1) (r = i)
+                        end, rounded = (0, i) if e == -i else (1, i + 1)
                         raise ValueError(
-                            f"fractional order {s!r} is too close to 0 for derivative "
-                            f"order {i}: -s - {i} rounds to -{i}"
+                            f"fractional order {s!r} is too close to {end} for derivative "
+                            f"order {i}: -s - {i} rounds to -{rounded}"
                         )
                     cc = scalar * p_hat[k] * math.comb(k, r) * (-1.0) ** r / pw
                     add_mixed(cc, k - r, b - tau_lo, pw)

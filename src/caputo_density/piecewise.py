@@ -178,27 +178,3 @@ class PiecewisePoly:
                 float(self.breakpoints[j + 1]),
                 self.coeffs[j, 1:] * k,
             )
-
-    # -- algebra (for linearity checks) ------------------------------------
-
-    def _rebased(self, breakpoints: np.ndarray) -> np.ndarray:
-        """Coefficient rows of self on the given refinement of its breakpoints."""
-        src = self._piece_index(breakpoints[:-1])
-        return np.array([
-            taylor_shift(self.coeffs[j], tau - self.breakpoints[j])
-            for j, tau in zip(src, breakpoints[:-1])
-        ])
-
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        if not isinstance(other, PiecewisePoly):
-            return NotImplemented
-        if abs(self.lo - other.lo) > 0 or abs(self.hi - other.hi) > 0:
-            raise ValueError("can only add piecewise polynomials on the same interval")
-        bp = np.union1d(self.breakpoints, other.breakpoints)
-        return PiecewisePoly(bp, self._rebased(bp) + other._rebased(bp),
-                             self.left_tail + other.left_tail)
-
-    def __mul__(self, alpha: float) -> "PiecewisePoly":
-        return PiecewisePoly(self.breakpoints, self.coeffs * alpha, self.left_tail * alpha)
-
-    __rmul__ = __mul__

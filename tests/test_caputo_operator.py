@@ -64,7 +64,11 @@ coeff = st.floats(min_value=-2.0, max_value=2.0)
 def test_linearity(c1, c2, alpha, beta_):
     u = PiecewisePoly.single(c1, 0.0, 1.5)
     v = PiecewisePoly.single(c2, 0.0, 1.5)
-    combo = alpha * u + beta_ * v
+    # alpha c1 + beta c2, the shorter list padded with zeros
+    n = max(len(c1), len(c2))
+    combo = PiecewisePoly.single(
+        alpha * np.pad(c1, (0, n - len(c1))) + beta_ * np.pad(c2, (0, n - len(c2))), 0.0, 1.5
+    )
     for x in (0.4, 1.1):
         lhs = caputo_derivative(combo, 0.0, 0.5, x)
         rhs = alpha * caputo_derivative(u, 0.0, 0.5, x) + beta_ * caputo_derivative(

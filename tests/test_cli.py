@@ -241,6 +241,9 @@ def test_approximate_monomial_flag(tmp_path, capsys):
     report = json.loads(stdout)
     assert report["epsilon_achieved"] < 1e-2
     assert report["delta"]["1"] > 0.0
+    # the m!/delta^m rescaling shows in the coefficient mass
+    assert report["terms"] == 5
+    assert report["coefficient_mass"] > 1.0 / report["delta"]["1"]
 
 
 def test_approximate_csv_samples_target(tmp_path, capsys):
@@ -427,6 +430,9 @@ _SOLVES = (
     (("extend", "--poly", "1", "--b", "1e308"), "--b must be at most 1e+30"),
     (("approximate", "--f", "-1e308"), "--f must be at most 1e+100"),
     (("derivative", "--grid", "-1e308:1e308:3"), "grid span hi - lo overflows"),
+    # the order-1 forcing would scale 1e10 by (1e-300)^-0.9999 and overflow
+    (("extend", "--poly", "0,1e10", "--a", "0", "--b", "1e-300", "--s", "0.9999",
+      "--grid", "2e-300:3e-300:3"), "data span --b - --a = 1e-300 is below 1e-145"),
 ])
 def test_run_config_fields_checked_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
     for name in _SOLVES:
@@ -792,6 +798,22 @@ def test_extend_at_an_order_too_small_for_its_derivative_exits_2(tmp_path, capsy
         "-s - 1 rounds to -1\n"
 
 
+@pytest.mark.parametrize("s,message", [
+    # -s - 1 rounds to -1: the exponent r - s - 1 + 1 vanishes at r = 0
+    ("1e-16", "too close to 0 for derivative order 1: -s - 1 rounds to -1"),
+    # -s - 1 rounds to -2: it vanishes at r = 1
+    ("0.9999999999999999", "too close to 1 for derivative order 1: -s - 1 rounds to -2"),
+], ids=["near-0", "near-1"])
+def test_extend_names_the_end_of_the_order_range_it_is_too_close_to(tmp_path, capsys, s, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, "extend", "--poly", "0,0,1", "--s", s,
+                                    "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: fractional order {s} is {message}\n"
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("-h",)] + [
     (command, flag) for command in sorted(_BAD_FLAGS) for flag in ("--help", "-h")], ids=" ".join)
 def test_help_exits_0_and_lists_every_flag(argv):
@@ -899,6 +921,16 @@ def test_huge_csv_samples_exit_2_with_one_line(tmp_path):
     code, stdout, stderr = _run_checked(["approximate", "--f", f"csv:{path}"])
     _assert_one_line_error(code, stdout, stderr)
     assert "--f sample values must be at most 1e+100" in stderr
+
+
+def test_csv_samples_outside_the_unit_interval_exit_2_with_one_line(tmp_path):
+    # x = 1e200 would overflow the Chebyshev fit on [0, 1]
+    path = tmp_path / "samples.csv"
+    path.write_text("x,f\n" + "\n".join(f"{x},{y}" for x, y in
+                                         [(0, 1), (1e200, 2), (0.5, 1), (0.75, -1), (1, 1)]))
+    code, stdout, stderr = _run_checked(["approximate", "--f", f"csv:{path}"])
+    _assert_one_line_error(code, stdout, stderr)
+    assert "target samples must lie in 0 <= x <= 1, got x = 1e+200" in stderr
 
 
 def test_data_at_the_bounds_runs_with_finite_outputs(tmp_path):

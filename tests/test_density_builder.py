@@ -8,6 +8,7 @@ import pytest
 from caputo_density.blowup import BlowupMember, build_psi
 from caputo_density.density_builder import (
     DELTA_FLOOR,
+    ApproximationReport,
     DeltaUnderflowError,
     ExpTarget,
     JetInfeasibleError,
@@ -21,6 +22,7 @@ from caputo_density.density_builder import (
     jet_matrix,
     monomial_ck_errors,
     prescribe_jet,
+    residual_max,
 )
 
 
@@ -165,7 +167,7 @@ def test_monomial_zero_is_exact_constant(psi0_default):
     np.testing.assert_allclose(approx.value(xs), 1.0, atol=0.0)
     np.testing.assert_allclose(approx.derivative(1, xs), 0.0, atol=0.0)
     assert approx.caputo_value(0.5) == 0.0
-    assert report.achieved == 0.0
+    assert report.epsilon_achieved == 0.0
 
 
 def test_monomial_linear(psi0_default):
@@ -174,7 +176,22 @@ def test_monomial_linear(psi0_default):
     assert np.max(np.abs(approx.value(xs) - xs)) < 1e-2
     grid = np.linspace(0.0, 1.0, 21)
     assert max(abs(approx.caputo_value(float(x))) for x in grid) <= 1e-4
-    assert report.delta is not None and report.achieved < 1e-2
+    assert report.delta is not None and report.epsilon_achieved < 1e-2
+
+
+def test_monomial_report_is_the_fit_report(psi0_default):
+    # one report type for both routes; the monomial's mass carries m!/delta^m
+    approx, report = approximate_monomial(0.5, psi0_default, 1, 0, 1e-2)
+    assert type(report) is ApproximationReport and report.ok
+    assert report.residual_max == residual_max(approx)
+    assert report.initial_point == approx.initial_point
+    assert report.terms == approx.A.size
+    assert report.coefficient_mass == float(np.sum(np.abs(approx.A)))
+    jet = prescribe_jet(0.5, psi0_default, 1)
+    sups = monomial_ck_errors(jet, 1, 0, report.delta)
+    assert report.errors_per_derivative == tuple(float(e) for e in sups)
+    _, fitted = approximate_function(PolyTarget([0.0, 1.0]), 0, 1e-2, 0.5, psi0_default)
+    assert fitted.delta is None
 
 
 def test_monomial_delta_linearity(jet_cache):
@@ -189,8 +206,8 @@ def test_monomial_budget_to_delta_amplification(psi0_default):
     # l < m errors are delta^(l-m)-amplified jet residuals; the report's
     # achieved error must still respect the budget
     approx, report = approximate_monomial(0.5, psi0_default, 2, 1, 5e-2)
-    assert report.achieved < 5e-2
-    assert sum(report.errors_per_derivative) == pytest.approx(report.achieved)
+    assert report.epsilon_achieved < 5e-2
+    assert sum(report.errors_per_derivative) == pytest.approx(report.epsilon_achieved)
 
 
 def test_monomial_underflow_diagnostics(psi0_default):
@@ -250,7 +267,8 @@ def test_screened_halving_takes_the_unscreened_delta(psi0_default, jet_cache, s,
 
     def screened():
         _, rep = approximate_monomial(s, psi0_default, m, k, 1e-2)
-        return rep.delta, rep.halvings, rep.errors_per_derivative, rep.achieved
+        return rep.delta, round(-math.log2(rep.delta)), rep.errors_per_derivative, \
+            rep.epsilon_achieved
 
     assert _outcome(screened) == _outcome(lambda: _unscreened_halving(jet, m, k, 1e-2))
 
