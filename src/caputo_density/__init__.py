@@ -34,10 +34,10 @@ from .extension_solver import (
 from .piecewise import PiecewisePoly
 from .profiles import builtin_profile, quadratic_bump_profile, ramp_profile
 from .singular_quadrature import integrate_singular, kernel_identity_check
-from .special_functions import FractionalOrder, beta, gamma, reflection
+from .special_functions import beta, fractional_order, gamma, reflection
 
 __all__ = [
-    "FractionalOrder",
+    "fractional_order",
     "gamma",
     "beta",
     "reflection",

@@ -18,8 +18,8 @@ Members and all approximants built from them are ``Combination``s.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .extension_solver import ExtensionSolution, _check_order, _reach, solve_ext
 from .piecewise import PiecewisePoly, polyder, taylor_shift
 from .profiles import quadratic_bump_profile
 from .singular_quadrature import integrate_singular, poly_abel_integral
-from .special_functions import FractionalOrder, beta, gamma
+from .special_functions import beta, fractional_order, gamma
 
 __all__ = [
     "Psi0Profile",
@@ -47,48 +47,37 @@ __all__ = [
 DEFAULT_J_LIST = (2, 4, 8, 16, 32, 64)
 DEFAULT_INTERVAL = (0.5, 2.0)
 _DENSE_SAMPLE = 1000
-# fingerprints of psi_0 data that passed Psi0Profile's checks, at most
-# _PSI_CACHE_SIZE of them
-_ADMISSIBLE: set[tuple] = set()
+# solved psi per (s, profile), and the psi_0 data admitted by Psi0Profile's
+# checks: the least recently used go first beyond this many, which still
+# holds every order of a sweep
+_PSI_CACHE_SIZE = 8
 # the kappa fit's eps grid, 2^-5 down to 2^-14
 _KAPPA_EPS = 2.0 ** -np.arange(5, 15)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Psi0Profile:
     """Admissible prescribed data for the blow-up construction.
 
     Constant on (-inf, 0], identically zero on [3/4, 1], with strictly
     negative derivative on [0, 3/4); all three checked on a dense sample
     at construction. C^1 matching is verified at interior breakpoints.
-    The checks run once per data fingerprint: data equal to data that
-    passed them are admitted without a second sample.
+    Profiles compare and hash by their data's fingerprint, so equal data
+    share one cached psi, and data equal to data that passed the checks
+    lately are admitted without a second sample.
     """
 
     data: PiecewisePoly
 
     def __post_init__(self) -> None:
-        key = self.data.fingerprint()
-        if key in _ADMISSIBLE:
-            return
-        bp = self.data.breakpoints
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("psi_0 data must span exactly [0, 1]")
-        ts = np.linspace(0.75, 1.0, _DENSE_SAMPLE // 4)
-        if np.max(np.abs(self.data.value(ts))) > 1e-12:
-            raise ValueError("psi_0 must vanish on [3/4, 1]")
-        ts = np.linspace(0.0, 0.75, _DENSE_SAMPLE, endpoint=False)
-        if np.max(self.data.derivative_value(ts)) >= 0.0:
-            raise ValueError("psi_0 must be strictly decreasing on [0, 3/4)")
-        for j, tau in enumerate(bp[1:-1]):
-            # the left piece's slope at tau: its coefficient of (x - tau)
-            left = taylor_shift(self.data.coeffs[j], tau - bp[j])[1]
-            right = float(self.data.derivative_value(float(tau)))
-            if abs(left - right) > 1e-9:
-                raise ValueError(f"psi_0 is not C^1 at breakpoint {tau}")
-        if len(_ADMISSIBLE) >= _PSI_CACHE_SIZE:
-            _ADMISSIBLE.pop()
-        _ADMISSIBLE.add(key)
+        _check_psi0(self)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Psi0Profile)
+                and self.data.fingerprint() == other.data.fingerprint())
+
+    def __hash__(self) -> int:
+        return hash(self.data.fingerprint())
 
     @classmethod
     def default_quadratic(cls) -> "Psi0Profile":
@@ -96,24 +85,36 @@ class Psi0Profile:
         return cls(quadratic_bump_profile())
 
 
-# solved psi per (profile, s); the least recently used
-# goes first beyond this many, which still holds every order of a sweep
-_PSI_CACHE_SIZE = 8
-_PSI_CACHE: OrderedDict[tuple, ExtensionSolution] = OrderedDict()
+@functools.lru_cache(maxsize=_PSI_CACHE_SIZE)
+def _check_psi0(profile: Psi0Profile) -> None:
+    """Psi0Profile's checks, once per data fingerprint while it stays cached."""
+    data = profile.data
+    bp = data.breakpoints
+    if bp[0] != 0.0 or bp[-1] != 1.0:
+        raise ValueError("psi_0 data must span exactly [0, 1]")
+    ts = np.linspace(0.75, 1.0, _DENSE_SAMPLE // 4)
+    if np.max(np.abs(data.value(ts))) > 1e-12:
+        raise ValueError("psi_0 must vanish on [3/4, 1]")
+    ts = np.linspace(0.0, 0.75, _DENSE_SAMPLE, endpoint=False)
+    if np.max(data.derivative_value(ts)) >= 0.0:
+        raise ValueError("psi_0 must be strictly decreasing on [0, 3/4)")
+    for j, tau in enumerate(bp[1:-1]):
+        # the left piece's slope at tau: its coefficient of (x - tau)
+        left = taylor_shift(data.coeffs[j], tau - bp[j])[1]
+        right = float(data.derivative_value(float(tau)))
+        if abs(left - right) > 1e-9:
+            raise ValueError(f"psi_0 is not C^1 at breakpoint {tau}")
 
 
-def build_psi(s: FractionalOrder | float, profile: Psi0Profile) -> ExtensionSolution:
-    """Solve D_0^s psi = 0 on (1, inf) with psi = psi_0 on (-inf, 1] (cached)."""
-    s = FractionalOrder.of(s)
-    key = (profile.data.fingerprint(), s.s)
-    if key in _PSI_CACHE:
-        _PSI_CACHE.move_to_end(key)
-        return _PSI_CACHE[key]
-    sol = solve_extension(profile.data, s)
-    _PSI_CACHE[key] = sol
-    if len(_PSI_CACHE) > _PSI_CACHE_SIZE:
-        _PSI_CACHE.popitem(last=False)
-    return sol
+@functools.lru_cache(maxsize=_PSI_CACHE_SIZE)
+def _solved_psi(s: float, profile: Psi0Profile) -> ExtensionSolution:
+    return solve_extension(profile.data, s)
+
+
+def build_psi(s: float, profile: Psi0Profile) -> ExtensionSolution:
+    """Solve D_0^s psi = 0 on (1, inf) with psi = psi_0 on (-inf, 1], cached
+    per (s, profile) in an ``lru_cache`` that threads may share."""
+    return _solved_psi(fractional_order(s), profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +164,7 @@ class Combination:
         return Combination(self.psi, scale * self.A, alpha, beta, scale * self.c0)
 
     @property
-    def s(self) -> FractionalOrder | None:
+    def s(self) -> float | None:
         return None if self.psi is None else self.psi.s
 
     @property
@@ -196,7 +197,7 @@ class Combination:
 
     def caputo_value(self, x):
         """D^s u(x) from ``initial_point``, by the scaling identity per term."""
-        s = 0.0 if self.psi is None else self.psi.s.s
+        s = 0.0 if self.psi is None else self.psi.s
         return self._apply(lambda y: self.psi.caputo_value(y), s, 0.0, x)
 
     def value_raw(self, x):
@@ -212,7 +213,7 @@ class BlowupMember(Combination):
     def __init__(self, j: int, psi: ExtensionSolution):
         if j < 1 or int(j) != j:
             raise ValueError("j must be a positive integer")
-        super().__init__(psi, [j**psi.s.s], [1.0 / j], [1.0])
+        super().__init__(psi, [j**psi.s], [1.0 / j], [1.0])
         object.__setattr__(self, "j", j)
 
     # the same evaluator, bound here too so that traces name member residuals
@@ -231,7 +232,7 @@ class BlowupMember(Combination):
         x = float(x)
         if math.isnan(x):
             return math.nan
-        j, s = float(self.j), self.s.s
+        j, s = float(self.j), self.s
         _reach(np.array([x / j]), self.psi._max_xi)  # refused before any integral
         if x <= -j:
             return 0.0
@@ -276,7 +277,7 @@ class KappaEstimate:
             raise ValueError("kappa must be strictly positive")
 
 
-def estimate_kappa(s: FractionalOrder | float, profile: Psi0Profile) -> KappaEstimate:
+def estimate_kappa(s: float, profile: Psi0Profile) -> KappaEstimate:
     """Fit psi(1+eps) eps^(-s) = kappa + C eps over eps = 2^-5, ..., 2^-14.
 
     psi(1+eps) is evaluated by fresh representation-formula quadrature on
@@ -285,17 +286,17 @@ def estimate_kappa(s: FractionalOrder | float, profile: Psi0Profile) -> KappaEst
     Candidates kappa_a/kappa_b from the closed form of g(1) are reported
     alongside; exactly one should match.
     """
-    s = FractionalOrder.of(s)
+    s = fractional_order(s)
     eps = _KAPPA_EPS
     psi = build_psi(s, profile)
     vals = psi.raw_value(1.0 + eps)
-    scaled = vals * eps ** (-s.s)
+    scaled = vals * eps ** (-s)
     kappa = np.polyfit(eps, scaled, 1)[1]
     fit_exponent = float(np.polyfit(np.log(eps), np.log(np.abs(vals)), 1)[0])
 
     g1 = psi.g_value(psi.b)
-    kappa_a = beta(1.0, s.s) * g1
-    kappa_b = s.sin_factor * kappa_a
+    kappa_a = beta(1.0, s) * g1
+    kappa_b = math.sin(math.pi * s) / math.pi * kappa_a
     match_a = abs(kappa - kappa_a) <= 0.01 * abs(kappa_a)
     match_b = abs(kappa - kappa_b) <= 0.01 * abs(kappa_b)
     matched = "a" if (match_a and not match_b) else "b" if (match_b and not match_a) else None
@@ -332,7 +333,7 @@ def check_convergence_inputs(j_list, interval) -> tuple[tuple[int, ...], tuple[f
 
 
 def check_blowup_convergence(
-    s: FractionalOrder | float,
+    s: float,
     profile: Psi0Profile,
     j_list=DEFAULT_J_LIST,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
@@ -346,14 +347,14 @@ def check_blowup_convergence(
     operations of ``BlowupMember(j, psi).value``, so each sup equals the
     member's bit for bit.
     """
-    s = FractionalOrder.of(s)
+    s = fractional_order(s)
     j_list, (x_lo, x_hi) = check_convergence_inputs(j_list, interval)
     psi = build_psi(s, profile)
     xs = np.linspace(x_lo, x_hi, n_points)
-    target = kappa.kappa * xs**s.s
+    target = kappa.kappa * xs**s
     alpha = 1.0 / np.asarray(j_list, dtype=float)
     members = psi.value((alpha[:, None] * xs + 1.0).ravel()).reshape(alpha.size, xs.size)
-    members *= np.array([j**s.s for j in j_list])[:, None]
+    members *= np.array([j**s for j in j_list])[:, None]
     sups = np.max(np.abs(members - target), axis=1)
     rate = float(np.polyfit(np.log(np.asarray(j_list, dtype=float)), np.log(sups), 1)[0])
     return BlowupConvergence(

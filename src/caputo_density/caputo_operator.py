@@ -19,7 +19,7 @@ import numpy as np
 
 from .piecewise import PiecewisePoly
 from .singular_quadrature import integrate_singular, poly_abel_integral
-from .special_functions import FractionalOrder, gamma
+from .special_functions import fractional_order, gamma
 
 __all__ = ["caputo_derivative", "caputo_residual", "ResidualReport"]
 
@@ -36,12 +36,12 @@ class ResidualReport:
         return float(np.max(np.abs(self.values)))
 
 
-def _own_caputo(u, a: float, s: FractionalOrder):
+def _own_caputo(u, a: float, s: float):
     """Use an object's semi-analytic Caputo evaluator when compatible."""
     if not hasattr(u, "caputo_value"):
         return None
     own_s = getattr(u, "s", None)
-    if own_s is not None and FractionalOrder.of(own_s).s != s.s:
+    if own_s is not None and fractional_order(own_s) != s:
         raise ValueError("order s does not match the object's own order")
     own_a = getattr(u, "initial_point", getattr(u, "a", None))
     if own_a is not None and a > own_a:
@@ -55,7 +55,7 @@ def _own_caputo(u, a: float, s: FractionalOrder):
 def caputo_derivative(
     u,
     a: float,
-    s: FractionalOrder | float,
+    s: float,
     x,
     u_prime=None,
 ):
@@ -73,7 +73,7 @@ def caputo_derivative(
     point's value is what a call for that point alone gives. Piecewise
     data refuses the whole call if any point lies beyond its end.
     """
-    s = FractionalOrder.of(s)
+    s = fractional_order(s)
     a = float(a)
     xs = np.asarray(x if isinstance(x, np.ndarray) else float(x), dtype=float)
     flat = xs.ravel()
@@ -84,7 +84,7 @@ def caputo_derivative(
     return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
-def _caputo_right_of(u, a: float, s: FractionalOrder, xs: np.ndarray, u_prime) -> np.ndarray:
+def _caputo_right_of(u, a: float, s: float, xs: np.ndarray, u_prime) -> np.ndarray:
     """D_a^s u at every point of a 1-d array of points > a."""
     own = _own_caputo(u, a, s)
     if own is not None:
@@ -97,18 +97,18 @@ def _caputo_right_of(u, a: float, s: FractionalOrder, xs: np.ndarray, u_prime) -
             raise ValueError(
                 "data ends before x; solve the extension to differentiate beyond it"
             )
-        return poly_abel_integral(u.derivative_pieces(), xs, -s.s) / gamma(1.0 - s.s)
+        return poly_abel_integral(u.derivative_pieces(), xs, -s) / gamma(1.0 - s)
 
     if u_prime is None and callable(u):
         raise TypeError("plain evaluators need an analytic derivative u_prime")
     if u_prime is not None:
-        integrals = [integrate_singular(u_prime, a, x, -s.s, "right") for x in xs.tolist()]
-        return np.array(integrals) / gamma(1.0 - s.s)
+        integrals = [integrate_singular(u_prime, a, x, -s, "right") for x in xs.tolist()]
+        return np.array(integrals) / gamma(1.0 - s)
 
     raise TypeError(f"cannot take the Caputo derivative of {type(u).__name__}")
 
 
-def caputo_residual(u, a: float, s: FractionalOrder | float, grid, **kwargs) -> ResidualReport:
+def caputo_residual(u, a: float, s: float, grid, **kwargs) -> ResidualReport:
     """Residual table |D_a^s u| over a grid of points > a.
 
     One ``caputo_derivative`` call takes the whole grid.

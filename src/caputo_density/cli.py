@@ -58,7 +58,7 @@ from .density_builder import (
 from .extension_solver import solve_extension
 from .piecewise import PiecewisePoly
 from .profiles import FIXED_SPAN, builtin_extension_oracle, builtin_profile
-from .special_functions import FractionalOrder
+from .special_functions import fractional_order
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -192,7 +192,7 @@ def _profile_name(config: RunConfig) -> str | None:
 def _check_config(config: RunConfig) -> None:
     """Every setting a command reads that no handler checks before its solve."""
     _check_finite("--s", config.s)
-    FractionalOrder(config.s)
+    fractional_order(config.s)
     for name in ("a", "b"):
         if (value := getattr(config, name)) is not None:
             _check_finite("--" + name, value)
@@ -274,11 +274,10 @@ def _resolve_profile(config: RunConfig) -> PiecewisePoly:
 
 def _cmd_derivative(config: RunConfig) -> int:
     grid = _parse_grid(config.grid or "0.1:2:40")
-    s = FractionalOrder(config.s)
     name = _profile_name(config)
     if name in FIXED_SPAN:
         profile = builtin_profile(name, config.a, config.b)
-        sol = solve_extension(profile, s)
+        sol = solve_extension(profile, config.s)
         if np.any(grid <= profile.lo):
             raise ValueError("grid points must lie right of the initial point")
         values = sol.caputo_value(grid)
@@ -290,13 +289,12 @@ def _cmd_derivative(config: RunConfig) -> int:
         profile = _resolve_profile(config)
         if np.any(grid > profile.hi):
             raise ValueError("grid extends beyond the data; use `extend` for x > b")
-        values = caputo_derivative(profile, profile.lo, s, grid)
+        values = caputo_derivative(profile, profile.lo, config.s, grid)
     _write_csv(config.out, config, ["x", "caputo"], [grid, values])
     return EXIT_OK
 
 
 def _cmd_extend(config: RunConfig) -> int:
-    s = FractionalOrder(config.s)
     profile = _resolve_profile(config)
     if (span := profile.hi - profile.lo) < MIN_SPAN:
         raise ValueError(f"data span --b - --a = {span:g} is below {MIN_SPAN:g}, too short "
@@ -304,7 +302,7 @@ def _cmd_extend(config: RunConfig) -> int:
     grid = _parse_grid(config.grid or "1.01:5:200")
     if np.any(grid <= profile.hi):
         raise ValueError("extend grid points must lie strictly right of b")
-    sol = solve_extension(profile, s)
+    sol = solve_extension(profile, config.s)
     u = sol.value(grid)
     g = sol.g_value(grid)
     residual = sol.caputo_value(grid)
@@ -325,12 +323,11 @@ def _cmd_extend(config: RunConfig) -> int:
 
 
 def _cmd_blowup(config: RunConfig) -> int:
-    s = FractionalOrder(config.s)
     profile = Psi0Profile.default_quadratic()
     j_list, interval = _parse_blowup_inputs(config)
-    kappa = estimate_kappa(s, profile)
+    kappa = estimate_kappa(config.s, profile)
     conv = check_blowup_convergence(
-        s, profile, j_list, interval, n_points=config.n_points, kappa=kappa
+        config.s, profile, j_list, interval, n_points=config.n_points, kappa=kappa
     )
     _write_csv(
         config.out,
@@ -392,7 +389,6 @@ def _parse_target(spec: str):
 
 
 def _cmd_approximate(config: RunConfig) -> int:
-    s = FractionalOrder(config.s)
     profile = Psi0Profile.default_quadratic()
     if config.m is not None:
         # single-monomial mode: the jet construction for x^m
@@ -400,12 +396,12 @@ def _cmd_approximate(config: RunConfig) -> int:
             raise ValueError("give either --f or --m, not both")
         target = PolyTarget([0.0] * config.m + [1.0])
         try:
-            approx, rep = approximate_monomial(s, profile, config.m, config.k, config.eps)
+            approx, rep = approximate_monomial(config.s, profile, config.m, config.k, config.eps)
         except (JetInfeasibleError, DeltaUnderflowError) as exc:
             return _report(config, {}, [f"{type(exc).__name__}: {exc}"])
     else:
         target = _parse_target(config.f or "x^2")
-        approx, rep = approximate_function(target, config.k, config.eps, s, profile)
+        approx, rep = approximate_function(target, config.k, config.eps, config.s, profile)
 
     grid = np.linspace(0.0, 1.0, config.n_points)
     header = ["x", "f", "u", "u_minus_f"]

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blowup import BlowupMember, Combination, Psi0Profile, build_psi
+from .extension_solver import _check_order
 from .piecewise import polyder, polyval
-from .special_functions import FractionalOrder
+from .special_functions import fractional_order
 
 __all__ = [
     "JetCombination",
@@ -171,7 +172,7 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
         raise ValueError("need at least one member and one point")
     if any(x <= 0.0 for x in points):
         raise ValueError("jet points must be positive")
-    psi, s = members[0].psi, members[0].s.s
+    psi, s = members[0].psi, members[0].s
     if any(member.psi is not psi for member in members):
         raise ValueError("jet members must share one psi")
     y = np.array([x / member.j + 1.0 for member in members for x in points])
@@ -223,7 +224,7 @@ def _solve_single_point(matrix: np.ndarray, m: int):
     return coef, residual, cond
 
 
-def prescribe_jet(s: FractionalOrder | float, profile: Psi0Profile, m: int) -> JetCombination:
+def prescribe_jet(s: float, profile: Psi0Profile, m: int) -> JetCombination:
     """Build a stationary combination with jet (0, ..., 0, 1) of order m at some p.
 
     Solves each candidate p of ``DEFAULT_POOL_P`` over the members j of
@@ -237,9 +238,8 @@ def prescribe_jet(s: FractionalOrder | float, profile: Psi0Profile, m: int) -> J
     every order shares, and one Fornberg table whose column l gives the
     weights of order l, as ``fd_derivative`` would for that order alone.
     """
-    s = FractionalOrder.of(s)
-    if m < 0 or m > MAX_JET_ORDER:
-        raise ValueError(f"jet order must lie in 0..{MAX_JET_ORDER}")
+    s = fractional_order(s)
+    _check_order(m, MAX_JET_ORDER, "jet order")
     psi = build_psi(s, profile)
     members = tuple(BlowupMember(j, psi) for j in DEFAULT_POOL_J)
 
@@ -282,6 +282,14 @@ def prescribe_jet(s: FractionalOrder | float, profile: Psi0Profile, m: int) -> J
 # -- rescaled monomials -------------------------------------------------------
 
 
+def _check_request(k, eps) -> None:
+    """The one check of a density run's k and eps, made before any psi solve."""
+    _check_order(k, MAX_CK_ORDER, "derivative order k")
+    # written so that a NaN fails it
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+
+
 def _monomial(jet: JetCombination | None, m: int, delta: float | None) -> Combination:
     """u(x) = m! v(delta x + p)/delta^m, tracking x^m on [0, 1].
 
@@ -307,7 +315,7 @@ def _monomial_errors(jet, m: int, k: int, delta, xs: np.ndarray) -> np.ndarray:
 
 
 def approximate_monomial(
-    s: FractionalOrder | float,
+    s: float,
     profile: Psi0Profile,
     m: int,
     k: int,
@@ -330,11 +338,9 @@ def approximate_monomial(
     at most the full one, and a float sum of smaller non-negative terms
     is no larger.
     """
-    s = FractionalOrder.of(s)
-    if not 0 <= k <= MAX_CK_ORDER:
-        raise ValueError(f"derivative order k must lie in 0..{MAX_CK_ORDER}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    s = fractional_order(s)
+    _check_order(m, MAX_JET_ORDER, "jet order")
+    _check_request(k, eps)
     target = PolyTarget([0.0] * m + [1.0])
     if m == 0:
         u = _monomial(None, 0, None)
@@ -518,7 +524,7 @@ def approximate_function(
     f,
     k: int,
     eps: float,
-    s: FractionalOrder | float,
+    s: float,
     profile: Psi0Profile,
 ) -> tuple[CombinedApproximant, ApproximationReport]:
     """Stationary u with ||u - f||_{C^k([0,1])} < eps, fitted in one step.
@@ -529,12 +535,9 @@ def approximate_function(
     norms on 1000 uniform points of [0, 1] (documented surrogate for the
     sup), and ``residual_max`` is the largest |D^s u| on 200.
     """
-    s = FractionalOrder.of(s)
+    s = fractional_order(s)
     target = as_target(f)
-    if not 0 <= k <= MAX_CK_ORDER:
-        raise ValueError(f"derivative order k must lie in 0..{MAX_CK_ORDER}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _check_request(k, eps)
 
     psi = build_psi(s, profile)
     for pool in FIT_LADDER:

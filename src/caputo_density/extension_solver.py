@@ -36,7 +36,7 @@ import numpy as np
 
 from .piecewise import MAX_DEGREE, PiecewisePoly, polyder, polyval, taylor_shift
 from .singular_quadrature import _MAX_DEPTH, apply_rule, gauss_ladder, poly_abel_integral, unit_rule
-from .special_functions import FractionalOrder, beta, gamma
+from .special_functions import beta, fractional_order, gamma
 
 __all__ = [
     "ExtensionSolution",
@@ -65,13 +65,11 @@ class JunctionProximityError(ValueError):
     """Raised when a derivative is requested too close to the junction b."""
 
 
-def _check_order(n) -> None:
-    """The one check of a derivative order: an integer in 0..MAX_DERIVATIVE_ORDER."""
-    if n > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order {n} unsupported (cap {MAX_DERIVATIVE_ORDER})")
+def _check_order(n, cap: int = MAX_DERIVATIVE_ORDER, name: str = "derivative order") -> None:
+    """The one check of every order (derivative, C^k, jet): an integer in 0..cap."""
     # written so that a NaN fails it
-    if not (n >= 0 and int(n) == n):
-        raise ValueError("derivative order must be a nonnegative integer")
+    if not (0 <= n <= cap and int(n) == n):
+        raise ValueError(f"{name} must be an integer in 0..{cap}, got {n!r}")
 
 
 def _check_junction_distance(n: int, xi: np.ndarray) -> None:
@@ -121,13 +119,13 @@ def _ctilde(s: float, n: int, i: int) -> float:
 class _Forcing:
     """Closed-form power-law representation of g and all its derivatives."""
 
-    def __init__(self, profile: PiecewisePoly, s: FractionalOrder):
+    def __init__(self, profile: PiecewisePoly, s: float):
         self.profile = profile
         self.s = s
         self._orders: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _build(self, i: int) -> tuple[np.ndarray, ...]:
-        s = self.s.s
+        s = self.s
         b = self.profile.hi
         e = -s - i
         scalar = -_falling(-s, i)  # -(-s)(-s-1)...(-s-i+1); -1 for i = 0
@@ -217,7 +215,7 @@ class _Forcing:
     def junction_alphas(self) -> dict[int, float]:
         """Coefficients alpha_k of the branch terms alpha_k (x-b)^(k+1-s) in g."""
         _, _, _, _, p_coef, p_pow = self._terms(0)
-        s = self.s.s
+        s = self.s
         out: dict[int, float] = {}
         for c, q in zip(p_coef, p_pow):
             k = round(q - 1.0 + s)
@@ -313,9 +311,9 @@ class ExtensionSolution:
     makes one fresh-quadrature call for all points.
     """
 
-    def __init__(self, profile: PiecewisePoly, s: FractionalOrder | float):
+    def __init__(self, profile: PiecewisePoly, s: float):
         self.profile = profile
-        self.s = FractionalOrder.of(s)
+        self.s = s = fractional_order(s)
         self.a = profile.lo
         self.b = profile.hi
         self.value_at_b = profile.value(profile.hi)
@@ -324,14 +322,14 @@ class ExtensionSolution:
         self._branch_gap = float(self.b - profile.breakpoints[-2])
         # the reach of gauss_ladder's deepest rule; every read refuses points beyond
         self._max_xi = 2.0 ** (_MAX_DEPTH - 1) * self._branch_gap
-        sf = self.s.sin_factor
-        s_ = self.s.s
+        # sin(pi s)/pi, the normalization of the representation formula
+        self._sin_factor = math.sin(math.pi * s) / math.pi
         alphas = self.forcing.junction_alphas()
         # whether g carries a junction branch; raw_value sizes its rule by it
         self._branched = any(alpha != 0.0 for alpha in alphas.values())
         poly = np.zeros(MAX_DEGREE + 2)
         for k, alpha in alphas.items():
-            poly[k + 1] = sf * alpha * beta(k + 2.0 - s_, s_)
+            poly[k + 1] = self._sin_factor * alpha * beta(k + 2.0 - s, s)
         self._poly = poly  # ascending coefficients in xi = x - b, no constant term
 
         # (panel edges, {order: coefficients}); replaced whole, never mutated
@@ -368,16 +366,16 @@ class ExtensionSolution:
         other points of the call.
         """
         xi = np.asarray(xi, dtype=float)
-        s = self.s.s
+        s = self.s
         boundary = 0.0
         for i in range(n):
             boundary += _ctilde(s, n, i) * self.forcing.regular_at_b(i) * xi**i
         integral = gauss_ladder(
             lambda z: self.forcing.regular_part(n, z), xi, 1.0, s - 1.0, self._branch_gap
         )
-        out = self.s.sin_factor * (xi**n * integral + boundary)
+        out = self._sin_factor * (xi**n * integral + boundary)
         if n == 0:
-            out[xi == 0.0] = self.s.sin_factor * self.forcing.regular_at_b(0) / s
+            out[xi == 0.0] = self._sin_factor * self.forcing.regular_at_b(0) / s
         return out
 
     def _build_panels(self, n: int, edges_lo: np.ndarray, edges_hi: np.ndarray) -> np.ndarray:
@@ -459,7 +457,7 @@ class ExtensionSolution:
         if np.any(~left):
             xi = xa[~left] - self.b
             h0 = self._eval_table(0, xi)  # read first: it refuses +inf
-            out[~left] = self.value_at_b + polyval(xi, self._poly) + xi**self.s.s * h0
+            out[~left] = self.value_at_b + polyval(xi, self._poly) + xi**self.s * h0
         return out if isinstance(x, np.ndarray) else float(out[0])
 
     def derivative_fast(self, n: int, y):
@@ -474,7 +472,7 @@ class ExtensionSolution:
             _check_junction_distance(n, xi)
         hn = self._eval_table(n, xi)  # read first: it refuses +inf
         out = polyval(xi, polyder(self._poly, n))
-        out = out + xi ** (self.s.s - n) * hn
+        out = out + xi ** (self.s - n) * hn
         if n == 0:
             out = out + self.value_at_b
         return out if isinstance(y, np.ndarray) else float(out[0])
@@ -498,7 +496,7 @@ class ExtensionSolution:
         _check_junction_distance(n, xi)
         _reach(xi, self._max_xi)  # refused before any quadrature
         out = polyval(xi, polyder(self._poly, n))
-        out = out + xi ** (self.s.s - n) * self._smooth_factor_quad(n, xi)
+        out = out + xi ** (self.s - n) * self._smooth_factor_quad(n, xi)
         return out if isinstance(y, np.ndarray) else float(out[0])
 
     def raw_value(self, x):
@@ -527,14 +525,14 @@ class ExtensionSolution:
         ext = xa > self.b
         if not np.all(ext):
             out[~ext] = self.value(xa[~ext])
-        s = self.s.s
+        s = self.s
         xi = xa[ext] - self.b
         g = lambda z: self.forcing.value(0, z)
         if self._branched:
             integral = apply_rule(g, xi, *unit_rule(1.0, s - 1.0, _RAW_DEPTH))
         else:
             integral = gauss_ladder(g, xi, 1.0, s - 1.0, self._branch_gap)
-        out[ext] = self.value_at_b + self.s.sin_factor * xi**s * integral
+        out[ext] = self.value_at_b + self._sin_factor * xi**s * integral
         return out if isinstance(x, np.ndarray) else float(out[0])
 
     # -- Caputo residual ------------------------------------------------------
@@ -560,7 +558,7 @@ class ExtensionSolution:
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         _reach(xa - self.b, self._max_xi)  # refused before any quadrature
-        s = self.s.s
+        s = self.s
         out = np.where(np.isnan(xa), np.nan, 0.0)
         live = xa > self.a
         if np.any(live):
@@ -573,7 +571,7 @@ class ExtensionSolution:
 
     def _extension_caputo(self, xi: np.ndarray) -> np.ndarray:
         """int_b^x u'(t) (x-t)^(-s) dt of the extension part for x = b + xi > b."""
-        s = self.s.s
+        s = self.s
         out = np.zeros_like(xi)
         dpoly = polyder(self._poly)
         for k in range(dpoly.size):
@@ -584,6 +582,6 @@ class ExtensionSolution:
         )
 
 
-def solve_extension(profile: PiecewisePoly, s: FractionalOrder | float) -> ExtensionSolution:
+def solve_extension(profile: PiecewisePoly, s: float) -> ExtensionSolution:
     """Solve the stationary extension problem for the given causal data."""
     return ExtensionSolution(profile, s)

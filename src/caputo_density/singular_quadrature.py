@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .piecewise import MAX_DEGREE
-from .special_functions import FractionalOrder
+from .special_functions import fractional_order
 
 __all__ = [
     "integrate_singular",
@@ -261,14 +261,14 @@ def integrate_singular(f, lo: float, hi: float, exponent: float, singular_end: s
     return float(span**p * np.sum(np.asarray(f(t), dtype=float) * W))
 
 
-def kernel_identity_check(s: FractionalOrder | float, tau: float, x: float) -> float:
+def kernel_identity_check(s: float, tau: float, x: float) -> float:
     """Numerically evaluate int_tau^x (y-tau)^(s-1) (x-y)^(-s) dy.
 
     Both endpoints are singular: the integral is split at the midpoint and
     each half taken by ``integrate_singular`` with the other factor smooth.
     The value equals reflection(s) = pi/sin(pi s) independently of (tau, x).
     """
-    s = FractionalOrder.of(s).s
+    s = fractional_order(s)
     tau, x = float(tau), float(x)
     if not tau < x:
         raise ValueError("kernel identity requires tau < x")

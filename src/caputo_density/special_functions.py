@@ -2,45 +2,29 @@
 
 Gamma on the positive half axis is ``math.gamma`` (relative error below
 1e-15), Beta the Gamma quotient, and the reflection value pi/sin(pi s)
-is used by every weakly singular kernel in the package.
+is used by every weakly singular kernel in the package. The order s is
+a plain float, checked by ``fractional_order`` at every entry point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["FractionalOrder", "gamma", "beta", "reflection"]
+__all__ = ["fractional_order", "gamma", "beta", "reflection"]
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order s of the fractional derivative, restricted to (0, 1) strictly.
+
+def fractional_order(s) -> float:
+    """The order s of the fractional derivative as a float in (0, 1) strictly.
 
     s must also keep s - 1 above -1 in floating point (s above about
     5.6e-17): the quadrature rules take s - 1 as a Jacobi exponent.
     """
-
-    s: float
-
-    def __post_init__(self) -> None:
-        s = float(self.s)
-        if not (0.0 < s < 1.0):
-            raise ValueError(f"fractional order must satisfy 0 < s < 1, got {s}")
-        if s - 1.0 == -1.0:
-            raise ValueError(f"fractional order {s!r} is too close to 0: s - 1 rounds to -1")
-        object.__setattr__(self, "s", s)
-
-    @classmethod
-    def of(cls, s: "FractionalOrder | float") -> "FractionalOrder":
-        """Coerce a float (or pass through an existing order)."""
-        if isinstance(s, FractionalOrder):
-            return s
-        return cls(float(s))
-
-    @property
-    def sin_factor(self) -> float:
-        """sin(pi s) / pi, the normalization of the representation formula."""
-        return math.sin(math.pi * self.s) / math.pi
+    s = float(s)
+    if not (0.0 < s < 1.0):
+        raise ValueError(f"fractional order must satisfy 0 < s < 1, got {s}")
+    if s - 1.0 == -1.0:
+        raise ValueError(f"fractional order {s!r} is too close to 0: s - 1 rounds to -1")
+    return s
 
 
 def gamma(z: float) -> float:
@@ -60,7 +44,7 @@ def beta(x: float, y: float) -> float:
     return gamma(x) * gamma(y) / gamma(x + y)
 
 
-def reflection(s: "FractionalOrder | float") -> float:
+def reflection(s: float) -> float:
     """pi / sin(pi s), the value of Beta(s, 1-s) for s in (0, 1)."""
-    s = FractionalOrder.of(s).s
+    s = fractional_order(s)
     return math.pi / math.sin(math.pi * s)

@@ -1,6 +1,7 @@
 import math
+import sys
+import threading
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_kinked_profile_rejected():
 
 
 def test_profile_checks_run_once_per_data_fingerprint(monkeypatch):
-    monkeypatch.setattr(blowup, "_ADMISSIBLE", set())
+    blowup._check_psi0.cache_clear()
     samples = []
     checked = PiecewisePoly.derivative_value
 
@@ -70,7 +71,9 @@ def test_profile_checks_run_once_per_data_fingerprint(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="strictly decreasing"):
             Psi0Profile(flat)
-    assert blowup._ADMISSIBLE == {one.data.fingerprint()}
+    # the one admitted entry is the first profile's, hit once by the second
+    info = blowup._check_psi0.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_wrong_span_rejected():
@@ -244,8 +247,8 @@ def test_convergence_equals_the_member_loop_bit_for_bit(psi0_default, s):
     assert conv.sup_errors == tuple(loop)
 
 
-def test_blowup_reads_only_the_order_0_table(monkeypatch, psi0_default):
-    monkeypatch.setattr(blowup, "_PSI_CACHE", OrderedDict())
+def test_blowup_reads_only_the_order_0_table(psi0_default):
+    blowup._solved_psi.cache_clear()
     kappa = estimate_kappa(0.3, psi0_default)
     check_blowup_convergence(0.3, psi0_default, (4, 8, 16, 32, 64), kappa=kappa)
     edges, tables = build_psi(0.3, psi0_default)._state
@@ -330,24 +333,59 @@ def test_combination_is_its_term_sum(psi_half):
     assert constant.initial_point == -1.0
 
 
-def test_equal_profiles_share_one_cached_psi(monkeypatch):
-    monkeypatch.setattr(blowup, "_PSI_CACHE", OrderedDict())
+def test_equal_profiles_share_one_cached_psi():
+    blowup._solved_psi.cache_clear()
     one, two = Psi0Profile.default_quadratic(), Psi0Profile.default_quadratic()
     assert one.data is not two.data
     assert one.data.fingerprint() == two.data.fingerprint()
+    assert one == two and hash(one) == hash(two)
     assert build_psi(0.5, two) is build_psi(0.5, one)
-    assert len(blowup._PSI_CACHE) == 1
+    assert blowup._solved_psi.cache_info().currsize == 1
 
 
-def test_evicted_psi_is_rebuilt_equal(monkeypatch, psi0_default):
-    monkeypatch.setattr(blowup, "_PSI_CACHE", OrderedDict())
-    monkeypatch.setattr(blowup, "_PSI_CACHE_SIZE", 1)
+def test_evicted_psi_is_rebuilt_equal(psi0_default):
+    blowup._solved_psi.cache_clear()
     first = build_psi(0.5, psi0_default)
     assert build_psi(0.5, psi0_default) is first
-    build_psi(0.25, psi0_default)  # evicts s = 1/2
+    # a full cache of other orders evicts s = 1/2; construction builds no table
+    for i in range(blowup._PSI_CACHE_SIZE):
+        build_psi(0.05 * (i + 1), psi0_default)
     rebuilt = build_psi(0.5, psi0_default)
     assert rebuilt is not first
     xs = np.linspace(0.5, 6.0, 23)
     np.testing.assert_array_equal(rebuilt.value(xs), first.value(xs))
     np.testing.assert_array_equal(rebuilt.caputo_value(xs), first.caputo_value(xs))
-    assert list(blowup._PSI_CACHE.values()) == [rebuilt]
+    hits = blowup._solved_psi.cache_info().hits
+    assert build_psi(0.5, psi0_default) is rebuilt
+    assert blowup._solved_psi.cache_info().hits == hits + 1
+
+
+def test_psi_cache_is_safe_across_threads(monkeypatch, psi0_default):
+    # 8 threads over 12 orders and 8 slots, switching as often as the
+    # interpreter allows; the solve is stubbed so that they race on the
+    # cache alone
+    monkeypatch.setattr(blowup, "solve_extension", lambda data, s: object())
+    orders = [0.05 + 0.075 * i for i in range(12)]
+    errors = []
+
+    def hammer():
+        try:
+            for i in range(3000):
+                build_psi(orders[i % len(orders)], psi0_default)
+        except Exception as exc:
+            errors.append(exc)
+
+    blowup._solved_psi.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        blowup._solved_psi.cache_clear()  # no stub outlives the test
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

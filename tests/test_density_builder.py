@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from caputo_density import density_builder
 from caputo_density.blowup import BlowupMember, build_psi
 from caputo_density.density_builder import (
     DELTA_FLOOR,
@@ -87,7 +88,7 @@ def test_jet_matrix_matches_entrywise_loop(psi_half):
     members = [BlowupMember(j, psi_half) for j in (2, 4, 8, 16, 32)]
     points = [0.5, 1.0, 2.0]
     ref = np.array([
-        [mb.j ** (mb.s.s - l) * psi_half.derivative(l, x / mb.j + 1.0) for l in range(5)]
+        [mb.j ** (mb.s - l) * psi_half.derivative(l, x / mb.j + 1.0) for l in range(5)]
         for mb in members for x in points
     ])
     assert np.array_equal(jet_matrix(members, points, 4), ref)
@@ -345,6 +346,27 @@ def test_fit_meets_tight_eps_across_s(psi0_default, target, k, s):
 def test_approximate_function_refuses_k_out_of_range(psi0_default, k):
     with pytest.raises(ValueError, match="0..4"):
         approximate_function(SinTarget(), k, 1e-2, 0.5, psi0_default)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda p: approximate_monomial(0.5, p, 1, 0, math.nan), id="monomial-eps-nan"),
+    pytest.param(lambda p: approximate_function(SinTarget(), 0, math.nan, 0.5, p),
+                 id="function-eps-nan"),
+    pytest.param(lambda p: approximate_monomial(0.5, p, 1, 1.5, 1e-2), id="monomial-k-1.5"),
+    pytest.param(lambda p: approximate_function(SinTarget(), 1.5, 1e-2, 0.5, p),
+                 id="function-k-1.5"),
+    pytest.param(lambda p: approximate_monomial(0.5, p, 1.5, 0, 1e-2), id="monomial-m-1.5"),
+    pytest.param(lambda p: prescribe_jet(0.5, p, 1.5), id="jet-m-1.5"),
+    pytest.param(lambda p: prescribe_jet(0.5, p, math.nan), id="jet-m-nan"),
+])
+def test_density_inputs_are_refused_before_any_psi_solve(monkeypatch, psi0_default, call):
+    # a NaN eps used to run every trial, and a fractional k or m to die in range()
+    def unsolved(*args):
+        raise AssertionError("psi built before the inputs were checked")
+
+    monkeypatch.setattr(density_builder, "build_psi", unsolved)
+    with pytest.raises(ValueError, match="eps must be positive|must be an integer in 0..4"):
+        call(psi0_default)
 
 
 def test_prescribe_jet_on_alternative_profile():

@@ -70,7 +70,7 @@ def _doubled_unit_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _reference_caputo(sol, x: float) -> float:
     """D_a^s u(x) for one point, with the doubled unit rule."""
-    s, a, b = sol.s.s, sol.a, sol.b
+    s, a, b = sol.s, sol.a, sol.b
     if x <= a:
         return 0.0
     data = poly_abel_integral(sol.profile.derivative_pieces(), x, -s)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caputo_density.special_functions import FractionalOrder, beta, gamma, reflection
+from caputo_density.special_functions import beta, fractional_order, gamma, reflection
 
 
 def test_gamma_integers():
@@ -67,14 +67,17 @@ def test_beta_symmetry(x, y):
 
 @pytest.mark.parametrize("s", [0.0, 1.0, -0.2, 1.3])
 def test_fractional_order_rejects_outside_unit_interval(s):
-    with pytest.raises(ValueError):
-        FractionalOrder(s)
+    with pytest.raises(ValueError, match=f"fractional order must satisfy 0 < s < 1, got {s}"):
+        fractional_order(s)
 
 
 def test_fractional_order_coercion():
-    order = FractionalOrder.of(0.25)
-    assert FractionalOrder.of(order) is order
-    assert order.sin_factor == pytest.approx(math.sin(math.pi * 0.25) / math.pi, rel=1e-15)
+    # any real in (0, 1) comes back as the same value, a plain float
+    for given in (0.25, np.float64(0.25), "0.25"):
+        order = fractional_order(given)
+        assert type(order) is float and order == 0.25
+    with pytest.raises(ValueError, match="got nan"):
+        fractional_order(math.nan)
 
 
 @pytest.mark.parametrize("s", [1e-300, 2.0**-54, 5e-17])
@@ -82,10 +85,10 @@ def test_order_whose_s_minus_1_rounds_to_minus_1_is_refused(s):
     # the quadrature rules take s - 1 as a Jacobi exponent, which must exceed -1
     assert s - 1.0 == -1.0
     with pytest.raises(ValueError, match=f"fractional order {s!r} is too close to 0"):
-        FractionalOrder(s)
+        fractional_order(s)
 
 
 def test_least_order_whose_s_minus_1_stays_above_minus_1_is_accepted():
     s = 2.0**-53
     assert s - 1.0 > -1.0
-    assert FractionalOrder(s).s == s
+    assert fractional_order(s) == s

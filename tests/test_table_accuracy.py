@@ -43,7 +43,7 @@ def _tabulated(sol):
 
 def _reference_h(sol, n, xi):
     """(H_n(xi), M_n(xi)) in mpmath from the forcing's float coefficients."""
-    s = sol.s.s
+    s = sol.s
     c, j, d, p, _, _ = sol.forcing._terms(n)
     with mpmath.workdps(30):
         sm, x = mpmath.mpf(s), mpmath.mpf(xi)
@@ -185,7 +185,7 @@ def _reference_raw_value(sol, x):
     """(u(x), M(x)) in mpmath from the forcing's float coefficients, g's
     branch included; M is what raw_value sums, every term of g and phi(b)
     taken in absolute value."""
-    s = sol.s.s
+    s = sol.s
     c, j, d, p, pc, pq = sol.forcing._terms(0)
     with mpmath.workdps(30):
         sm, xi = mpmath.mpf(s), mpmath.mpf(x) - mpmath.mpf(sol.b)
