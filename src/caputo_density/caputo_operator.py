@@ -109,7 +109,8 @@ def _caputo_right_of(u, a: float, s: float, xs: np.ndarray, u_prime) -> np.ndarr
 
 
 def caputo_residual(u, a: float, s: float, grid, **kwargs) -> ResidualReport:
-    """Residual table |D_a^s u| over a grid of points > a.
+    """Residual table D_a^s u over a grid of points > a: signed values,
+    whose largest magnitude is ``max_abs``.
 
     One ``caputo_derivative`` call takes the whole grid.
     """

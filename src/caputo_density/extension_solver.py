@@ -19,7 +19,8 @@ remains of g is analytic at b. The solution therefore splits as
 with P a closed-form polynomial and H_0 analytic on [0, inf). Each
 derivative order n has the same structure with its own analytic factor
 H_n, tabulated as paneled Chebyshev series on its first read and
-evaluated thereafter at interpolation cost. The panels are one fixed
+evaluated thereafter at interpolation cost; so is the analytic part R
+of the Caputo residual, an Abel integral of H_1. The panels are one fixed
 ladder, edges (2^k - 1) gap/2 with gap = b - (last data breakpoint
 left of b), built only as far as the largest point read. Direct
 quadrature paths are kept for the representation-formula contract
@@ -57,8 +58,12 @@ _RAW_DEPTH = 40
 # analytic inside the Bernstein ellipse of parameter rho = 3 + 2 sqrt 2
 # ~ 5.83 about every panel, and its coefficients decay at least like
 # rho^-k (Trefethen, Approximation Theory and Approximation Practice,
-# ch. 8): degree 23 leaves rho^-23 ~ 2.5e-18.
+# ch. 8): degree 23 leaves rho^-23 ~ 2.5e-18. The Caputo residual's
+# table R (see _extension_caputo) has H_1's cut and no other, so the
+# same panels and points serve it.
 _CHEB_POINTS = 24
+# key of R's table in a solution's state, next to the orders n of H_n
+_CAPUTO = "caputo"
 
 
 class JunctionProximityError(ValueError):
@@ -282,33 +287,51 @@ def _clenshaw(x: np.ndarray, c: np.ndarray, panel: np.ndarray | None = None) -> 
     return np.add(c0, tmp, out=tmp)
 
 
+def _read_table(edges: np.ndarray, coefs: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """A table of one row per panel of ``edges`` at every xi of a 1-d
+    array within them.
+
+    ``searchsorted`` finds each point's panel, and one ``_clenshaw``
+    sweep over all points gathers each point's coefficients from its
+    panel's row. So a value equals ``chebval`` on its own panel bit for
+    bit and does not depend on the other points of the call, nor on
+    panels right of the point's own.
+    """
+    panel = np.searchsorted(edges[1:-1], xi, side="right")
+    e0, e1 = edges[panel], edges[panel + 1]
+    return _clenshaw((2.0 * xi - e0 - e1) / (e1 - e0), coefs, panel)
+
+
 class ExtensionSolution:
     """A solved extension: data on (-inf, b], stationary solution on (b, inf).
 
-    Construction builds no table. Each order's Chebyshev table is built
-    on its first read, 24 points per panel and one ``_smooth_factor_quad``
-    call over the nodes of every panel, and matches the analytic factor
-    to rounding for every s (checked against mpmath for s from 0.002 to
-    0.998). The panels are one fixed ladder from b, widths gap/2, gap,
-    2 gap, ..., and every built table grows along it when a point lies
-    beyond the covered range, only as far as that point. Every read
-    refuses, before any growth, a point at +inf or more than 2^59 gaps
-    right of b, which no ``gauss_ladder`` rule reaches. A table is read
-    in one Clenshaw sweep over all points of a call, each gathering its
-    own panel's coefficients. The panel edges and the tables are one
-    state, grown aside and swapped in one step under a lock, and every
-    read works on one snapshot of it, so concurrent reads are safe,
-    growth included; a panel's coefficients, and so every table value,
-    do not depend on when, how far or with which other panels it was
-    built. The tables and the Caputo residual are both ``gauss_ladder``
+    Construction builds no table. Each order's Chebyshev table of H_n is
+    built on its first read, 24 points per panel and one
+    ``_smooth_factor_quad`` call over the nodes of every panel, and
+    matches the analytic factor to rounding for every s (checked against
+    mpmath for s from 0.002 to 0.998). The Caputo residual has one more
+    table on the same panels, of R (see ``_extension_caputo``), built on
+    the first ``caputo_value`` read right of b from the order-1 table.
+    The panels are one fixed ladder from b, widths gap/2, gap, 2 gap,
+    ..., and every built table grows along it when a point lies beyond
+    the covered range, only as far as that point. Every read refuses,
+    before any growth, a point at +inf or more than 2^59 gaps right of
+    b, which no ``gauss_ladder`` rule reaches. A table is read in one
+    Clenshaw sweep over all points of a call, each gathering its own
+    panel's coefficients. The panel edges and the tables are one state,
+    grown aside and swapped in one step under a lock, and every read
+    works on one snapshot of it, so concurrent reads are safe, growth
+    included; a panel's coefficients, and so every table value, do not
+    depend on when, how far or with which other panels it was built.
+    The node values of the H_n tables and of R are ``gauss_ladder``
     integrals, one ``unit_rule`` per s and depth class. ``raw_value`` is
     one too for branch-free data; data with a junction branch take one
     rule per s there. The rules live in the pure, bounded, read-only
     caches of ``singular_quadrature`` and are shared by every solution.
-    Evaluators accept scalars or arrays. ``caputo_value`` applies one
-    rule per depth class to all points of an array, ``raw_value`` one
-    rule per depth class or its one rule, in blocks, and ``derivative``
-    makes one fresh-quadrature call for all points.
+    Evaluators accept scalars or arrays. ``value``, ``derivative_fast``
+    and ``caputo_value`` read a table once per point, ``raw_value``
+    applies one rule per depth class or its one rule, in blocks, and
+    ``derivative`` makes one fresh-quadrature call for all points.
     """
 
     def __init__(self, profile: PiecewisePoly, s: float):
@@ -332,7 +355,7 @@ class ExtensionSolution:
             poly[k + 1] = self._sin_factor * alpha * beta(k + 2.0 - s, s)
         self._poly = poly  # ascending coefficients in xi = x - b, no constant term
 
-        # (panel edges, {order: coefficients}); replaced whole, never mutated
+        # (panel edges, {order n or _CAPUTO: coefficients}); replaced whole, never mutated
         self._state = (np.array([0.0, 0.5 * self._branch_gap]), {})
         self._grow_lock = threading.Lock()
 
@@ -378,31 +401,44 @@ class ExtensionSolution:
             out[xi == 0.0] = self._sin_factor * self.forcing.regular_at_b(0) / s
         return out
 
-    def _build_panels(self, n: int, edges_lo: np.ndarray, edges_hi: np.ndarray) -> np.ndarray:
-        """Chebyshev coefficients of H_n, one row per panel [edges_lo, edges_hi].
+    def _build_panels(
+        self, key: int | str, lo: np.ndarray, hi: np.ndarray, edges, tables
+    ) -> np.ndarray:
+        """Chebyshev coefficients of table ``key``, one row per panel [lo, hi].
 
-        One ``_smooth_factor_quad`` call takes the nodes of every panel;
-        its rows are independent, so each node's value is what a call for
-        that panel alone gives. The fit applies the fixed matrix of
-        ``_cheb_fit`` with one reduction per panel and coefficient rather
-        than a least-squares solve over the batch, whose columns' last
-        bits depend on the other columns: so a panel's coefficients do not
-        depend on the panels built with it.
+        One call takes the nodes of every panel: ``_smooth_factor_quad``
+        for H_n, or for R ``gauss_ladder`` over ``unit_rule(s, -s, depth)``
+        of the order-1 table in ``tables``, the state being built, whose
+        ``edges`` cover every panel. Reading that table directly, not
+        through ``smooth_factor``, keeps ``_grow`` from re-entering its
+        lock. Their rows are independent, so each node's value is what a
+        call for that panel alone gives. The fit applies the fixed matrix
+        of ``_cheb_fit`` with one reduction per panel and coefficient
+        rather than a least-squares solve over the batch, whose columns'
+        last bits depend on the other columns: so a panel's coefficients
+        do not depend on the panels built with it.
         """
         ref, fit = _cheb_fit()
-        mid = 0.5 * (edges_lo + edges_hi)[:, None]
-        half = 0.5 * (edges_hi - edges_lo)[:, None]
-        vals = self._smooth_factor_quad(n, (mid + half * ref).ravel())
+        mid = 0.5 * (lo + hi)[:, None]
+        half = 0.5 * (hi - lo)[:, None]
+        nodes = (mid + half * ref).ravel()
+        if key == _CAPUTO:
+            h1 = lambda z: _read_table(edges, tables[1], z)
+            vals = gauss_ladder(h1, nodes, self.s, -self.s, self._branch_gap)
+        else:
+            vals = self._smooth_factor_quad(key, nodes)
         return np.sum(vals.reshape(-1, 1, _CHEB_POINTS) * fit, axis=2)
 
-    def _grow(self, n: int, xi_max: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """The state with order n tabulated and [0, xi_max] covered.
+    def _grow(self, key: int | str, xi_max: float) -> tuple[np.ndarray, dict]:
+        """The state with table ``key`` built and [0, xi_max] covered.
 
         New panels continue the ladder, panel k being 2^k gap/2 wide, up
-        to the first edge at or beyond xi_max, and every built order gets
-        them; then order n is built over all panels if it is new. The
-        grown state is built aside and swapped in under the lock in one
-        step; readers never lock and always see a whole state.
+        to the first edge at or beyond xi_max, and every built table gets
+        them; then table ``key`` is built over all panels if it is new,
+        after order 1 if it is R. Order 1 is always built, and so grown,
+        before R, which reads it. The grown state is built aside and
+        swapped in under the lock in one step; readers never lock and
+        always see a whole state.
         """
         with self._grow_lock:
             edges, tables = self._state
@@ -414,30 +450,26 @@ class ExtensionSolution:
                     w *= 2.0
                 lo = np.asarray(new_edges[:-1])
                 hi = np.asarray(new_edges[1:])
-                tables = {m: np.vstack([c, self._build_panels(m, lo, hi)]) for m, c in tables.items()}
                 edges = np.concatenate([edges, hi])
-            if n not in tables:
-                tables = {**tables, n: self._build_panels(n, edges[:-1], edges[1:])}
+                grown: dict = {}
+                for m, c in tables.items():  # in build order: order 1 before R
+                    grown[m] = np.vstack([c, self._build_panels(m, lo, hi, edges, grown)])
+                tables = grown
+            for m in (1, key) if key == _CAPUTO else (key,):
+                if m not in tables:
+                    built = self._build_panels(m, edges[:-1], edges[1:], edges, tables)
+                    tables = {**tables, m: built}
             self._state = (edges, tables)
         return edges, tables
 
-    def _eval_table(self, n: int, xi: np.ndarray) -> np.ndarray:
-        """The order-n table at every xi of a 1-d array, built or grown first
-        if needed.
-
-        ``searchsorted`` finds each point's panel, and one ``_clenshaw``
-        sweep over all points gathers each point's coefficients from its
-        panel's row. So a value equals ``chebval`` on its own panel bit for
-        bit and does not depend on the other points of the call.
-        """
+    def _eval_table(self, key: int | str, xi: np.ndarray) -> np.ndarray:
+        """Table ``key`` (an order n, or R) at every xi of a 1-d array by
+        ``_read_table``, built or grown first if needed."""
         edges, tables = self._state
         xi_max = _reach(xi, self._max_xi)
-        if n not in tables or xi_max > edges[-1]:
-            edges, tables = self._grow(n, xi_max)
-        coefs = tables[n]
-        panel = np.searchsorted(edges[1:-1], xi, side="right")
-        e0, e1 = edges[panel], edges[panel + 1]
-        return _clenshaw((2.0 * xi - e0 - e1) / (e1 - e0), coefs, panel)
+        if key not in tables or xi_max > edges[-1]:
+            edges, tables = self._grow(key, xi_max)
+        return _read_table(edges, tables[key], xi)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -546,18 +578,15 @@ class ExtensionSolution:
         """D_a^s u(x) of the delivered solution (0 for x <= a by causality,
         NaN at a NaN point).
 
-        x may be a scalar (a float is returned) or an array. Beyond b the
-        extension contributes the junction polynomial in closed form plus
-        int_b^x (t-b)^(s-1) (x-t)^(-s) H_1(t-b) dt, which w = (t-b)/(x-b)
-        turns into int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw. H_1((x-b) w)
-        has its branch point at w = -gap/(x-b), so the integral is
-        ``gauss_ladder`` over ``unit_rule(s, -s, depth)`` with each point's
-        depth set by that distance: 40 nodes up to half a gap right of b,
-        12 more per doubling of x - b beyond. A value does not depend on
-        the other points of the array.
+        x may be a scalar (a float is returned) or an array. Left of b
+        the data part is one ``poly_abel_integral``; beyond b the
+        extension adds ``_extension_caputo``, closed-form terms plus one
+        read of the table R per point, built or grown as the H_n tables
+        are. A value does not depend on the other points of the array nor
+        on earlier reads.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        _reach(xa - self.b, self._max_xi)  # refused before any quadrature
+        _reach(xa - self.b, self._max_xi)  # refused before any table grows
         s = self.s
         out = np.where(np.isnan(xa), np.nan, 0.0)
         live = xa > self.a
@@ -570,16 +599,23 @@ class ExtensionSolution:
         return out if isinstance(x, np.ndarray) else float(out[0])
 
     def _extension_caputo(self, xi: np.ndarray) -> np.ndarray:
-        """int_b^x u'(t) (x-t)^(-s) dt of the extension part for x = b + xi > b."""
+        """int_b^x u'(t) (x-t)^(-s) dt of the extension part for x = b + xi > b.
+
+        u' = P' + (t-b)^(s-1) H_1(t-b) on (b, x). The junction polynomial
+        P' integrates in closed form, and w = (t-b)/xi turns the rest into
+        R(xi) = int_0^1 w^(s-1) (1-w)^(-s) H_1(xi w) dw, read from its
+        table. R is analytic on [0, inf) with H_1's cut (-inf, -gap] and no
+        other, so its panels keep the margin of the H_n tables; its node
+        values are ``gauss_ladder`` sums over ``unit_rule(s, -s, depth)``
+        of the order-1 table.
+        """
         s = self.s
         out = np.zeros_like(xi)
         dpoly = polyder(self._poly)
         for k in range(dpoly.size):
             if dpoly[k] != 0.0:
                 out += dpoly[k] * xi ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
-        return out + gauss_ladder(
-            lambda z: self.smooth_factor(1, z), xi, s, -s, self._branch_gap
-        )
+        return out + self._eval_table(_CAPUTO, xi)
 
 
 def solve_extension(profile: PiecewisePoly, s: float) -> ExtensionSolution:

@@ -13,10 +13,12 @@ integration of Abel kernels. Its users differ only in (p, b, depth):
 
 - ``gauss_ladder``, for int_0^1 w^(p-1) (1-w)^b f(xi w) dw at many xi
   with f cut at (-inf, -gap]: each point takes the depth its own branch
-  point w = -gap/xi needs. It serves the tables of the solver's
-  analytic factors (p = 1, b = s - 1), the Caputo residual (p = s,
-  b = -s) and the representation formula behind ``raw_value`` for
-  data whose g has no junction branch (p = 1, b = s - 1);
+  point w = -gap/xi needs. It serves the node values of the solver's
+  tables: those of the analytic factors H_n (p = 1, b = s - 1) and
+  those of the Caputo residual's R, over the order-1 table (p = s,
+  b = -s). It also serves the representation formula behind
+  ``raw_value`` for data whose g has no junction branch (p = 1,
+  b = s - 1);
 - ``raw_value`` for data with a junction branch, whose integrand
   carries w^(1-s) at w = 0: one rule of depth 40 at every point;
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
@@ -150,10 +152,11 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     20 + 12 (depth - 1) + 20 nodes, increasing, depending on (p, b,
     depth) only; both arrays are read-only and built on first use. The
     cache holds 32 rules: a run at one s needs one per depth class of
-    its table nodes and one per depth class of its residual points, plus
-    ``integrate_singular``'s and, for data with a junction branch,
-    ``raw_value``'s depth-40 rule (11 in the README's five runs
-    together; branch-free ``raw_value`` reads share the table rules).
+    the nodes of its H_n tables and one per depth class of the nodes of
+    its residual table R, plus ``integrate_singular``'s and, for data
+    with a junction branch, ``raw_value``'s depth-40 rule (14 in the
+    README's five runs together, all at s = 1/2: depths 1 to 7 of each
+    table's rule; branch-free ``raw_value`` reads share the table rules).
     The start panel is cached per p and the end panel per b: the table,
     residual and ``raw_value`` rules of one s take two of each (p = 1, s
     and b = s - 1, -s), and p = 1 serves every s.

@@ -11,9 +11,11 @@ depth from the distance of H_1's branch point, 40 to 88 nodes on this
 range, and the map stays at rounding (largest 5.3e-14, the same entry).
 The entries at s = 0.002 and 0.998 were measured with this rule: the ramp
 at s = 0.002 reads 3.1e-13, the largest of the map.
-The residual rule's own error stays at rounding too (a rule with twice
-the nodes and 20 bands moves the residuals of test_residual_batching's
-grids by at most 5.5e-15).
+The residual is now read from a table of its integral of H_1, and the
+map stays at rounding (largest 2.9e-13, ramp at s = 0.002). The table's
+own error stays at rounding too (the integral taken per point by a rule
+with twice the nodes and 20 bands moves the residuals of
+test_residual_batching's grids by at most 7.0e-15).
 """
 
 import numpy as np

