@@ -262,6 +262,15 @@ class BlowupMember(Combination):
         return total / gamma(1.0 - s)
 
 
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through (x, y), in
+    closed form about the means of x and y."""
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, float(y_mean - slope * x_mean)
+
+
 @dataclass(frozen=True)
 class KappaEstimate:
     """Fitted limit constant with the two analytic candidates and diagnostics."""
@@ -290,9 +299,8 @@ def estimate_kappa(s: float, profile: Psi0Profile) -> KappaEstimate:
     eps = _KAPPA_EPS
     psi = build_psi(s, profile)
     vals = psi.raw_value(1.0 + eps)
-    scaled = vals * eps ** (-s)
-    kappa = np.polyfit(eps, scaled, 1)[1]
-    fit_exponent = float(np.polyfit(np.log(eps), np.log(np.abs(vals)), 1)[0])
+    kappa = _line(eps, vals * eps ** (-s))[1]
+    fit_exponent = _line(np.log(eps), np.log(np.abs(vals)))[0]
 
     g1 = psi.g_value(psi.b)
     kappa_a = beta(1.0, s) * g1
@@ -356,9 +364,8 @@ def check_blowup_convergence(
     members = psi.value((alpha[:, None] * xs + 1.0).ravel()).reshape(alpha.size, xs.size)
     members *= np.array([j**s for j in j_list])[:, None]
     sups = np.max(np.abs(members - target), axis=1)
-    rate = float(np.polyfit(np.log(np.asarray(j_list, dtype=float)), np.log(sups), 1)[0])
     return BlowupConvergence(
         j_list=j_list,
         sup_errors=tuple(float(e) for e in sups),
-        rate_exponent=rate,
+        rate_exponent=_line(np.log(np.asarray(j_list, dtype=float)), np.log(sups))[0],
     )

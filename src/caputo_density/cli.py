@@ -322,8 +322,14 @@ def _cmd_extend(config: RunConfig) -> int:
     return _report(config, fields, failures)
 
 
+@functools.cache
+def _default_psi0() -> Psi0Profile:
+    """The default psi_0 profile, built once per process."""
+    return Psi0Profile.default_quadratic()
+
+
 def _cmd_blowup(config: RunConfig) -> int:
-    profile = Psi0Profile.default_quadratic()
+    profile = _default_psi0()
     j_list, interval = _parse_blowup_inputs(config)
     kappa = estimate_kappa(config.s, profile)
     conv = check_blowup_convergence(
@@ -389,7 +395,7 @@ def _parse_target(spec: str):
 
 
 def _cmd_approximate(config: RunConfig) -> int:
-    profile = Psi0Profile.default_quadratic()
+    profile = _default_psi0()
     if config.m is not None:
         # single-monomial mode: the jet construction for x^m
         if config.f is not None:

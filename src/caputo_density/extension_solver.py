@@ -464,7 +464,10 @@ class ExtensionSolution:
 
     def _eval_table(self, key: int | str, xi: np.ndarray) -> np.ndarray:
         """Table ``key`` (an order n, or R) at every xi of a 1-d array by
-        ``_read_table``, built or grown first if needed."""
+        ``_read_table``, built or grown first if needed; an empty read
+        builds nothing."""
+        if not xi.size:
+            return np.empty(0)
         edges, tables = self._state
         xi_max = _reach(xi, self._max_xi)
         if key not in tables or xi_max > edges[-1]:
@@ -540,13 +543,13 @@ class ExtensionSolution:
         split. The rule is sized to g:
 
         - data with a junction branch (some alpha_k != 0, e.g. the ramp)
-          take ``unit_rule(1, s - 1, 40)`` (508 nodes) at every x: its
+          take ``unit_rule(1, s - 1, 40)`` (490 nodes) at every x: its
           first band [0, 2^-40] resolves the branch w^(1-s) of g. It is
           applied by ``apply_rule``, in blocks of at most 8192 values of g;
         - branch-free data (psi_0, the bump) make one ``gauss_ladder``
           call, the depth rule of the table nodes: g(b + xi w) is then
           analytic at w = 0 and cut only at w = -gap/xi, so a point takes
-          40 nodes up to xi = gap/2 and 12 more per doubling beyond.
+          22 nodes up to xi = gap/2 and 12 more per doubling beyond.
 
         x may be a scalar (a float is returned) or an array. Each point's
         sum is reduced on its own.

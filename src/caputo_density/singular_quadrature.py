@@ -5,11 +5,13 @@ one rule family, ``unit_rule``:
 
     sum W f(w) ~ int_0^1 w^(p-1) (1-w)^b f(w) dw,
 
-a Gauss-Jacobi panel (``gauss_jacobi``, Golub-Welsch) for w^(p-1) at 0,
-Gauss-Legendre bands doubling from 2^-depth to 1/2 and the Gauss-Jacobi
-end panel ``jacobi_end_rule(b)`` on [1/2, 1]; see Diethelm, The Analysis
-of Fractional Differential Equations (2010), ch. 7, for product
-integration of Abel kernels. Its users differ only in (p, b, depth):
+a 10-node Gauss-Jacobi panel (``gauss_jacobi``, Golub-Welsch) for
+w^(p-1) at 0, 12-node Gauss-Legendre bands doubling from 2^-depth to 1/2
+and the 12-node Gauss-Jacobi end panel ``jacobi_end_rule(b)`` on [1/2, 1]:
+10 + 12 depth nodes, each panel's count sized to its distance from the
+nearest singularity. See Diethelm, The Analysis of Fractional
+Differential Equations (2010), ch. 7, for product integration of Abel
+kernels. Its users differ only in (p, b, depth):
 
 - ``gauss_ladder``, for int_0^1 w^(p-1) (1-w)^b f(xi w) dw at many xi
   with f cut at (-inf, -gap]: each point takes the depth its own branch
@@ -20,7 +22,8 @@ integration of Abel kernels. Its users differ only in (p, b, depth):
   ``raw_value`` for data whose g has no junction branch (p = 1,
   b = s - 1);
 - ``raw_value`` for data with a junction branch, whose integrand
-  carries w^(1-s) at w = 0: one rule of depth 40 at every point;
+  carries w^(1-s) at w = 0: one rule of depth 40 (490 nodes) at every
+  point;
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
   singular point x_s at one endpoint.
 
@@ -102,14 +105,22 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, mu0 * vectors[0] ** 2
 
 
-# 20-node Gauss-Jacobi panels at the ends of the unit rules, 12-node
-# Gauss-Legendre bands between them (``_gauss_legendre``);
-# integrate_singular's first band is [0, 2^-12]
-_END_NODES = 20
+# Node counts of the unit rules' Gauss-Jacobi panels, each sized to its
+# Bernstein-ellipse margin rho: an n-node panel errs by about rho^-2n
+# (Trefethen, Approximation Theory and Approximation Practice, ch. 19). The
+# start panel [0, 2^-depth] is at most half as wide as the distance to the
+# nearest singularity left of w = 0 (gauss_ladder's depth rule), so
+# rho >= 5 + sqrt 24 ~ 9.9 and 10 nodes leave ~1e-20; at depth 1 the folded
+# (1-w)^b, cut at w = 1, caps it at 3 + sqrt 8 ~ 5.83, ~5e-16. The end
+# panel [1/2, 1] lies one width from a branch point at w <= 0, as the
+# 12-node Gauss-Legendre bands (``_gauss_legendre``) do, so rho >= 5.83 and
+# 12 nodes leave ~5e-19. integrate_singular's first band is [0, 2^-12].
+_START_NODES = 10
+_END_NODES = 12
 _SINGULAR_DEPTH = 12
 # values of f per block of an apply_rule call; bounds its memory
 _BLOCK_NODES = 8192
-# deepest gauss_ladder rule (748 nodes): it resolves points up to 2^59
+# deepest gauss_ladder rule (730 nodes): it resolves points up to 2^59
 # gaps right of b, and ExtensionSolution refuses reads beyond
 _MAX_DEPTH = 60
 
@@ -118,10 +129,11 @@ _MAX_DEPTH = 60
 def jacobi_end_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes w and weights W with sum W f(w) ~ int_1/2^1 (1-w)^exponent f(w) dw.
 
-    A 20-node Gauss-Jacobi rule (``gauss_jacobi``), exact for f of degree
-    <= 39 and at rounding for f analytic on a neighbourhood of [1/2, 1]
-    that reaches w <= 0. Built on first use per exponent; both arrays are
-    read-only.
+    A 12-node Gauss-Jacobi rule (``gauss_jacobi``), exact for f of degree
+    <= 23 and at rounding for f analytic on a neighbourhood of [1/2, 1]
+    that reaches w <= 0: the Bernstein ellipse through w = 0 has
+    rho = 3 + sqrt 8, and rho^-24 ~ 5e-19. Built on first use per
+    exponent; both arrays are read-only.
     """
     x, g = gauss_jacobi(_END_NODES, exponent, 0.0)  # w = (3 + x)/4
     return _read_only(0.75 + 0.25 * x, 4.0 ** (-exponent - 1.0) * g)
@@ -129,10 +141,10 @@ def jacobi_end_rule(exponent: float) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=32)
 def _jacobi_start_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """``gauss_jacobi(20, 0, p - 1)`` on [-1, 1]: the start panel of every
+    """``gauss_jacobi(10, 0, p - 1)`` on [-1, 1]: the start panel of every
     ``unit_rule(p, ., .)`` before its scaling to [0, 2^-depth]. Built on
     first use per p; both arrays are read-only."""
-    return _read_only(*gauss_jacobi(_END_NODES, 0.0, p - 1.0))
+    return _read_only(*gauss_jacobi(_START_NODES, 0.0, p - 1.0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -140,16 +152,19 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes w and weights W with sum W f(w) ~ int_0^1 w^(p-1) (1-w)^b f(w) dw.
 
     Three parts, each with the kernel factor it does not absorb folded
-    into its weights: a 20-node Gauss-Jacobi panel for w^(p-1) on
+    into its weights: a 10-node Gauss-Jacobi panel for w^(p-1) on
     [0, 2^-depth], depth - 1 Gauss-Legendre bands of 12 nodes doubling
-    from 2^-depth to 1/2, and ``jacobi_end_rule(b)`` on [1/2, 1]. The
+    from 2^-depth to 1/2, and the 12-node ``jacobi_end_rule(b)`` on
+    [1/2, 1]. Each panel's node count is sized to its margin (see
+    ``_START_NODES``): the start panel is used where the nearest
+    singularity of f lies at least twice its width from w = 0. The
     bands keep (band width)/(distance to w = 0) at 1, so f may have a
     branch point at w = 0 or just left of it and is still integrated to
     rounding; f must be analytic on a neighbourhood of [1/2, 1] that
     reaches w <= 0. The left exponent is given as p = a + 1 > 0, the
     power of the first panel's scale (2^-depth/2)^p, so that it enters
     exactly: in floating point (s - 1) + 1 need not be s. b > -1.
-    20 + 12 (depth - 1) + 20 nodes, increasing, depending on (p, b,
+    10 + 12 (depth - 1) + 12 nodes, increasing, depending on (p, b,
     depth) only; both arrays are read-only and built on first use. The
     cache holds 32 rules: a run at one s needs one per depth class of
     the nodes of its H_n tables and one per depth class of the nodes of
@@ -206,7 +221,7 @@ def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarra
     point at w = -gap/xi. Each point takes ``unit_rule(p, b, depth)``
     with the least depth whose first panel [0, 2^-depth] is no wider
     than half that distance, ceil(log2(2 xi/gap)), at least 1 and at most
-    60: 40 nodes up to xi = gap/2, 12 more per doubling of xi beyond.
+    60: 22 nodes up to xi = gap/2, 12 more per doubling of xi beyond.
     Points of one depth share one rule, applied by ``apply_rule``. Each
     point's depth depends on its own xi only, so a value does not depend
     on the other points of the call.

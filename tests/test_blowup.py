@@ -273,7 +273,7 @@ def test_convergence_validation(psi0_default, kappa_half):
 
 
 def test_convergence_needs_two_j(psi0_default, kappa_half):
-    # one point gives no rate: np.polyfit would warn and fit noise
+    # one point gives no rate: the least-squares line would divide by zero
     for j_list in ((4,), ()):
         with pytest.raises(ValueError, match="at least two"):
             check_blowup_convergence(0.5, psi0_default, j_list, kappa=kappa_half)

@@ -265,6 +265,16 @@ def test_every_evaluator_takes_an_empty_array(ramp_solution):
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
+def test_an_empty_read_builds_no_table():
+    # the fit's constant rung reads order 1 at no point; that read must not
+    # build H_1 on the first panel alone, to be grown again by the next read
+    sol = solve_extension(quadratic_bump_profile(), 0.3)
+    edges, tables = sol._state
+    assert sol.derivative_fast(1, np.array([])).shape == (0,)
+    assert sol.smooth_factor(2, []).shape == (0,)
+    assert np.array_equal(sol._state[0], edges) and sol._state[1] == tables == {}
+
+
 def test_reads_at_inf_are_refused_before_any_growth():
     sol = solve_extension(quadratic_bump_profile(), 0.3)
     sol.value(np.array([1.5, 3.0]))

@@ -201,23 +201,41 @@ def test_abel_unit_rule_sums_to_reflection(s):
     # f = 1: int_0^1 w^(s-1) (1-w)^(-s) dw = B(s, 1-s) = pi/sin(pi s)
     for depth in range(1, 13):
         nodes, weights = unit_rule(s, -s, depth)
-        assert nodes.size == 20 + 12 * (depth - 1) + 20 and np.all(np.diff(nodes) > 0.0)
+        assert nodes.size == 10 + 12 * (depth - 1) + 12 and np.all(np.diff(nodes) > 0.0)
         assert nodes[0] > 0.0 and nodes[-1] < 1.0
         assert abs(np.sum(weights) / reflection(s) - 1.0) <= 1e-14
 
 
-def _abel_reference(s: float, d: float) -> float:
-    """int_0^1 w^(s-1) (1-w)^(-s) (w+d)^(-s) dw by mpmath, with both endpoint
-    singularities removed by substitution (w = u^(1/s), 1-w = v^(1/(1-s)))."""
-    with mpmath.workdps(30):
-        s, d = mpmath.mpf(s), mpmath.mpf(d)
+def _unit_reference(p: float, b: float, s: float, d: float) -> float:
+    """int_0^1 w^(p-1) (1-w)^b (w+d)^(-s) dw by 40-digit mpmath, with both
+    endpoint singularities removed by substitution (w = u^(1/p),
+    1-w = v^(1/(b+1)))."""
+    with mpmath.workdps(40):
+        p, b, s, d = (mpmath.mpf(v) for v in (p, b, s, d))
         f = lambda w: (w + d) ** -s
         half = mpmath.mpf(1) / 2
-        cuts = sorted({mpmath.mpf(0), half**s, *(p**s for p in (d / 10, d, 10 * d) if p < half)})
-        left = mpmath.quad(lambda u: f(u ** (1 / s)) * (1 - u ** (1 / s)) ** -s, cuts) / s
-        w = lambda v: 1 - v ** (1 / (1 - s))
-        right = mpmath.quad(lambda v: f(w(v)) * w(v) ** (s - 1), [0, half ** (1 - s)]) / (1 - s)
+        cuts = sorted({mpmath.mpf(0), half**p, *(c**p for c in (d / 10, d, 10 * d) if c < half)})
+        left = mpmath.quad(lambda u: f(u ** (1 / p)) * (1 - u ** (1 / p)) ** b, cuts) / p
+        w = lambda v: 1 - v ** (1 / (b + 1))
+        right = mpmath.quad(lambda v: f(w(v)) * w(v) ** (p - 1), [0, half ** (b + 1)]) / (b + 1)
         return float(left + right)
+
+
+@pytest.mark.parametrize("s", [0.002, 0.02, 0.5, 0.98, 0.998])
+@pytest.mark.parametrize("family", ["table", "residual"])
+def test_unit_rule_panels_meet_their_margin(family, s):
+    # gauss_ladder gives a point the least depth whose start panel
+    # [0, 2^-depth] is at most half as wide as the distance to the branch
+    # point; f's branch point sits exactly there, at w = -2^(1-depth), so
+    # each panel sees the least margin the ladder allows. A panel cut
+    # below its node count for that margin fails the bound
+    p, b = (1.0, s - 1.0) if family == "table" else (s, -s)
+    for depth in (1, 3, 8):
+        d = 2.0 ** (1 - depth)
+        nodes, weights = unit_rule(p, b, depth)
+        got = float(np.sum(weights * (nodes + d) ** -s))
+        ref = _unit_reference(p, b, s, d)
+        assert abs(got - ref) <= 1e-14 * abs(ref), (depth, got, ref)
 
 
 @pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
@@ -226,16 +244,16 @@ def test_abel_unit_rule_near_branch_point(s, d):
     # H_1((x-b) w) has a branch point at w = -gap/(x-b); d = 5e-5 is x - b
     # at 2e4 gaps. gauss_ladder picks the residual's depth for it
     got = gauss_ladder(lambda z: (z + d) ** -s, np.array([1.0]), s, -s, d)[0]
-    ref = _abel_reference(s, d)
+    ref = _unit_reference(s, -s, s, d)
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 def test_batched_gauss_ladder_rows_are_scalar_ladders():
-    # xi = 0, 300 points of depth 1 (more than one block of its 40-node
-    # rule) and a sweep up to depth 17: each point's value is
+    # xi = 0, 400 points of depth 1 (more than one block, 372 points, of
+    # its 22-node rule) and a sweep up to depth 17: each point's value is
     # what a call for that point alone gives, bit for bit
     gap = 1e-3
-    xi = np.concatenate([[0.0], np.linspace(1e-6, 0.5 * gap, 300), np.geomspace(gap, 60.0, 97)])
+    xi = np.concatenate([[0.0], np.linspace(1e-6, 0.5 * gap, 400), np.geomspace(gap, 60.0, 97)])
     f = lambda z: np.sqrt(z + gap)
     batched = gauss_ladder(f, xi, 0.5, -0.5, gap)
     assert batched.shape == xi.shape
@@ -245,7 +263,7 @@ def test_batched_gauss_ladder_rows_are_scalar_ladders():
 
 
 def test_unit_rule_builds_its_start_panel_once_per_p(monkeypatch):
-    # the start panel gauss_jacobi(20, 0, p - 1) is shared by every b and
+    # the start panel gauss_jacobi(10, 0, p - 1) is shared by every b and
     # depth of one p, and the rules are what a fresh build gives
     p = 0.4375
     fresh = {(b, d): unit_rule.__wrapped__(p, b, d) for b in (-0.25, 0.5) for d in (1, 3, 7)}
@@ -262,6 +280,6 @@ def test_unit_rule_builds_its_start_panel_once_per_p(monkeypatch):
     for (b, d), (nodes, weights) in fresh.items():
         cached = unit_rule(p, b, d)
         assert np.array_equal(cached[0], nodes) and np.array_equal(cached[1], weights)
-    assert calls.count((20, 0.0, p - 1.0)) == 1
+    assert calls.count((10, 0.0, p - 1.0)) == 1
     for a in singular_quadrature._jacobi_start_rule(p):
         assert not a.flags.writeable

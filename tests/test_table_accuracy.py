@@ -220,7 +220,7 @@ def test_raw_value_matches_mpmath(name, s):
 
 
 def test_raw_value_rows_do_not_depend_on_the_batch():
-    # the ramp's 16 points of the 508-node rule fill one block of 8192 values,
+    # the ramp's 16 points of the 490-node rule fill one block of 8192 values,
     # so the 49 points right of b take 4 blocks; the bump's points go through
     # gauss_ladder, grouped by depth
     xs = np.concatenate([[0.5, 1.0], 1.0 + np.geomspace(1e-6, 8.0, 49)])
@@ -256,23 +256,23 @@ def test_raw_rule_is_sized_to_the_junction_branch(s):
     xs = 1.0 + 2.0 ** -np.arange(5, 15)
     ramp = solve_extension(builtin_profile("ramp"), s)  # g carries w^(1-s) at b
     assert any(ramp.forcing.junction_alphas().values())
-    assert unit_rule(1.0, s - 1.0, _RAW_DEPTH)[0].size == 508
-    assert _forcing_evaluations(ramp, xs) == 508 * xs.size
+    assert unit_rule(1.0, s - 1.0, _RAW_DEPTH)[0].size == 490
+    assert _forcing_evaluations(ramp, xs) == 490 * xs.size
     # branch-free data take gauss_ladder's depth per point, as the table nodes do
     bump = solve_extension(builtin_profile("bump"), s)
     assert not any(bump.forcing.junction_alphas().values())
     gap = bump.b - bump.profile.breakpoints[-2]
     depth = np.clip(np.ceil(np.log2(2.0 * (xs - bump.b) / gap)), 1, 60).astype(int)
     expect = sum(unit_rule(1.0, s - 1.0, int(d))[0].size for d in depth)
-    assert expect == 40 * xs.size  # every kappa point lies within half a gap of b
+    assert expect == 22 * xs.size  # every kappa point lies within half a gap of b
     assert _forcing_evaluations(bump, xs) == expect
     # far points take deeper rules
     far = bump.b + np.array([8.0, 1e3])
-    assert _forcing_evaluations(bump, far) == (20 + 12 * 5 + 20) + (20 + 12 * 12 + 20)
+    assert _forcing_evaluations(bump, far) == (10 + 12 * 5 + 12) + (10 + 12 * 12 + 12)
 
 
 def test_cached_table_and_raw_value_rules_are_read_only():
-    sol = solve_extension(builtin_profile("ramp"), 0.3)  # a junction branch: the 508-node rule
+    sol = solve_extension(builtin_profile("ramp"), 0.3)  # a junction branch: the 490-node rule
     sol.raw_value(1.5)
     for arrays in (jacobi_end_rule(0.3 - 1.0), unit_rule(1.0, 0.3 - 1.0, _RAW_DEPTH)):
         for a in arrays:
