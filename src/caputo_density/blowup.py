@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension_solver import ExtensionSolution, _check_order, _reach, solve_extension
-from .piecewise import PiecewisePoly, polyder, taylor_shift
+from .piecewise import PiecewisePoly, taylor_shift
 from .profiles import quadratic_bump_profile
 from .singular_quadrature import integrate_singular, poly_abel_integral
-from .special_functions import beta, fractional_order, gamma
+from .special_functions import beta, fractional_order, gamma, sin_pi
 
 __all__ = [
     "Psi0Profile",
@@ -222,8 +222,9 @@ class BlowupMember(Combination):
     def caputo_value_direct(self, x: float) -> float:
         """D_{-j}^s v_j(x) evaluated directly on the v_j side.
 
-        Independent of caputo_value: the data part integrates the
-        rescaled piecewise polynomial exactly and the extension part is
+        Independent of caputo_value: the rescaled data pieces, the last
+        one continued past 0 (it carries psi's junction polynomial),
+        integrate exactly, and the rest of the extension part is
         ``integrate_singular`` on the two halves of (0, x) in t, each with
         the other kernel factor in its integrand, not the residual's rule.
         Like the tables it refuses +inf and points beyond their reach, and
@@ -240,17 +241,9 @@ class BlowupMember(Combination):
         for tau_lo, tau_hi, dcoeffs in self.psi.profile.derivative_pieces():
             scale = j ** (s - 1.0) * j ** -np.arange(dcoeffs.size)
             pieces.append((j * (tau_lo - 1.0), j * (tau_hi - 1.0), dcoeffs * scale))
+        pieces[-1] = (pieces[-1][0], math.inf, pieces[-1][2])
         total = poly_abel_integral(pieces, x, -s)
         if x > 0.0:
-            dpoly = polyder(self.psi.junction_polynomial)
-            for k in range(dpoly.size):
-                if dpoly[k] != 0.0:
-                    total += (
-                        dpoly[k]
-                        * j ** (s - 1.0 - k)
-                        * x ** (k + 1.0 - s)
-                        * beta(k + 1.0, 1.0 - s)
-                    )
             mid = 0.5 * x
             h1 = lambda t: self.psi.smooth_factor(1, t / j)
             total += integrate_singular(
@@ -304,7 +297,7 @@ def estimate_kappa(s: float, profile: Psi0Profile) -> KappaEstimate:
 
     g1 = psi.g_value(psi.b)
     kappa_a = beta(1.0, s) * g1
-    kappa_b = math.sin(math.pi * s) / math.pi * kappa_a
+    kappa_b = sin_pi(s) / math.pi * kappa_a
     match_a = abs(kappa - kappa_a) <= 0.01 * abs(kappa_a)
     match_b = abs(kappa - kappa_b) <= 0.01 * abs(kappa_b)
     matched = "a" if (match_a and not match_b) else "b" if (match_b and not match_a) else None

@@ -162,9 +162,10 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
     """Rows (member, point)-major of (v_j(x), v_j'(x), ..., v_j^(m)(x)).
 
     Entries come from the chain rule v_j^(l)(x) = j^(s-l) psi^(l)(x/j+1)
-    with psi^(l) from the interior-derivative formula (fresh quadrature,
-    not the tables): one ``derivative`` call per order over every
-    (member, point) pair, so the members must share one psi.
+    with psi's ``derivative``: one call per order over every (member,
+    point) pair, so the members must share one psi. Orders l >= 1 take
+    the interior-derivative formula by fresh quadrature, not the tables;
+    order 0 is psi's ``value``, a read of the H_0 table.
     """
     members = list(members)
     points = [float(x) for x in points]

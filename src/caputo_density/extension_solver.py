@@ -10,21 +10,22 @@ whose unique solution with u(b) = phi(b) is
 
 For piecewise-polynomial data every g^(i) is a finite sum of power-law
 terms c * (x-b)^j * (x-tau)^p, computed exactly here. The terms that are
-pure powers of (x-b) carry the junction branch xi^(k+1-s); integrating
-them against the kernel gives an exact polynomial in (x-b), and what
-remains of g is analytic at b. The solution therefore splits as
+pure powers of (x-b) carry the junction branch xi^(k+1-s); they come
+from the last data piece alone, and their part of u is that piece
+continued past b, since (sin pi s/pi) B(1-s, k+1) B(k+2-s, s) = 1/(k+1).
+What remains of g is analytic at b. The solution therefore splits as
 
     u(b + xi) = phi(b) + P(xi) + xi^s * H_0(xi),
 
-with P a closed-form polynomial and H_0 analytic on [0, inf). Each
-derivative order n has the same structure with its own analytic factor
-H_n, tabulated as paneled Chebyshev series on its first read and
-evaluated thereafter at interpolation cost; so is the analytic part R
-of the Caputo residual, an Abel integral of H_1. The panels are one fixed
-ladder, edges (2^k - 1) gap/2 with gap = b - (last data breakpoint
-left of b), built only as far as the largest point read. Direct
-quadrature paths are kept for the representation-formula contract
-shape and for cross-checks.
+with P(xi) = phi_last(b + xi) - phi(b), the last piece continued, and
+H_0 analytic on [0, inf). Each derivative order n has the same structure
+with its own analytic factor H_n, tabulated as paneled Chebyshev series
+on its first read and evaluated thereafter at interpolation cost; so is
+the analytic part R of the Caputo residual, an Abel integral of H_1.
+The panels are one fixed ladder, edges (2^k - 1) gap/2 with gap = b -
+(last data breakpoint left of b), built only as far as the largest
+point read. Direct quadrature paths are kept for the
+representation-formula contract shape and for cross-checks.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import threading
 
 import numpy as np
 
-from .piecewise import MAX_DEGREE, PiecewisePoly, polyder, polyval, taylor_shift
+from .piecewise import PiecewisePoly, polyder, polyval, taylor_shift
 from .singular_quadrature import _MAX_DEPTH, apply_rule, gauss_ladder, poly_abel_integral, unit_rule
-from .special_functions import beta, fractional_order, gamma
+from .special_functions import fractional_order, gamma, sin_pi
 
 __all__ = [
     "ExtensionSolution",
@@ -59,8 +60,8 @@ _RAW_DEPTH = 40
 # ~ 5.83 about every panel, and its coefficients decay at least like
 # rho^-k (Trefethen, Approximation Theory and Approximation Practice,
 # ch. 8): degree 23 leaves rho^-23 ~ 2.5e-18. The Caputo residual's
-# table R (see _extension_caputo) has H_1's cut and no other, so the
-# same panels and points serve it.
+# table R (see caputo_value) has H_1's cut and no other, so the same
+# panels and points serve it.
 _CHEB_POINTS = 24
 # key of R's table in a solution's state, next to the orders n of H_n
 _CAPUTO = "caputo"
@@ -217,16 +218,6 @@ class _Forcing:
         at0 = np.where(m_jpow == 0, m_coef * m_dtau**m_pw, 0.0)
         return float(np.sum(at0))
 
-    def junction_alphas(self) -> dict[int, float]:
-        """Coefficients alpha_k of the branch terms alpha_k (x-b)^(k+1-s) in g."""
-        _, _, _, _, p_coef, p_pow = self._terms(0)
-        s = self.s
-        out: dict[int, float] = {}
-        for c, q in zip(p_coef, p_pow):
-            k = round(q - 1.0 + s)
-            out[k] = out.get(k, 0.0) + float(c)
-        return out
-
 
 @functools.cache
 def _cheb_fit() -> tuple[np.ndarray, np.ndarray]:
@@ -309,14 +300,15 @@ class ExtensionSolution:
     built on its first read, 24 points per panel and one
     ``_smooth_factor_quad`` call over the nodes of every panel, and
     matches the analytic factor to rounding for every s (checked against
-    mpmath for s from 0.002 to 0.998). The Caputo residual has one more
-    table on the same panels, of R (see ``_extension_caputo``), built on
-    the first ``caputo_value`` read right of b from the order-1 table.
-    The panels are one fixed ladder from b, widths gap/2, gap, 2 gap,
-    ..., and every built table grows along it when a point lies beyond
-    the covered range, only as far as that point. Every read refuses,
-    before any growth, a point at +inf or more than 2^59 gaps right of
-    b, which no ``gauss_ladder`` rule reaches. A table is read in one
+    mpmath for s from 0.002 to 0.998). The junction polynomial P is the
+    last data piece continued past b, less phi(b). The Caputo residual
+    has one more table on the same panels, of R (see ``caputo_value``),
+    built on the first ``caputo_value`` read right of b from the order-1
+    table. The panels are one fixed ladder from b, widths gap/2, gap,
+    2 gap, ..., and every built table grows along it when a point lies
+    beyond the covered range, only as far as that point. Every read
+    refuses, before any growth, a point at +inf or more than 2^59 gaps
+    right of b, which no ``gauss_ladder`` rule reaches. A table is read in one
     Clenshaw sweep over all points of a call, each gathering its own
     panel's coefficients. The panel edges and the tables are one state,
     grown aside and swapped in one step under a lock, and every read
@@ -346,14 +338,13 @@ class ExtensionSolution:
         # the reach of gauss_ladder's deepest rule; every read refuses points beyond
         self._max_xi = 2.0 ** (_MAX_DEPTH - 1) * self._branch_gap
         # sin(pi s)/pi, the normalization of the representation formula
-        self._sin_factor = math.sin(math.pi * s) / math.pi
-        alphas = self.forcing.junction_alphas()
-        # whether g carries a junction branch; raw_value sizes its rule by it
-        self._branched = any(alpha != 0.0 for alpha in alphas.values())
-        poly = np.zeros(MAX_DEGREE + 2)
-        for k, alpha in alphas.items():
-            poly[k + 1] = self._sin_factor * alpha * beta(k + 2.0 - s, s)
-        self._poly = poly  # ascending coefficients in xi = x - b, no constant term
+        self._sin_factor = sin_pi(s) / math.pi
+        # P: the last piece about b, ascending in xi = x - b, without its constant
+        poly = taylor_shift(profile.coeffs[-1], self._branch_gap)
+        poly[0] = 0.0
+        self._poly = poly
+        # g carries a junction branch exactly when P does; raw_value sizes its rule by it
+        self._branched = bool(np.any(poly))
 
         # (panel edges, {order n or _CAPUTO: coefficients}); replaced whole, never mutated
         self._state = (np.array([0.0, 0.5 * self._branch_gap]), {})
@@ -542,10 +533,11 @@ class ExtensionSolution:
         at the point itself, independently of the tables' P + xi^s H_0
         split. The rule is sized to g:
 
-        - data with a junction branch (some alpha_k != 0, e.g. the ramp)
-          take ``unit_rule(1, s - 1, 40)`` (490 nodes) at every x: its
-          first band [0, 2^-40] resolves the branch w^(1-s) of g. It is
-          applied by ``apply_rule``, in blocks of at most 8192 values of g;
+        - data with a junction branch (a last piece of nonzero slope, e.g.
+          the ramp) take ``unit_rule(1, s - 1, 40)`` (490 nodes) at every
+          x: its first band [0, 2^-40] resolves the branch w^(1-s) of g.
+          It is applied by ``apply_rule``, in blocks of at most 8192
+          values of g;
         - branch-free data (psi_0, the bump) make one ``gauss_ladder``
           call, the depth rule of the table nodes: g(b + xi w) is then
           analytic at w = 0 and cut only at w = -gap/xi, so a point takes
@@ -574,19 +566,26 @@ class ExtensionSolution:
 
     @property
     def junction_polynomial(self) -> np.ndarray:
-        """Ascending coefficients in (x-b) of the closed-form junction polynomial."""
+        """Ascending coefficients in (x-b) of the junction polynomial P: the
+        last data piece continued past b, less phi(b)."""
         return self._poly.copy()
 
     def caputo_value(self, x):
         """D_a^s u(x) of the delivered solution (0 for x <= a by causality,
         NaN at a NaN point).
 
-        x may be a scalar (a float is returned) or an array. Left of b
-        the data part is one ``poly_abel_integral``; beyond b the
-        extension adds ``_extension_caputo``, closed-form terms plus one
-        read of the table R per point, built or grown as the H_n tables
-        are. A value does not depend on the other points of the array nor
-        on earlier reads.
+        x may be a scalar (a float is returned) or an array. Beyond b,
+        u' = P' + (t-b)^(s-1) H_1(t-b), and P' is the last data piece's
+        derivative continued. So the polynomial part is one
+        ``poly_abel_integral`` over the data's derivative pieces with the
+        last one continued to x, and w = (t-b)/(x-b) turns the rest into
+        R(x-b) = int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw, one read of
+        its table per point, built or grown as the H_n tables are. R is
+        analytic on [0, inf) with H_1's cut (-inf, -gap] and no other, so
+        its panels keep the margin of the H_n tables; its node values are
+        ``gauss_ladder`` sums over ``unit_rule(s, -s, depth)`` of the
+        order-1 table. A value does not depend on the other points of the
+        array nor on earlier reads.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         _reach(xa - self.b, self._max_xi)  # refused before any table grows
@@ -594,31 +593,14 @@ class ExtensionSolution:
         out = np.where(np.isnan(xa), np.nan, 0.0)
         live = xa > self.a
         if np.any(live):
-            out[live] = poly_abel_integral(self.profile.derivative_pieces(), xa[live], -s)
+            *pieces, (tau_lo, _, last) = self.profile.derivative_pieces()
+            pieces.append((tau_lo, math.inf, last))
+            out[live] = poly_abel_integral(pieces, xa[live], -s)
         ext = xa > self.b
         if np.any(ext):
-            out[ext] += self._extension_caputo(xa[ext] - self.b)
+            out[ext] += self._eval_table(_CAPUTO, xa[ext] - self.b)
         out /= gamma(1.0 - s)
         return out if isinstance(x, np.ndarray) else float(out[0])
-
-    def _extension_caputo(self, xi: np.ndarray) -> np.ndarray:
-        """int_b^x u'(t) (x-t)^(-s) dt of the extension part for x = b + xi > b.
-
-        u' = P' + (t-b)^(s-1) H_1(t-b) on (b, x). The junction polynomial
-        P' integrates in closed form, and w = (t-b)/xi turns the rest into
-        R(xi) = int_0^1 w^(s-1) (1-w)^(-s) H_1(xi w) dw, read from its
-        table. R is analytic on [0, inf) with H_1's cut (-inf, -gap] and no
-        other, so its panels keep the margin of the H_n tables; its node
-        values are ``gauss_ladder`` sums over ``unit_rule(s, -s, depth)``
-        of the order-1 table.
-        """
-        s = self.s
-        out = np.zeros_like(xi)
-        dpoly = polyder(self._poly)
-        for k in range(dpoly.size):
-            if dpoly[k] != 0.0:
-                out += dpoly[k] * xi ** (k + 1.0 - s) * beta(k + 1.0, 1.0 - s)
-        return out + self._eval_table(_CAPUTO, xi)
 
 
 def solve_extension(profile: PiecewisePoly, s: float) -> ExtensionSolution:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caputo_density.special_functions import beta, fractional_order, gamma, reflection
+from caputo_density.blowup import Psi0Profile, estimate_kappa
+from caputo_density.extension_solver import solve_extension
+from caputo_density.profiles import builtin_profile
+from caputo_density.special_functions import beta, fractional_order, gamma, reflection, sin_pi
 
 
 def test_gamma_integers():
@@ -51,6 +54,31 @@ def test_reflection_identity_grid():
         target = math.pi / math.sin(math.pi * s)
         assert abs(beta(s, 1.0 - s) - target) <= 1e-10 * abs(target)
         assert reflection(s) == pytest.approx(target, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.9, 0.98, 0.998, 0.9999])
+def test_sin_pi_keeps_its_relative_accuracy_near_one(s):
+    # math.sin(math.pi * s) errs here by 4.8e-16, 2.4e-15, 2.7e-14 and 7.2e-13:
+    # the rounding of pi s near pi is large against the small sine
+    with mpmath.workdps(40):
+        sine = mpmath.sin(mpmath.pi * mpmath.mpf(s))
+        want = {"sin": float(sine), "reflection": float(mpmath.pi / sine),
+                "factor": float(sine / mpmath.pi)}
+    kappa = estimate_kappa(s, Psi0Profile.default_quadratic())
+    got = {
+        "sin": sin_pi(s),
+        "reflection": reflection(s),
+        "factor": solve_extension(builtin_profile("ramp"), s)._sin_factor,
+        "kappa_b": kappa.kappa_b / kappa.kappa_a,
+    }
+    want["kappa_b"] = want["factor"]
+    for name, value in got.items():
+        assert abs(value / want[name] - 1.0) <= 1e-15, name
+
+
+def test_sin_pi_is_the_plain_product_up_to_one_half():
+    for s in np.linspace(0.001, 0.5, 500):
+        assert sin_pi(s) == math.sin(math.pi * s)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0))

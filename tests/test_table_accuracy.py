@@ -29,6 +29,7 @@ from caputo_density.extension_solver import (
     _ctilde,
     solve_extension,
 )
+from caputo_density.piecewise import PiecewisePoly
 from caputo_density.profiles import builtin_profile
 from caputo_density.singular_quadrature import jacobi_end_rule, unit_rule
 
@@ -219,6 +220,47 @@ def test_raw_value_matches_mpmath(name, s):
         np.testing.assert_allclose(sol.raw_value(xs), ref, rtol=1e-12, atol=0.0)
 
 
+# per s in VALUE_ORDERS: ten times the largest measured |value - u| / M
+# over the points of test_value_with_a_junction_branch_matches_mpmath
+VALUE_ORDERS = (0.002, 0.1, 0.5, 0.9, 0.998)
+VALUE_BOUNDS = {
+    "ramp": (1.9e-14, 7.6e-15, 4.3e-15, 3.0e-15, 2.3e-15),
+    "cubic": (9.6e-15, 6.4e-15, 1.1e-14, 1.3e-14, 7.3e-15),
+}
+
+
+@pytest.mark.parametrize("s", VALUE_ORDERS)
+@pytest.mark.parametrize("name", sorted(VALUE_BOUNDS))
+def test_value_with_a_junction_branch_matches_mpmath(name, s):
+    # P is exact, so near s = 1 the rounding of sin(pi s) in the tables'
+    # factor shows: with math.sin(math.pi * s) s = 0.998 reads 1.3e-14 (ramp)
+    # and 1.4e-14 (cubic)
+    if name == "ramp":
+        profile = builtin_profile("ramp")
+    else:
+        profile = PiecewisePoly.single([0.0, 1.0, 0.5, -0.4], 0.0, 1.0)
+    sol = solve_extension(profile, s)
+    xs = sol.b + np.array([2.0**-14, 0.01, 0.5, 2.0, 8.0])
+    ref, size = np.array([_reference_raw_value(sol, x) for x in xs]).T
+    error = np.abs(sol.value(xs) - ref) / size
+    assert np.all(error <= VALUE_BOUNDS[name][VALUE_ORDERS.index(s)]), error
+    # P against the Beta route from g's branch terms alpha_k (x-b)^(k+1-s):
+    # P_(k+1) = (sin pi s/pi) alpha_k B(k+2-s, s)
+    _, _, _, _, alpha, power = sol.forcing._terms(0)
+    with mpmath.workdps(40):
+        sm = mpmath.mpf(s)
+        want = [mpmath.mpf(0)] * 4
+        for c, q in zip(alpha, power):
+            k = round(q - 1.0 + s)
+            want[k + 1] += mpmath.sin(mpmath.pi * sm) / mpmath.pi * c * mpmath.beta(k + 2 - sm, sm)
+        want = [float(w) for w in want]
+    got = sol.junction_polynomial
+    assert any(got)
+    for k in range(4):
+        # ten times the largest measured relative error, 3.3e-16 (cubic, s = 0.002)
+        assert abs(got[k] - want[k]) <= 4e-15 * abs(want[k]), k
+
+
 def test_raw_value_rows_do_not_depend_on_the_batch():
     # the ramp's 16 points of the 490-node rule fill one block of 8192 values,
     # so the 49 points right of b take 4 blocks; the bump's points go through
@@ -255,12 +297,12 @@ def test_raw_rule_is_sized_to_the_junction_branch(s):
     # the kappa fit's points: 2^-5 .. 2^-14 right of b
     xs = 1.0 + 2.0 ** -np.arange(5, 15)
     ramp = solve_extension(builtin_profile("ramp"), s)  # g carries w^(1-s) at b
-    assert any(ramp.forcing.junction_alphas().values())
+    assert any(ramp.junction_polynomial)
     assert unit_rule(1.0, s - 1.0, _RAW_DEPTH)[0].size == 490
     assert _forcing_evaluations(ramp, xs) == 490 * xs.size
     # branch-free data take gauss_ladder's depth per point, as the table nodes do
     bump = solve_extension(builtin_profile("bump"), s)
-    assert not any(bump.forcing.junction_alphas().values())
+    assert not any(bump.junction_polynomial)
     gap = bump.b - bump.profile.breakpoints[-2]
     depth = np.clip(np.ceil(np.log2(2.0 * (xs - bump.b) / gap)), 1, 60).astype(int)
     expect = sum(unit_rule(1.0, s - 1.0, int(d))[0].size for d in depth)
