@@ -67,7 +67,7 @@ EXIT_TARGET_MISSED = 3
 MAX_POINTS = 1_000_000
 # largest |coefficient| of --poly and --f (poly:, a constant, csv: values)
 # and largest |--a|, |--b|. The forcing multiplies a coefficient by at most
-# 27 (derivative, shift and expansion binomials), by 1/s or 1/(1 - s)
+# 27 (derivative factor and expansion binomials), by 1/s or 1/(1 - s)
 # (< 1e16) and by a cube of lengths up to 2^59 spans past b, (2^60 * 2e30)^3
 # < 1.3e145: every term stays below 1e263, under the float range (1.8e308).
 # The fit's derivatives of a --f target multiply it by at most j^4 per term.

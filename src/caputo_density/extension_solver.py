@@ -8,12 +8,14 @@ whose unique solution with u(b) = phi(b) is
 
     u(x) = phi(b) + (sin(pi s)/pi) int_b^x g(t) (x-t)^(s-1) dt.
 
-For piecewise-polynomial data every g^(i) is a finite sum of power-law
-terms c * (x-b)^j * (x-tau)^p, computed exactly here. The terms that are
-pure powers of (x-b) carry the junction branch xi^(k+1-s); they come
-from the last data piece alone, and their part of u is that piece
-continued past b, since (sin pi s/pi) B(1-s, k+1) B(k+2-s, s) = 1/(k+1).
-What remains of g is analytic at b. The solution therefore splits as
+For piecewise-polynomial data g^(i)(x) = -(-s)_i int_a^b phi'(t)
+(x-t)^(-s-i) dt is the data's Abel integral, taken exactly piece by
+piece by ``poly_abel_integral``. The last piece's end at b carries the
+junction branch, (x-b)^(1-s-i) times a polynomial in x - b; continuing
+that piece to x and dropping its end there leaves G_reg^(i), the part of
+g^(i) analytic at b. The branch's part of u is that piece continued past
+b, since (sin pi s/pi) B(1-s, k+1) B(k+2-s, s) = 1/(k+1). The solution
+therefore splits as
 
     u(b + xi) = phi(b) + P(xi) + xi^s * H_0(xi),
 
@@ -87,19 +89,17 @@ def _check_junction_distance(n: int, xi: np.ndarray) -> None:
 
 
 def _reach(x: np.ndarray, limit: float = math.inf) -> float:
-    """The largest point of a read, 0 for none; refuses a point at +inf,
-    toward which no table can grow, and one beyond ``limit``, which a
-    solution sets to the reach of its deepest quadrature rule."""
-    top = float(np.max(x)) if x.size else 0.0
-    # a NaN hides an inf from max, so the tests behind it run then too
-    if not top < limit:
-        if np.any(x == math.inf):
-            raise ValueError("cannot read at +inf: the tables cover finite points only")
-        if np.any(x > limit):
-            raise ValueError(
-                f"cannot read at x - b = {float(np.max(x[x > limit])):.6g}: the quadrature "
-                f"reaches 2^{_MAX_DEPTH - 1} gaps = {limit:.6g} right of b"
-            )
+    """The largest point of a read but NaN (0 for none, NaN for only NaN);
+    refuses a point at +inf, toward which no table can grow, and one beyond
+    ``limit``, which a solution sets to the reach of its deepest rule."""
+    top = float(np.fmax.reduce(x, axis=None)) if x.size else 0.0
+    if top == math.inf:
+        raise ValueError("cannot read at +inf: the tables cover finite points only")
+    if top > limit:
+        raise ValueError(
+            f"cannot read at x - b = {top:.6g}: the quadrature "
+            f"reaches 2^{_MAX_DEPTH - 1} gaps = {limit:.6g} right of b"
+        )
     return top
 
 
@@ -120,103 +120,6 @@ def _ctilde(s: float, n: int, i: int) -> float:
     for q in range(1, n - i):
         out *= s - q
     return out
-
-
-class _Forcing:
-    """Closed-form power-law representation of g and all its derivatives."""
-
-    def __init__(self, profile: PiecewisePoly, s: float):
-        self.profile = profile
-        self.s = s
-        self._orders: dict[int, tuple[np.ndarray, ...]] = {}
-
-    def _build(self, i: int) -> tuple[np.ndarray, ...]:
-        s = self.s
-        b = self.profile.hi
-        e = -s - i
-        scalar = -_falling(-s, i)  # -(-s)(-s-1)...(-s-i+1); -1 for i = 0
-        mixed: dict[tuple[int, float, float], float] = {}
-        pure: dict[float, float] = {}
-
-        def add_mixed(coef, jpow, dtau, pw):
-            key = (jpow, dtau, pw)
-            mixed[key] = mixed.get(key, 0.0) + coef
-
-        def add_pure(coef, qpow):
-            pure[qpow] = pure.get(qpow, 0.0) + coef
-
-        for tau_lo, tau_hi, dcoeffs in self.profile.derivative_pieces():
-            if not np.any(dcoeffs):
-                continue
-            # the piece polynomial about b
-            p_hat = taylor_shift(dcoeffs, b - tau_lo)
-            for k in range(p_hat.size):
-                if p_hat[k] == 0.0:
-                    continue
-                for r in range(k + 1):
-                    pw = r + e + 1.0
-                    if pw == 0.0:
-                        # -s - i rounds to -i (r = i - 1) or to -(i + 1) (r = i)
-                        end, rounded = (0, i) if e == -i else (1, i + 1)
-                        raise ValueError(
-                            f"fractional order {s!r} is too close to {end} for derivative "
-                            f"order {i}: -s - {i} rounds to -{rounded}"
-                        )
-                    cc = scalar * p_hat[k] * math.comb(k, r) * (-1.0) ** r / pw
-                    add_mixed(cc, k - r, b - tau_lo, pw)
-                    if tau_hi == b:
-                        add_pure(-cc, k + e + 1.0)
-                    else:
-                        add_mixed(-cc, k - r, b - tau_hi, pw)
-
-        m_items = sorted(mixed.items())
-        p_items = sorted(pure.items())
-        m_coef = np.array([c for _, c in m_items])
-        m_jpow = np.array([key[0] for key, _ in m_items], dtype=float)
-        m_dtau = np.array([key[1] for key, _ in m_items])
-        m_pw = np.array([key[2] for key, _ in m_items])
-        p_coef = np.array([c for _, c in p_items])
-        p_pow = np.array([q for q, _ in p_items])
-        return m_coef, m_jpow, m_dtau, m_pw, p_coef, p_pow
-
-    def _terms(self, i: int):
-        if i not in self._orders:
-            self._orders[i] = self._build(i)
-        return self._orders[i]
-
-    def regular_part(self, i: int, xi):
-        """G_reg^(i)(b + xi): the part of g^(i) analytic at the junction."""
-        m_coef, m_jpow, m_dtau, m_pw, _, _ = self._terms(i)
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        # terms of neighbouring pieces share their powers: each is taken once
-        powers: dict[tuple[float, float], np.ndarray] = {}
-        for c, j, d, p in zip(m_coef, m_jpow, m_dtau, m_pw):
-            if (d, p) not in powers:
-                powers[d, p] = (xi + d) ** p
-            out += c * xi**j * powers[d, p]
-        return out
-
-    def singular_part(self, i: int, xi):
-        """The junction branch of g^(i): a sum of pure (x-b) powers."""
-        _, _, _, _, p_coef, p_pow = self._terms(i)
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        for c, q in zip(p_coef, p_pow):
-            out += c * xi**q
-        return out
-
-    def value(self, i: int, xi):
-        """g^(i)(b + xi) for xi >= 0 (xi > 0 when i >= 1 and the branch is present)."""
-        return self.regular_part(i, xi) + self.singular_part(i, xi)
-
-    def regular_at_b(self, i: int) -> float:
-        """G_reg^(i)(b)."""
-        m_coef, m_jpow, m_dtau, m_pw, _, _ = self._terms(i)
-        if m_coef.size == 0:
-            return 0.0
-        at0 = np.where(m_jpow == 0, m_coef * m_dtau**m_pw, 0.0)
-        return float(np.sum(at0))
 
 
 @functools.cache
@@ -298,15 +201,18 @@ class ExtensionSolution:
 
     Construction builds no table. Each order's Chebyshev table of H_n is
     built on its first read, 24 points per panel and one
-    ``_smooth_factor_quad`` call over the nodes of every panel, and
-    matches the analytic factor to rounding for every s (checked against
-    mpmath for s from 0.002 to 0.998). The junction polynomial P is the
-    last data piece continued past b, less phi(b). The Caputo residual
-    has one more table on the same panels, of R (see ``caputo_value``),
-    built on the first ``caputo_value`` read right of b from the order-1
-    table. The panels are one fixed ladder from b, widths gap/2, gap,
-    2 gap, ..., and every built table grows along it when a point lies
-    beyond the covered range, only as far as that point. Every read
+    ``_smooth_factor_quad`` call over the nodes of every panel. Orders 0
+    and 1 are checked against mpmath for s from 0.002 to 0.998 out to
+    10 (b - a), and for the bump out to 256 gaps within 5e-14 |H_n|.
+    Orders 2 and up are not, and lose digits far from b, where their
+    boundary sum cancels against the integral: for the bump at s = 1/2,
+    H_2 errs by 1e-14 relative and H_4 by 6e-11 at 64 gaps, H_4 by 1e-8
+    at 256 gaps. P is the last data piece continued past b, less phi(b).
+    The Caputo residual has one more table on the same panels, of R (see
+    ``caputo_value``), built on the first ``caputo_value`` read right of b
+    from the order-1 table. The panels are one fixed ladder from b,
+    widths gap/2, gap, 2 gap, ..., and every built table grows along it
+    when a point lies beyond the covered range, only as far as it. Every read
     refuses, before any growth, a point at +inf or more than 2^59 gaps
     right of b, which no ``gauss_ladder`` rule reaches. A table is read in one
     Clenshaw sweep over all points of a call, each gathering its own
@@ -320,9 +226,10 @@ class ExtensionSolution:
     one too for branch-free data; data with a junction branch take one
     rule per s there. The rules live in the pure, bounded, read-only
     caches of ``singular_quadrature`` and are shared by every solution.
-    Evaluators accept scalars or arrays. ``value``, ``derivative_fast``
-    and ``caputo_value`` read a table once per point, ``raw_value``
-    applies one rule per depth class or its one rule, in blocks, and
+    Evaluators accept scalars or arrays, and a NaN point reads NaN
+    without keeping the tables from growing to the other points.
+    ``value``, ``derivative_fast`` and ``caputo_value`` read a table once
+    per point, ``raw_value`` applies its rules in blocks, and
     ``derivative`` makes one fresh-quadrature call for all points.
     """
 
@@ -332,9 +239,13 @@ class ExtensionSolution:
         self.a = profile.lo
         self.b = profile.hi
         self.value_at_b = profile.value(profile.hi)
-        self.forcing = _Forcing(profile, self.s)
-
         self._branch_gap = float(self.b - profile.breakpoints[-2])
+        # the data's derivative pieces in xi = x - b: g's, and G_reg's with the
+        # last one continued to every point (see _forcing)
+        self._g_pieces = tuple((t0 - self.b, t1 - self.b, c)
+                               for t0, t1, c in profile.derivative_pieces())
+        tau, _, last = self._g_pieces[-1]
+        self._reg_pieces = (*self._g_pieces[:-1], (tau, math.inf, last))
         # the reach of gauss_ladder's deepest rule; every read refuses points beyond
         self._max_xi = 2.0 ** (_MAX_DEPTH - 1) * self._branch_gap
         # sin(pi s)/pi, the normalization of the representation formula
@@ -355,11 +266,32 @@ class ExtensionSolution:
     def g_value(self, x):
         """g(x) = -int_a^b phi'(t)(x-t)^(-s) dt for x >= b, in closed form."""
         xa = np.asarray(x, dtype=float)
-        _reach(xa - self.b, self._max_xi)  # refused before any term is summed
+        _reach(xa - self.b, self._max_xi)  # refused before any piece is summed
         if np.any(xa < self.b):
             raise ValueError("g is defined on [b, infinity)")
-        out = self.forcing.value(0, xa - self.b)
+        out = self._forcing(0, xa - self.b, branch=True)
         return out if isinstance(x, np.ndarray) else float(out)
+
+    def _forcing(self, i: int, xi, branch: bool = False):
+        """G_reg^(i)(b + xi), or g^(i)(b + xi) if ``branch``: -(-s)_i
+        int phi'(t) (b + xi - t)^(-s-i) dt, one ``poly_abel_integral`` over
+        the data's derivative pieces, in xi so that b + xi is not rounded.
+        For G_reg the last piece runs on to b + xi and its end there, which
+        carries the junction branch, contributes nothing (G_reg = g where
+        that piece is constant). An order whose -s - i rounds to -r - 1,
+        r at most the degree of phi', is refused: r + 1 - s - i vanishes.
+        """
+        s = self.s
+        e = -s - i
+        if e == round(e) and any(np.any(c[round(-e) - 1:]) for *_, c in self._g_pieces):
+            # -s - i rounds to -i (r = i - 1) or to -(i + 1) (r = i)
+            end, rounded = (0, i) if e == -i else (1, i + 1)
+            raise ValueError(
+                f"fractional order {s!r} is too close to {end} for derivative "
+                f"order {i}: -s - {i} rounds to -{rounded}"
+            )
+        pieces = self._g_pieces if branch else self._reg_pieces
+        return -_falling(-s, i) * poly_abel_integral(pieces, xi, e)
 
     # -- table construction ------------------------------------------------
 
@@ -383,13 +315,13 @@ class ExtensionSolution:
         s = self.s
         boundary = 0.0
         for i in range(n):
-            boundary += _ctilde(s, n, i) * self.forcing.regular_at_b(i) * xi**i
+            boundary += _ctilde(s, n, i) * self._forcing(i, 0.0) * xi**i
         integral = gauss_ladder(
-            lambda z: self.forcing.regular_part(n, z), xi, 1.0, s - 1.0, self._branch_gap
+            lambda z: self._forcing(n, z), xi, 1.0, s - 1.0, self._branch_gap
         )
         out = self._sin_factor * (xi**n * integral + boundary)
         if n == 0:
-            out[xi == 0.0] = self._sin_factor * self.forcing.regular_at_b(0) / s
+            out[xi == 0.0] = self._sin_factor * self._forcing(0, 0.0) / s
         return out
 
     def _build_panels(
@@ -529,15 +461,15 @@ class ExtensionSolution:
         """u(x) in the representation-formula shape: fresh quadrature of g.
 
         With w = (t - b)/(x - b), u(x) = phi(b) + (sin pi s/pi) (x-b)^s
-        int_0^1 g(b + (x-b) w) (1-w)^(s-1) dw, with the full closed-form g
-        at the point itself, independently of the tables' P + xi^s H_0
-        split. The rule is sized to g:
+        int_0^1 g(b + (x-b) w) (1-w)^(s-1) dw, with the full g, junction
+        branch included, at the point itself, independently of the tables'
+        P + xi^s H_0 split. The rule is sized to g:
 
         - data with a junction branch (a last piece of nonzero slope, e.g.
           the ramp) take ``unit_rule(1, s - 1, 40)`` (490 nodes) at every
           x: its first band [0, 2^-40] resolves the branch w^(1-s) of g.
-          It is applied by ``apply_rule``, in blocks of at most 8192
-          values of g;
+          It is applied by ``apply_rule``, one call of g per block of
+          at most 8192 values;
         - branch-free data (psi_0, the bump) make one ``gauss_ladder``
           call, the depth rule of the table nodes: g(b + xi w) is then
           analytic at w = 0 and cut only at w = -gap/xi, so a point takes
@@ -554,7 +486,7 @@ class ExtensionSolution:
             out[~ext] = self.value(xa[~ext])
         s = self.s
         xi = xa[ext] - self.b
-        g = lambda z: self.forcing.value(0, z)
+        g = lambda z: self._forcing(0, z, branch=True)
         if self._branched:
             integral = apply_rule(g, xi, *unit_rule(1.0, s - 1.0, _RAW_DEPTH))
         else:
@@ -576,9 +508,10 @@ class ExtensionSolution:
 
         x may be a scalar (a float is returned) or an array. Beyond b,
         u' = P' + (t-b)^(s-1) H_1(t-b), and P' is the last data piece's
-        derivative continued. So the polynomial part is one
-        ``poly_abel_integral`` over the data's derivative pieces with the
-        last one continued to x, and w = (t-b)/(x-b) turns the rest into
+        derivative continued. So the polynomial part is the Abel integral
+        of the data's derivative pieces with the last one continued to x:
+        taken in x up to b, and beyond b as -G_reg(x) (see ``_forcing``),
+        in x - b. w = (t-b)/(x-b) turns the rest into
         R(x-b) = int_0^1 w^(s-1) (1-w)^(-s) H_1((x-b) w) dw, one read of
         its table per point, built or grown as the H_n tables are. R is
         analytic on [0, inf) with H_1's cut (-inf, -gap] and no other, so
@@ -588,18 +521,16 @@ class ExtensionSolution:
         array nor on earlier reads.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        _reach(xa - self.b, self._max_xi)  # refused before any table grows
-        s = self.s
-        out = np.where(np.isnan(xa), np.nan, 0.0)
-        live = xa > self.a
-        if np.any(live):
-            *pieces, (tau_lo, _, last) = self.profile.derivative_pieces()
-            pieces.append((tau_lo, math.inf, last))
-            out[live] = poly_abel_integral(pieces, xa[live], -s)
+        xi = xa - self.b
+        _reach(xi, self._max_xi)  # refused before any table grows
+        out = np.empty_like(xa)
         ext = xa > self.b
+        if not np.all(ext):  # in x, where x - a is exact near a = 0
+            *pieces, (tau_lo, _, last) = self.profile.derivative_pieces()
+            out[~ext] = poly_abel_integral((*pieces, (tau_lo, math.inf, last)), xa[~ext], -self.s)
         if np.any(ext):
-            out[ext] += self._eval_table(_CAPUTO, xa[ext] - self.b)
-        out /= gamma(1.0 - s)
+            out[ext] = self._eval_table(_CAPUTO, xi[ext]) - self._forcing(0, xi[ext])
+        out /= gamma(1.0 - self.s)
         return out if isinstance(x, np.ndarray) else float(out[0])
 
 

@@ -27,8 +27,9 @@ kernels. Its users differ only in (p, b, depth):
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
   singular point x_s at one endpoint.
 
-``gauss_ladder`` and ``raw_value`` apply their rules to many points with
-``apply_rule``, in blocks that bound memory. The unit rules depend only
+``gauss_ladder`` and ``apply_rule`` apply their rules to many points,
+one call of the integrand per block of 8192 values. Polynomial data
+take ``poly_abel_integral``, exact. The unit rules depend only
 on (p, b, depth) and the end panels only on their exponent. They are
 built on first use, kept in bounded module-level caches and handed out
 as read-only arrays, so one rule serves every integrand and every
@@ -55,18 +56,6 @@ __all__ = [
     "gauss_jacobi",
     "jacobi_end_rule",
 ]
-
-
-def _stable_pow_diff(hi: np.ndarray, lo: np.ndarray, p) -> np.ndarray:
-    """hi**p - lo**p elementwise for hi >= lo >= 0, p > 0, without cancellation."""
-    hi = np.asarray(hi, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    close = lo > 0.6667 * hi  # cancellation regime; elsewhere direct is exact enough
-    safe_lo = np.where(close, lo, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        main = safe_lo**p * np.expm1(p * np.log1p((hi - lo) / safe_lo))
-    direct = np.where(hi > 0.0, hi**p, 0.0) - np.where(lo > 0.0, lo**p, 0.0)
-    return np.where(close, main, direct)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -123,6 +112,10 @@ _BLOCK_NODES = 8192
 # deepest gauss_ladder rule (730 nodes): it resolves points up to 2^59
 # gaps right of b, and ExtensionSolution refuses reads beyond
 _MAX_DEPTH = 60
+# poly_abel_integral takes a piece by its binomial series at distances v of
+# at least this many piece lengths; _far_piece truncates the series at
+# ratio 1/_FAR_RATIO, so the two must agree
+_FAR_RATIO = 8.0
 
 
 @functools.lru_cache(maxsize=32)
@@ -222,36 +215,54 @@ def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarra
     with the least depth whose first panel [0, 2^-depth] is no wider
     than half that distance, ceil(log2(2 xi/gap)), at least 1 and at most
     60: 22 nodes up to xi = gap/2, 12 more per doubling of xi beyond.
-    Points of one depth share one rule, applied by ``apply_rule``. Each
-    point's depth depends on its own xi only, so a value does not depend
-    on the other points of the call.
+    f is called once per block of ``_apply_rules``, whatever the depths.
+    Each point's depth depends on its own xi only, so a value does not
+    depend on the other points of the call.
     """
     xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
     with np.errstate(divide="ignore"):  # xi = 0 takes depth 1
         depth = np.clip(np.ceil(np.log2(2.0 * xi / gap)), 1, _MAX_DEPTH).astype(int)
+    classes = []
     for d in range(depth.min(initial=_MAX_DEPTH), depth.max(initial=0) + 1):
         at = np.flatnonzero(depth == d)
         if at.size:
-            out[at] = apply_rule(f, xi[at], *unit_rule(p, b, d))
-    return out
+            classes.append((at, *unit_rule(p, b, d)))
+    return _apply_rules(f, xi, classes)
 
 
 def apply_rule(f, xi: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k f(xi nodes_k) for each xi of a 1-d array.
+    """sum_k weights_k f(xi nodes_k) for each xi of a 1-d array, by
+    ``_apply_rules`` with one rule for every point."""
+    return _apply_rules(f, xi, [(np.arange(xi.size), nodes, weights)])
 
-    The points are taken in blocks of at most 8192 values of f, which
-    bounds the memory of a call; f is called on a 1-d array and returns
-    values elementwise. Each point's sum is reduced on its own, so a
-    value does not depend on the other points of the call or on the
-    block it falls in.
+
+def _apply_rules(f, xi: np.ndarray, classes) -> np.ndarray:
+    """sum_k W_k f(xi w_k) at each point of each class (points, w, W).
+
+    The classes' values of f fill blocks of at most 8192 in turn, a class
+    running on into the next block, and f is called once per block on a
+    1-d array, which bounds the memory of a call; a rule of more than 8192
+    nodes (a ``unit_rule`` has at most 730) takes one point per block.
+    Each point's row is reduced on its own, so a value does not depend on
+    the other points of the call or on its block.
     """
-    out = np.empty_like(xi)
-    rows = max(1, _BLOCK_NODES // nodes.size)
-    for start in range(0, xi.size, rows):
-        z = xi[start : start + rows, None] * nodes
-        fv = np.asarray(f(z.ravel()), dtype=float)
-        out[start : start + rows] = np.sum(fv.reshape(z.shape) * weights, axis=1)
+    out, blocks, filled = np.zeros_like(xi), [], _BLOCK_NODES
+    for at, nodes, weights in classes:
+        while at.size:
+            if filled and filled + nodes.size > _BLOCK_NODES:  # no row fits: start the next block
+                blocks.append([])
+                filled = 0
+            rows = max((_BLOCK_NODES - filled) // nodes.size, 1)  # one if the rule is longer
+            blocks[-1].append((at[:rows], nodes, weights))
+            filled += min(rows, at.size) * nodes.size
+            at = at[rows:]
+    for block in blocks:
+        fv = np.asarray(f(np.concatenate([(xi[at, None] * w).ravel() for at, w, _ in block])))
+        start = 0
+        for at, nodes, weights in block:
+            stop = start + at.size * nodes.size
+            out[at] = np.sum(fv[start:stop].reshape(at.size, nodes.size) * weights, axis=1)
+            start = stop
     return out
 
 
@@ -297,33 +308,87 @@ def kernel_identity_check(s: float, tau: float, x: float) -> float:
 
 
 def poly_abel_integral(pieces, x, e: float):
-    """Exact int p(t) (x - t)^e dt summed over polynomial pieces, up to min(hi, x).
+    """int p(t) (x - t)^e dt summed over polynomial pieces, each up to min(tau_hi, x).
 
-    pieces: iterable of (tau_lo, tau_hi, coeffs-about-tau_lo); x may be an
-    array. Pieces with tau_lo >= x contribute nothing. Requires e > -1;
-    the upper limit may touch x itself (weak singularity integrated
-    exactly by the power rule).
+    pieces: iterable of (tau_lo, tau_hi, coeffs about tau_lo); x may be an
+    array. Pieces with tau_lo >= x contribute nothing; a NaN x reads NaN.
+    With u = t - tau_lo and v = x - tau_lo a piece is int p(u) (v - u)^e du,
+    taken exactly: by the binomial series of (1 - u/v)^e where the piece
+    is at most v/8 long (``_FAR_RATIO``; ``_far_piece``), whose terms do
+    not cancel, else by the power rule (``_near_piece``), whose terms
+    cancel at most like 8^k at degree k. Where a piece reaches x its end there contributes
+    nothing, for e <= -1 Hadamard's finite part, which the forcing's
+    derivatives take over the last data piece continued past b. r + e + 1
+    must not vanish for any r up to the degree.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.zeros_like(xa)
+    total = np.where(np.isnan(xa), math.nan, 0.0)
     for tau_lo, tau_hi, coeffs in pieces:
         coeffs = np.asarray(coeffs, dtype=float)
-        active = xa > tau_lo
-        if not np.any(active):
+        size = min(coeffs.size, MAX_DEGREE + 1)
+        while size and coeffs[size - 1] == 0.0:
+            size -= 1
+        live = xa > tau_lo  # a NaN point is not live and stays NaN
+        if not size or not np.any(live):
             continue
-        xs = xa[active]
-        upper = np.minimum(tau_hi, xs)
-        v_hi = xs - tau_lo  # distance of the far edge from x
-        v_lo = xs - upper
-        base = xs - tau_lo
-        acc = np.zeros_like(xs)
-        for k in range(min(coeffs.size, MAX_DEGREE + 1)):
-            ck = coeffs[k]
-            if ck == 0.0:
-                continue
-            for r in range(k + 1):
-                p = r + e + 1.0
-                delta = _stable_pow_diff(v_hi, v_lo, p) / p
-                acc += ck * math.comb(k, r) * base ** (k - r) * (-1.0) ** r * delta
-        total[active] += acc
-    return total if isinstance(x, np.ndarray) else float(total[0])
+        xs = xa[live]
+        v, length = xs - tau_lo, tau_hi - tau_lo
+        far = v >= _FAR_RATIO * length  # never for a piece continued to inf
+        near = ~far
+        part = np.empty_like(v)
+        if np.any(far):
+            part[far] = _far_piece(coeffs[:size], length, v[far], e)
+        part[near] = _near_piece(coeffs[:size], xs[near], v[near], tau_lo, tau_hi, e)
+        total[live] += part
+    return total.reshape(np.shape(x)) if isinstance(x, np.ndarray) else float(total[0])
+
+
+def _near_piece(coeffs, xs, v, tau_lo: float, tau_hi: float, e: float) -> np.ndarray:
+    """The piece at points xs by the power rule: with gap = x - min(tau_hi,
+    x) and (v - w)^k expanded in w = x - t, it is
+
+        v^(e+1) sum_k c_k v^k sum_(r<=k) C(k, r) (-1)^r D_r,
+        D_r = (1 - (gap/v)^q)/q = -expm1(q mu)/q,  q = r + e + 1,
+
+    mu = log(gap/v) = -log1p(length/gap), each D_r to rounding wherever x lies.
+    """
+    with np.errstate(divide="ignore"):  # +inf where x lies on the piece
+        lg = np.log1p((np.minimum(xs, tau_hi) - tau_lo) / np.maximum(xs - tau_hi, 0.0))
+    # gathered by r: each expm1(q mu) times sum_(k>=r) C(k, r) (-1)^(r+1) c_k v^k / q
+    top = coeffs.size - 1
+    acc = 0.0
+    for r in range(coeffs.size):
+        q = r + e + 1.0
+        scale = (-1.0) ** (r + 1) / q
+        poly = math.comb(top, r) * scale * coeffs[top]
+        for k in range(top - 1, r - 1, -1):
+            poly = poly * v + math.comb(k, r) * scale * coeffs[k]
+        qmu = lg * -q
+        if q < 0.0:  # (gap/v)^q is taken as 0 at gap = 0: that end drops
+            qmu[lg == np.inf] = -np.inf
+        acc = acc + np.expm1(qmu) * (poly * v**r if r else poly)
+    return v ** (e + 1.0) * acc
+
+
+def _far_piece(coeffs, length: float, v, e: float) -> np.ndarray:
+    """The piece at distances v >= 8 length by the series (1 - u/v)^e =
+    sum_n (-e)_n/n! (u/v)^n, each term integrated exactly,
+
+        v^e length sum_n (-e)_n/n! y^n sum_k c_k length^k/(k + n + 1),
+
+    y = length/v, by Horner's rule up to the first n where (-e)_n/n! 8^-n
+    < 2^-54, relative to sum_k |c_k| length^k/(k + 1): the same terms for
+    every point, so a value does not depend on the other points.
+    """
+    y = length / v
+    scaled = coeffs * length ** np.arange(coeffs.size)
+    terms, rising, n = [], 1.0, 0
+    while not abs(rising) * _FAR_RATIO**-n < 2.0**-54:
+        terms.append(rising * sum(c / (k + n + 1) for k, c in enumerate(scaled)))
+        n += 1
+        rising *= (n - 1 - e) / n
+    acc = np.full_like(y, terms[-1])
+    for t in reversed(terms[:-1]):
+        acc *= y
+        acc += t
+    return v**e * length * acc

@@ -198,7 +198,7 @@ def test_kappa_positive_and_exponent(kappa_half):
 def test_kappa_expansion_coefficients(psi_half):
     # C_i = beta(i+1, s) g^(i)(1) / i!; g'(1) = -8/9 for the default bump
     c0, c1 = (
-        beta(i + 1, 0.5) * psi_half.forcing.regular_at_b(i) / math.factorial(i)
+        beta(i + 1, 0.5) * psi_half._forcing(i, 0.0) / math.factorial(i)
         for i in (0, 1)
     )
     assert c0 == pytest.approx(64.0 / 27.0, rel=1e-12)
@@ -253,7 +253,6 @@ def test_blowup_reads_only_the_order_0_table(psi0_default):
     check_blowup_convergence(0.3, psi0_default, (4, 8, 16, 32, 64), kappa=kappa)
     edges, tables = build_psi(0.3, psi0_default)._state
     assert list(tables) == [0]
-    assert list(build_psi(0.3, psi0_default).forcing._orders) == [0]
     assert edges[-1] < 1.0  # x/j + 1 - b <= 2/4 needs the first three panels only
 
 

@@ -3,6 +3,7 @@ import sys
 import threading
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -142,6 +143,17 @@ def test_extension_residuals(ramp_solution, bump_solution):
     for sol in (ramp_solution, bump_solution):
         res = max(abs(sol.caputo_value(float(x))) for x in grid)
         assert res <= 1e-5
+
+
+def test_caputo_value_near_a_is_exact(ramp_solution):
+    # on [a, b] the ramp's D^s u is x^(1-s)/Gamma(2-s); near a = 0 the
+    # distance x - a must not be rounded to a multiple of ulp(b)
+    xs = np.array([1e-300, 1e-12, 1e-6, 0.5, 1.0])
+    with mpmath.workdps(30):
+        want = [float(mpmath.mpf(x) ** 0.5 / mpmath.gamma(1.5)) for x in xs]
+    got = ramp_solution.caputo_value(xs)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert ramp_solution.caputo_value(1e-12) == got[1]
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -311,18 +323,31 @@ def test_reads_at_inf_are_refused_before_any_growth():
         assert np.isfinite(sol.g_value(sol.b + reach))
 
 
-@pytest.mark.parametrize("make", [quadratic_bump_profile, ramp_profile])
-def test_regular_part_equals_the_term_by_term_sum_bit_for_bit(make):
-    # the powers shared by several terms are taken once; every product and
-    # sum keeps its order
-    forcing = solve_extension(make(), 0.3).forcing
-    xi = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 57)])
-    for i in range(4):
-        c, j, d, p, _, _ = forcing._terms(i)
-        expect = np.zeros_like(xi)
-        for term in zip(c, j, d, p):
-            expect += term[0] * xi ** term[1] * (xi + term[2]) ** term[3]
-        assert np.array_equal(forcing.regular_part(i, xi), expect), i
+def _nan_batch_reads(sol):
+    """Every evaluator of a solution, as a function of x."""
+    return {
+        "value": sol.value,
+        "derivative_fast": lambda x: sol.derivative_fast(1, x),
+        "smooth_factor": lambda x: sol.smooth_factor(1, x - sol.b),
+        "caputo_value": sol.caputo_value,
+        "raw_value": sol.raw_value,
+        "g_value": sol.g_value,
+    }
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+def test_a_nan_in_a_batch_does_not_stop_growth(grown):
+    # a NaN is not the batch's largest point: taken as one, no table grows
+    # and a point past the built panels reads their extrapolation (4.5e17
+    # at x = 2)
+    for x in (2.0, 5.0):
+        for name in _nan_batch_reads(solve_extension(quadratic_bump_profile(), 0.3)):
+            alone = _nan_batch_reads(solve_extension(quadratic_bump_profile(), 0.3))[name](x)
+            sol = solve_extension(quadratic_bump_profile(), 0.3)
+            if grown:
+                sol.value(1.8)  # panels up to b + 0.875 only
+            got = _nan_batch_reads(sol)[name](np.array([x, np.nan]))
+            assert got[0] == alone and np.isnan(got[1]), (name, x)
 
 
 def test_junction_power_behavior(ramp_solution):

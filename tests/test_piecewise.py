@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +6,7 @@ from hypothesis import strategies as st
 
 from caputo_density.piecewise import PiecewisePoly, polyder, polyval, taylor_shift
 from caputo_density.profiles import FIXED_SPAN, builtin_profile, ramp_profile
-from caputo_density.singular_quadrature import _stable_pow_diff
+from caputo_density.singular_quadrature import poly_abel_integral
 
 
 def quad_bump():
@@ -127,9 +128,13 @@ def test_taylor_shift_recentres_the_piece(c, t, h, dx):
        st.floats(min_value=0.05, max_value=4.0))
 @settings(max_examples=200)
 def test_stable_power_difference(hi, frac, p):
-    lo = hi * frac
-    exact = hi**p - lo**p
-    assert _stable_pow_diff(hi, lo, p) == pytest.approx(exact, rel=1e-12, abs=1e-300)
+    # a constant piece of length L that ends L short of x = hi integrates to
+    # (hi^p - (hi - L)^p)/p, a power difference that cancels as L/hi -> 0
+    length = hi - hi * frac
+    got = poly_abel_integral([(0.0, length, np.array([1.0]))], hi, p - 1.0)
+    with mpmath.workdps(40):
+        exact = (mpmath.mpf(hi) ** p - (mpmath.mpf(hi) - mpmath.mpf(length)) ** p) / p
+    assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
 
 
 def test_polyval_equals_numpy_bit_for_bit():

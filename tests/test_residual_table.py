@@ -13,10 +13,12 @@ margins they differ by at most 6.3e-13 and 4.3e-15, and every bound
 still holds.
 """
 
+import json
 import sys
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +30,6 @@ from caputo_density.extension_solver import ExtensionSolution, solve_extension
 from caputo_density.piecewise import polyder
 from caputo_density.profiles import (
     builtin_profile,
-    bump_extension_value,
     quadratic_bump_profile,
 )
 from caputo_density.singular_quadrature import gauss_ladder, poly_abel_integral
@@ -73,21 +74,25 @@ def test_table_matches_the_per_point_ladder(name, s):
     assert np.max(np.abs(got - _reference_caputo(sol, x))) <= BOUNDS[name][ORDERS.index(s)]
 
 
-def test_far_field_failure_still_exits_3(tmp_path, capsys):
-    # the bump's forcing cancels far right of b, so u(1e9) is rounding noise
-    # far from the closed form: the residual there must still fail the gate,
-    # as the per-point ladder's does
+def test_far_field_extend_exits_0(tmp_path, capsys):
+    # the forcing is the data's Abel integral, whose far pieces do not
+    # cancel, so u(1e9) matches the closed form, evaluated in mpmath since its
+    # float terms cancel like x^2 (profiles.bump_extension_value errs by 8e-4
+    # there), and the residual passes extend's default gate
     out = tmp_path / "far.csv"
     code = main(["extend", "--profile", "bump", "--grid", "1.01:1e9:2", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 3
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code == 0
     rows = out.read_text(encoding="utf-8").splitlines()
     far = [float(v) for v in rows[-1].split(",")]
-    assert far[0] == 1e9 and abs(far[1] - bump_extension_value(1e9)) > 10.0
-    tol = 1e-5  # extend's default residual gate
-    assert abs(far[3]) > tol
-    sol = solve_extension(quadratic_bump_profile(), 0.5)
-    assert abs(_reference_caputo(sol, np.array([1e9]))[0]) > tol
+    with mpmath.workdps(60):
+        x = mpmath.mpf(far[0])
+        want = (27 * mpmath.pi + mpmath.sqrt(x - 1) * (-48 * x + 52)
+                + mpmath.asin(1 / mpmath.sqrt(x)) * (96 * x**2 - 144 * x)
+                - mpmath.asin(1 / mpmath.sqrt(4 * x - 3)) * (96 * x**2 - 144 * x + 54)
+                ) / (27 * mpmath.pi)
+    assert far[0] == 1e9 and abs(far[1] - float(want)) <= 1e-12  # measured 4.4e-16
+    assert report["residual_max"] <= 1e-5  # extend's default residual gate
 
 
 def test_covered_residual_makes_one_table_read_per_point_and_term(monkeypatch):

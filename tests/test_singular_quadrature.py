@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from caputo_density import singular_quadrature
 from caputo_density.singular_quadrature import (
+    apply_rule,
     gauss_jacobi,
     gauss_ladder,
     integrate_singular,
@@ -129,11 +130,67 @@ def test_poly_abel_against_scipy():
         assert poly_abel_integral(pieces, x, e) == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("e", [-0.3, -1.7])
+def test_poly_abel_array_call_equals_the_scalar_loop_bit_for_bit(e):
+    # points on the pieces, near them and far from them, where a piece at
+    # most 1/8 as long as its distance takes the binomial series
+    pieces = [(0.0, 0.6, np.array([0.5, -1.0, 2.0])), (0.6, 1.0, np.array([0.22, 0.8]))]
+    x = np.concatenate([np.geomspace(0.01, 1e6, 40), [np.nan, 0.6, 1.0]])
+    got = poly_abel_integral(pieces, x, e)
+    want = np.array([poly_abel_integral(pieces, float(v), e) for v in x])
+    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got[40])
+
+
 def test_poly_abel_partial_upper_limit():
     # phi'(t) = 1 on [0, 1]: int_0^x (x-t)^(-s) dt = x^(1-s)/(1-s) for x <= 1
     s = 0.5
     val = poly_abel_integral([(0.0, 1.0, np.array([1.0]))], 0.49, -s)
     assert val == pytest.approx(0.49**0.5 / 0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("count", [9, 400])
+def test_gauss_ladder_calls_its_integrand_once_per_block(count):
+    # points in depth classes 1 to 7; each class alone would take one call
+    gap, p, b = 1.0, 0.7, -0.4
+    xi = np.geomspace(1e-3, 40.0, count)
+    depth = np.clip(np.ceil(np.log2(2.0 * xi / gap)), 1, 60).astype(int)
+    assert len(set(depth)) >= 4
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return np.sqrt(z + gap)
+
+    got = gauss_ladder(f, xi, p, b, gap)
+    block, largest = singular_quadrature._BLOCK_NODES, unit_rule(p, b, int(depth.max()))[0].size
+    assert sum(sizes) == sum(unit_rule(p, b, int(d))[0].size for d in depth)
+    assert max(sizes) <= block
+    # a block closes only when the next point's rule no longer fits in it
+    assert all(size > block - largest for size in sizes[:-1])
+    if count == 9:  # 342 values, one block
+        assert len(sizes) == 1
+    want = np.empty_like(xi)
+    for d in set(depth):
+        at = depth == d
+        nodes, weights = unit_rule(p, b, int(d))
+        rows = np.sqrt((xi[at, None] * nodes).ravel() + gap).reshape(-1, nodes.size)
+        want[at] = np.sum(rows * weights, axis=1)
+    assert np.array_equal(got, want)
+
+
+def test_apply_rule_takes_a_rule_longer_than_a_block():
+    # 9000 nodes exceed one block: each point takes a block of its own
+    nodes = np.linspace(0.0, 1.0, 9000)
+    weights = np.full(9000, 1.0 / 9000)
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return z
+
+    got = apply_rule(f, np.array([1.0, 2.0, 4.0]), nodes, weights)
+    assert sizes == [9000, 9000, 9000]
+    assert np.array_equal(got, [np.sum(x * nodes * weights) for x in (1.0, 2.0, 4.0)])
 
 
 def test_gauss_ladder_near_edge_branch():

@@ -53,7 +53,12 @@ def test_reflection_identity_grid():
     for s in np.linspace(0.05, 0.95, 91):
         target = math.pi / math.sin(math.pi * s)
         assert abs(beta(s, 1.0 - s) - target) <= 1e-10 * abs(target)
-        assert reflection(s) == pytest.approx(target, rel=1e-15)
+    # against 40 digits, with no absolute slack: the float pi/sin(pi s) itself
+    # errs by up to 1.3e-15 near s = 0.94
+    for s in np.linspace(0.01, 0.99, 99):
+        with mpmath.workdps(40):
+            target = float(mpmath.pi / mpmath.sin(mpmath.pi * mpmath.mpf(s)))
+        assert reflection(s) == pytest.approx(target, rel=1e-15, abs=0.0), s
 
 
 @pytest.mark.parametrize("s", [0.9, 0.98, 0.998, 0.9999])

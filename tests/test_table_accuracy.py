@@ -5,17 +5,19 @@ H_n(xi) = (sin pi s/pi) [xi^n int_0^1 G_reg^(n)(b + xi w) (1-w)^(s-1) dw
 
 is checked against mpmath at 30 digits, with v = (1-w)^s turning the
 integral into int_0^1 G_reg^(n)(b + xi (1 - v^(1/s))) dv / s, whose
-endpoint singularity is gone. The error is measured against the size of
-what H_n sums, M_n(xi) = the same expression with every term of G_reg
-and of the boundary sum taken in absolute value: the bump's order-1
-forcing cancels 3e4-fold at xi ~ 8 (differences of (xi + d)^p over
-neighbouring d), so rounding in evaluating it in double already sits at
-about eps * M_n there, and no quadrature can beat that. For the ramp
-M_n = |H_n|.
+endpoint singularity is gone. G_reg^(n) is built in mpmath from the data
+pieces (``_forcing_reference``), not from the solver. The error is measured
+against the size of what H_n sums, M_n(xi) = the same expression with
+every data piece's part of G_reg and every term of the boundary sum
+taken in absolute value. For the ramp and the bump M_n = |H_n| up to
+the boundary sum's cancellation against the integral.
 
 raw_value integrates the full g, junction branch included, in the same
 variable: u(x) = phi(b) + (sin pi s/pi) xi^s int_0^1 g(b + xi (1 - v^(1/s))) dv / s.
 """
+
+import functools
+import math
 
 import mpmath
 import numpy as np
@@ -29,8 +31,8 @@ from caputo_density.extension_solver import (
     _ctilde,
     solve_extension,
 )
-from caputo_density.piecewise import PiecewisePoly
-from caputo_density.profiles import builtin_profile
+from caputo_density.piecewise import PiecewisePoly, polyval
+from caputo_density.profiles import builtin_profile, quadratic_bump_profile, ramp_profile
 from caputo_density.singular_quadrature import jacobi_end_rule, unit_rule
 
 
@@ -42,21 +44,52 @@ def _tabulated(sol):
     return sol
 
 
+def _forcing_reference(sol, n, branch=False):
+    """z -> each data piece's part of -(-s)_n int phi'(t) (x - t)^(-s-n) dt
+    at x = b + z, in mpmath from the data pieces alone; build and call it
+    inside one ``mpmath.workdps``.
+
+    A piece p(t) = sum_k c_k (t - tau)^k is re-expanded about x, p(x - v) =
+    sum_j a_j v^j, and integrated exactly, sum_j a_j [v^(j+e+1)/(j+e+1)]
+    from v = x - min(tau_hi, x) to x - tau, e = -s - n. That is g^(n) if
+    ``branch``; otherwise the last piece runs on to x and its end there,
+    which carries g's junction branch, is dropped: G_reg^(n). Far from b
+    the sum over j cancels like (x/length)^k, which 30 digits absorb out
+    to x ~ 1e4.
+    """
+    s = mpmath.mpf(sol.s)
+    e, factor, b = -s - n, -mpmath.ff(-s, n), mpmath.mpf(sol.b)
+    pieces = list(sol.profile.derivative_pieces())
+    data = [(mpmath.mpf(lo), mpmath.mpf(hi), [mpmath.mpf(ck) for ck in c],
+             index == len(pieces) - 1 and not branch)
+            for index, (lo, hi, c) in enumerate(pieces) if any(c)]
+
+    def parts(z):
+        x, out = b + z, []
+        for lo, hi, c, continued in data:
+            d, part = x - lo, 0
+            for j in range(len(c)):
+                a = mpmath.fsum(c[k] * math.comb(k, j) * d ** (k - j) for k in range(j, len(c)))
+                q = j + e + 1
+                end = 0 if continued or x == hi else (x - hi) ** q
+                part += (-1) ** j * a * (d**q - end) / q
+            out.append(factor * part)
+        return out
+
+    return parts
+
+
 def _reference_h(sol, n, xi):
-    """(H_n(xi), M_n(xi)) in mpmath from the forcing's float coefficients."""
+    """(H_n(xi), M_n(xi)) in mpmath from the data pieces."""
     s = sol.s
-    c, j, d, p, _, _ = sol.forcing._terms(n)
     with mpmath.workdps(30):
         sm, x = mpmath.mpf(s), mpmath.mpf(xi)
-
-        def terms(v):
-            z = x * (1 - v ** (1 / sm))
-            return [mpmath.mpf(ci) * z ** int(ji) * (z + mpmath.mpf(di)) ** mpmath.mpf(pi)
-                    for ci, ji, di, pi in zip(c, j, d, p)]
-
-        value = mpmath.quad(lambda v: mpmath.fsum(terms(v)), [0, 1]) / sm
-        size = mpmath.quad(lambda v: mpmath.fsum(abs(t) for t in terms(v)), [0, 1]) / sm
-        bnd = [_ctilde(s, n, i) * sol.forcing.regular_at_b(i) * x**i for i in range(n)]
+        forcing = _forcing_reference(sol, n)
+        parts = functools.lru_cache(None)(lambda v: forcing(x * (1 - v ** (1 / sm))))
+        value = mpmath.quad(lambda v: mpmath.fsum(parts(v)), [0, 1]) / sm
+        size = mpmath.quad(lambda v: mpmath.fsum(abs(t) for t in parts(v)), [0, 1]) / sm
+        bnd = [_ctilde(s, n, i) * mpmath.fsum(_forcing_reference(sol, i)(0)) * x**i
+               for i in range(n)]
         sf = mpmath.sin(mpmath.pi * sm) / mpmath.pi
         h = sf * (x**n * value + mpmath.fsum(bnd))
         m = sf * (x**n * size + mpmath.fsum(abs(b) for b in bnd))
@@ -73,6 +106,44 @@ def test_tables_match_mpmath(name, s):
             xi = edges[p] + 0.3 * (edges[p + 1] - edges[p])
             h, m = _reference_h(sol, n, xi)
             assert abs(sol.smooth_factor(n, xi)[0] - h) <= 1e-13 * m, (n, p)
+
+
+@pytest.mark.parametrize("make", [quadratic_bump_profile, ramp_profile])
+def test_regular_part_matches_mpmath(make):
+    # G_reg^(i) from b out to 4000 gaps; the ramp's last piece is continued
+    # past b, its end at the point dropped
+    sol = solve_extension(make(), 0.3)
+    xi = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 57)])
+    for i in range(4):
+        with mpmath.workdps(30):
+            forcing = _forcing_reference(sol, i)
+            want = np.array([float(mpmath.fsum(forcing(mpmath.mpf(z)))) for z in xi])
+        error = np.abs(sol._forcing(i, xi) - want) / np.abs(want)
+        # ten times the largest measured, 3.5e-15 (bump, i = 3)
+        assert np.all(error <= 4e-14), (i, error)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.98])
+def test_bump_tables_far_from_b_match_mpmath(s):
+    # far from b the bump's data piece is short against its distance, where
+    # the power rule's terms cancel like (distance/length)^k; the largest
+    # measured error is 7.1e-15
+    sol = solve_extension(quadratic_bump_profile(), s)
+    for n, gaps in ((0, 64), (1, 64), (0, 256)):
+        h, _ = _reference_h(sol, n, gaps * sol._branch_gap)
+        assert abs(sol.smooth_factor(n, gaps * sol._branch_gap)[0] - h) <= 5e-14 * abs(h), n
+
+
+@pytest.mark.parametrize("x", [1e4, 1e7, 1e9])
+def test_bump_g_far_from_b_matches_its_closed_form(x):
+    # -(16/27)(8 x^(3/2) - 9 x^(1/2) - (4x - 3)^(3/2)) at s = 1/2, whose terms
+    # cancel like x^2, evaluated at 60 digits; the largest measured error
+    # is 1.7e-16
+    with mpmath.workdps(60):
+        t = mpmath.mpf(x)
+        want = float(-mpmath.mpf(16) / 27 * (8 * t**1.5 - 9 * mpmath.sqrt(t) - (4 * t - 3) ** 1.5))
+    got = solve_extension(quadratic_bump_profile(), 0.5).g_value(x)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_clenshaw_equals_numpy_bit_for_bit():
@@ -183,21 +254,14 @@ def test_a_value_does_not_depend_on_earlier_reads():
 
 
 def _reference_raw_value(sol, x):
-    """(u(x), M(x)) in mpmath from the forcing's float coefficients, g's
-    branch included; M is what raw_value sums, every term of g and phi(b)
-    taken in absolute value."""
+    """(u(x), M(x)) in mpmath from the data pieces, g's branch included; M
+    is what raw_value sums, every data piece's part of g and phi(b) taken
+    in absolute value."""
     s = sol.s
-    c, j, d, p, pc, pq = sol.forcing._terms(0)
     with mpmath.workdps(30):
         sm, xi = mpmath.mpf(s), mpmath.mpf(x) - mpmath.mpf(sol.b)
-
-        def terms(v):
-            z = xi * (1 - v ** (1 / sm))
-            regular = [mpmath.mpf(ci) * z ** int(ji) * (z + mpmath.mpf(di)) ** mpmath.mpf(pi)
-                       for ci, ji, di, pi in zip(c, j, d, p)]
-            branch = [mpmath.mpf(ci) * z ** mpmath.mpf(qi) for ci, qi in zip(pc, pq)]
-            return regular + branch
-
+        forcing = _forcing_reference(sol, 0, branch=True)
+        terms = functools.lru_cache(None)(lambda v: forcing(xi * (1 - v ** (1 / sm))))
         integral = mpmath.quad(lambda v: mpmath.fsum(terms(v)), [0, 1]) / sm
         size = mpmath.quad(lambda v: mpmath.fsum(abs(t) for t in terms(v)), [0, 1]) / sm
         sf = mpmath.sin(mpmath.pi * sm) / mpmath.pi
@@ -241,18 +305,27 @@ def test_value_with_a_junction_branch_matches_mpmath(name, s):
         profile = PiecewisePoly.single([0.0, 1.0, 0.5, -0.4], 0.0, 1.0)
     sol = solve_extension(profile, s)
     xs = sol.b + np.array([2.0**-14, 0.01, 0.5, 2.0, 8.0])
-    ref, size = np.array([_reference_raw_value(sol, x) for x in xs]).T
+    ref = np.array([_reference_raw_value(sol, x)[0] for x in xs])
+    # the size of what value sums: phi(b), P term by term and xi^s H_0; P
+    # grows like xi^3 and cancels against xi^s H_0
+    xi, poly = xs - sol.b, sol.junction_polynomial
+    branch = polyval(xi, poly)
+    size = abs(sol.value_at_b) + polyval(xi, np.abs(poly)) + np.abs(ref - sol.value_at_b - branch)
     error = np.abs(sol.value(xs) - ref) / size
     assert np.all(error <= VALUE_BOUNDS[name][VALUE_ORDERS.index(s)]), error
-    # P against the Beta route from g's branch terms alpha_k (x-b)^(k+1-s):
+    # P against the Beta route from g's branch terms alpha_k (x-b)^(k+1-s),
+    # alpha_k = c_k B(k+1, 1-s) for the last piece's phi' = sum_k c_k (t-b)^k:
     # P_(k+1) = (sin pi s/pi) alpha_k B(k+2-s, s)
-    _, _, _, _, alpha, power = sol.forcing._terms(0)
+    tau, _, slope = list(profile.derivative_pieces())[-1]
     with mpmath.workdps(40):
-        sm = mpmath.mpf(s)
+        sm, h = mpmath.mpf(s), mpmath.mpf(sol.b) - mpmath.mpf(tau)
         want = [mpmath.mpf(0)] * 4
-        for c, q in zip(alpha, power):
-            k = round(q - 1.0 + s)
-            want[k + 1] += mpmath.sin(mpmath.pi * sm) / mpmath.pi * c * mpmath.beta(k + 2 - sm, sm)
+        for k in range(3):
+            # the k-th coefficient of phi' about b
+            c = mpmath.fsum(mpmath.mpf(slope[m]) * mpmath.binomial(m, k) * h ** (m - k)
+                            for m in range(k, 3))
+            alpha = c * mpmath.beta(k + 1, 1 - sm)
+            want[k + 1] = mpmath.sin(mpmath.pi * sm) / mpmath.pi * alpha * mpmath.beta(k + 2 - sm, sm)
         want = [float(w) for w in want]
     got = sol.junction_polynomial
     assert any(got)
@@ -277,18 +350,18 @@ def test_raw_value_rows_do_not_depend_on_the_batch():
 def _forcing_evaluations(sol, xs) -> int:
     """How many values of g one raw_value call over xs takes."""
     count = 0
-    value = sol.forcing.value
+    forcing = sol._forcing
 
-    def counted(i, z):
+    def counted(i, z, branch=False):
         nonlocal count
         count += np.size(z)
-        return value(i, z)
+        return forcing(i, z, branch)
 
-    sol.forcing.value = counted
+    sol._forcing = counted
     try:
         sol.raw_value(xs)
     finally:
-        del sol.forcing.value
+        del sol._forcing
     return count
 
 
