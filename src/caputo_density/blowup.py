@@ -8,8 +8,8 @@ vanish on [-j/4, 0], and converge uniformly on bounded subintervals of
 psi(1+eps) eps^(-s) = kappa + C eps on a decreasing eps grid and compared
 against the two analytic candidates
 
-    kappa_a = beta(1, s) g(1),
-    kappa_b = (sin(pi s)/pi) beta(1, s) g(1),
+    kappa_a = g(1)/s = B(1, s) g(1),
+    kappa_b = (sin(pi s)/pi) g(1)/s,
 
 which differ by the normalization prefactor of the representation
 formula; the fit is the arbiter and both are always reported.
@@ -28,7 +28,7 @@ from .extension_solver import ExtensionSolution, _check_order, _reach, solve_ext
 from .piecewise import PiecewisePoly, taylor_shift
 from .profiles import quadratic_bump_profile
 from .singular_quadrature import integrate_singular, poly_abel_integral
-from .special_functions import beta, fractional_order, gamma, sin_pi
+from .special_functions import fractional_order, gamma, sin_pi
 
 __all__ = [
     "Psi0Profile",
@@ -191,9 +191,7 @@ class Combination:
     def derivative(self, l: int, x):
         """u^(l)(x) from psi's tables; for l >= 1 every argument must lie right of b."""
         _check_order(l)
-        if l == 0:
-            return self.value(x)
-        return self._apply(lambda y: self.psi.derivative_fast(l, y), l, 0.0, x)
+        return self._apply(lambda y: self.psi.derivative(l, y), l, 0.0 if l else self.c0, x)
 
     def caputo_value(self, x):
         """D^s u(x) from ``initial_point``, by the scaling identity per term."""
@@ -296,7 +294,7 @@ def estimate_kappa(s: float, profile: Psi0Profile) -> KappaEstimate:
     fit_exponent = _line(np.log(eps), np.log(np.abs(vals)))[0]
 
     g1 = psi.g_value(psi.b)
-    kappa_a = beta(1.0, s) * g1
+    kappa_a = g1 / s
     kappa_b = sin_pi(s) / math.pi * kappa_a
     match_a = abs(kappa - kappa_a) <= 0.01 * abs(kappa_a)
     match_b = abs(kappa - kappa_b) <= 0.01 * abs(kappa_b)

@@ -17,9 +17,10 @@ then rescale u(x) = m! v(delta x + p) / delta^m so u tracks x^m on
 rescaling identity D_a^s u(x) = delta^(s-m) D_{-R}^s v(delta x + p),
 a = (-p-R)/delta. The jet matrices are Vandermonde-like and genuinely
 ill conditioned (rows of v_j^(l)(p) collapse onto the jet of kappa x^s
-as j grows), so the solve uses column equilibration plus truncated SVD,
-and every jet carries a finite-difference certificate computed from
-plain values of v, independent of the derivative formula.
+as j grows), so the solve uses column equilibration plus truncated SVD.
+The jets read psi's tables, and every jet carries a finite-difference
+certificate computed from plain values of v by fresh quadrature of the
+representation formula, independent of those tables.
 
 Every result is a ``Combination`` of affine rescalings of psi.
 """
@@ -162,10 +163,9 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
     """Rows (member, point)-major of (v_j(x), v_j'(x), ..., v_j^(m)(x)).
 
     Entries come from the chain rule v_j^(l)(x) = j^(s-l) psi^(l)(x/j+1)
-    with psi's ``derivative``: one call per order over every (member,
-    point) pair, so the members must share one psi. Orders l >= 1 take
-    the interior-derivative formula by fresh quadrature, not the tables;
-    order 0 is psi's ``value``, a read of the H_0 table.
+    with psi's ``derivative``, a read of its order-l table: one call per
+    order over every (member, point) pair, so the members must share one
+    psi.
     """
     members = list(members)
     points = [float(x) for x in points]
@@ -511,8 +511,7 @@ def _fit(target, k: int, psi, pool) -> CombinedApproximant:
     y = (alpha[:, None] * x + beta[:, None]).ravel()  # term-major
     blocks = []
     for l in range(k + 1):
-        psi_l = psi.value(y) if l == 0 else psi.derivative_fast(l, y)
-        columns = np.reshape(psi_l, (alpha.size, x.size)).T * alpha**l
+        columns = np.reshape(psi.derivative(l, y), (alpha.size, x.size)).T * alpha**l
         blocks.append(np.column_stack([np.full(x.size, float(l == 0)), columns]))
     matrix = np.concatenate(blocks)
     norms = np.linalg.norm(matrix, axis=0)

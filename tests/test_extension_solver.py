@@ -10,9 +10,11 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 from caputo_density.extension_solver import (
+    ExtensionSolution,
     JunctionProximityError,
     solve_extension,
 )
+from caputo_density.piecewise import polyder, polyval
 from caputo_density.profiles import (
     bump_extension_value,
     bump_forcing_value,
@@ -203,15 +205,20 @@ def test_first_derivative_fd_tolerance_band(ramp_solution):
 
 
 def test_fast_derivative_matches_direct(bump_solution):
+    # the tables interpolate H_n between their nodes: at off-node points they
+    # match P^(n) + xi^(s-n) H_n with H_n by direct quadrature
+    sol = bump_solution
     for n in (1, 2, 3):
         ys = np.array([1.2, 2.0, 3.5])
-        fast = bump_solution.derivative_fast(n, ys)
-        direct = np.array([bump_solution.derivative(n, float(y)) for y in ys])
+        fast = sol.derivative(n, ys)
+        xi = ys - sol.b
+        direct = (polyval(xi, polyder(sol.junction_polynomial, n))
+                  + xi ** (sol.s - n) * sol._smooth_factor_quad(n, xi))
         np.testing.assert_allclose(fast, direct, rtol=1e-8, atol=1e-10)
 
 
 def test_batched_derivative_matches_scalar_calls(bump_solution):
-    # one fresh-quadrature call for the array; each value is its scalar call's
+    # one table read for the array; each value is its scalar call's
     ys = np.array([3.5, 1.002, 2.0, 1.2, 40.0])
     for n in (0, 1, 2, 4):
         batched = bump_solution.derivative(n, ys)
@@ -255,6 +262,7 @@ def test_bad_orders_are_refused_before_any_table(n):
 
 
 def test_fast_derivative_junction_guard(ramp_solution):
+    assert ExtensionSolution.derivative_fast is ExtensionSolution.derivative
     with pytest.raises(JunctionProximityError):
         ramp_solution.derivative_fast(1, 1.0 + 1e-4)
     with pytest.raises(JunctionProximityError):
@@ -312,6 +320,12 @@ def test_reads_at_inf_are_refused_before_any_growth():
                 with pytest.raises(ValueError, match=message):
                     read(x)
                 assert sol._state is before, name
+        # left of b a table would extrapolate its first panel (1.57e38 at
+        # xi = -10 for the bump at s = 1/2)
+        for xi in (-10.0, np.array([0.5, -1e-300, 40.0])):
+            with pytest.raises(ValueError, match="xi >= 0"):
+                sol.smooth_factor(0, xi)
+            assert sol._state is before
         # a NaN hides the far point from max; it is refused all the same
         with pytest.raises(ValueError, match=r"reaches 2\^59 gaps"):
             sol.value(np.array([np.nan, 1e300]))
@@ -328,6 +342,8 @@ def _nan_batch_reads(sol):
     return {
         "value": sol.value,
         "derivative_fast": lambda x: sol.derivative_fast(1, x),
+        "derivative 1": lambda x: sol.derivative(1, x),
+        "derivative 3": lambda x: sol.derivative(3, x),
         "smooth_factor": lambda x: sol.smooth_factor(1, x - sol.b),
         "caputo_value": sol.caputo_value,
         "raw_value": sol.raw_value,

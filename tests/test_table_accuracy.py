@@ -134,6 +134,23 @@ def test_bump_tables_far_from_b_match_mpmath(s):
         assert abs(sol.smooth_factor(n, gaps * sol._branch_gap)[0] - h) <= 5e-14 * abs(h), n
 
 
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.98])
+def test_higher_order_tables_match_mpmath(s):
+    # the jets read orders 2..4 out to xi = 1 and the fit's last rung
+    # (c = 50, L = 1) out to xi = 51. Measured: |error|/M_n <= 1.2e-15
+    # everywhere and |error|/|H_n| <= 1.3e-14 for xi <= 1; at xi = 51 the
+    # boundary sum cancels against the integral, and H_4 errs by up to
+    # 8.9e-9 relative
+    sol = solve_extension(quadratic_bump_profile(), s)
+    for n in (2, 3, 4):
+        for xi in (2.0**-6, 1.0, 51.0):
+            h, m = _reference_h(sol, n, xi)
+            error = abs(sol.smooth_factor(n, xi)[0] - h)
+            assert error <= 1e-14 * m, (n, xi)
+            if xi <= 1.0:
+                assert error <= 1.3e-13 * abs(h), (n, xi)
+
+
 @pytest.mark.parametrize("x", [1e4, 1e7, 1e9])
 def test_bump_g_far_from_b_matches_its_closed_form(x):
     # -(16/27)(8 x^(3/2) - 9 x^(1/2) - (4x - 3)^(3/2)) at s = 1/2, whose terms
