@@ -39,7 +39,15 @@ import threading
 import numpy as np
 
 from .piecewise import PiecewisePoly, polyder, polyval, taylor_shift
-from .singular_quadrature import _MAX_DEPTH, apply_rule, gauss_ladder, poly_abel_integral, unit_rule
+from .singular_quadrature import (
+    _MAX_DEPTH,
+    abel_ladder,
+    apply_rule,
+    gauss_ladder,
+    ladder_edges,
+    poly_abel_integral,
+    unit_rule,
+)
 from .special_functions import fractional_order, gamma, sin_pi
 
 __all__ = [
@@ -216,11 +224,16 @@ class ExtensionSolution:
     works on one snapshot of it, so concurrent reads are safe, growth
     included; a panel's coefficients, and so every table value, do not
     depend on when, how far or with which other panels it was built.
-    The node values of the H_n tables and of R are ``gauss_ladder``
-    integrals, one ``unit_rule`` per s and depth class. ``raw_value`` is
-    one too for branch-free data; data with a junction branch take one
-    rule per s there. The rules live in the pure, bounded, read-only
-    caches of ``singular_quadrature`` and are shared by every solution.
+    The node values of the H_n tables are ``abel_ladder`` integrals,
+    product integration on the tables' own ladder: a build evaluates the
+    forcing once per shared ladder node and at 18 remainder nodes per
+    table node. Those of R are ``gauss_ladder`` integrals, one
+    ``unit_rule`` per s and depth class, and ``raw_value`` is one too for
+    branch-free data, so the FD certificate and the kappa fit check the
+    H_n tables with an independent rule; data with a junction branch
+    take one rule per s there. The rules live in the pure, bounded,
+    read-only caches of ``singular_quadrature`` and are shared by every
+    solution.
     Evaluators accept scalars or arrays, and a NaN point reads NaN
     without keeping the tables from growing to the other points.
     ``value``, ``derivative`` and ``caputo_value`` read a table once per
@@ -253,7 +266,7 @@ class ExtensionSolution:
         self._branched = bool(np.any(poly))
 
         # (panel edges, {order n or _CAPUTO: coefficients}); replaced whole, never mutated
-        self._state = (np.array([0.0, 0.5 * self._branch_gap]), {})
+        self._state = (ladder_edges(self._branch_gap, 0.0), {})
         self._grow_lock = threading.Lock()
 
     # -- forcing ---------------------------------------------------------
@@ -300,20 +313,32 @@ class ExtensionSolution:
                                   + sum_{i<n} ctilde_{s,i} G_reg^(i)(b) xi^i ].
 
         One call serves every point, and a table build passes the nodes
-        of all its panels at once. The integral is ``gauss_ladder`` with
-        f = G_reg^(n)(b + .), whose cut (-inf, -gap] sets each point's
-        depth, over ``unit_rule(1, s - 1, depth)``. Each point's sum is
-        reduced on its own, so a point's value does not depend on the
-        other points of the call.
+        of all its panels at once. The integral is ``abel_ladder`` with
+        f = G_reg^(n)(b + .), cut at (-inf, -gap]: for xi in ladder panel
+        k, e = e_(max(k-1, 0)) and l = xi - e, it is
+
+            xi^-s sum_(j<=k-2) sum_m W_jm (xi - t_jm)^(s-1) G_reg^(n)(b + t_jm)
+              + (l/xi)^s sum_i g_i G_reg^(n)(b + xi - l u_i),
+
+        12 Gauss-Legendre nodes t_jm on each ladder panel j, shared by
+        every point, and an 18-node Gauss-Jacobi remainder for u^(s-1).
+        The cut lies at least W_j left of a shared panel and the kernel's
+        branch point xi at least 2 W_j right of it, so 12 nodes leave
+        ~5e-19; the remainder is at most 3 W_(k-1) long with the cut
+        W_(k-1) + gap/2 left of it, so 18 nodes leave ~7e-18 (see
+        ``singular_quadrature._REMAINDER_NODES``). So a build of K panels
+        takes G_reg^(n) at 432 K remainder nodes and 12 (K - 1) shared
+        ones, its last edge lying in panel K. Each point's sums
+        run over its own panel's nodes, so a point's value does not
+        depend on the other points of the call. At xi = 0 the integral
+        is G_reg^(n)(b)/s.
         """
         xi = np.asarray(xi, dtype=float)
         s = self.s
         boundary = 0.0
         for i in range(n):
             boundary += _ctilde(s, n, i) * self._forcing(i, 0.0) * xi**i
-        integral = gauss_ladder(
-            lambda z: self._forcing(n, z), xi, 1.0, s - 1.0, self._branch_gap
-        )
+        integral = abel_ladder(lambda z: self._forcing(n, z), xi, s, self._branch_gap)
         out = self._sin_factor * (xi**n * integral + boundary)
         if n == 0:
             out[xi == 0.0] = self._sin_factor * self._forcing(0, 0.0) / s
@@ -350,8 +375,9 @@ class ExtensionSolution:
     def _grow(self, key: int | str, xi_max: float) -> tuple[np.ndarray, dict]:
         """The state with table ``key`` built and [0, xi_max] covered.
 
-        New panels continue the ladder, panel k being 2^k gap/2 wide, up
-        to the first edge at or beyond xi_max, and every built table gets
+        New panels continue the ladder (``ladder_edges``, which
+        ``abel_ladder`` reads too), panel k being 2^k gap/2 wide, up to
+        the first edge at or beyond xi_max, and every built table gets
         them; then table ``key`` is built over all panels if it is new,
         after order 1 if it is R. Order 1 is always built, and so grown,
         before R, which reads it. The grown state is built aside and
@@ -361,14 +387,8 @@ class ExtensionSolution:
         with self._grow_lock:
             edges, tables = self._state
             if xi_max > edges[-1]:
-                new_edges = [edges[-1]]
-                w = 0.5 * self._branch_gap * 2.0 ** (edges.size - 1)
-                while new_edges[-1] < xi_max:
-                    new_edges.append(new_edges[-1] + w)
-                    w *= 2.0
-                lo = np.asarray(new_edges[:-1])
-                hi = np.asarray(new_edges[1:])
-                edges = np.concatenate([edges, hi])
+                old, edges = edges.size, ladder_edges(self._branch_gap, xi_max)
+                lo, hi = edges[old - 1 : -1], edges[old:]
                 grown: dict = {}
                 for m, c in tables.items():  # in build order: order 1 before R
                     grown[m] = np.vstack([c, self._build_panels(m, lo, hi, edges, grown)])
@@ -456,7 +476,7 @@ class ExtensionSolution:
           It is applied by ``apply_rule``, one call of g per block of
           at most 8192 values;
         - branch-free data (psi_0, the bump) make one ``gauss_ladder``
-          call, the depth rule of the table nodes: g(b + xi w) is then
+          call, the depth rule of R's table nodes: g(b + xi w) is then
           analytic at w = 0 and cut only at w = -gap/xi, so a point takes
           22 nodes up to xi = gap/2 and 12 more per doubling beyond.
 

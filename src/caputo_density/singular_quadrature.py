@@ -1,39 +1,42 @@
 """Gauss-Jacobi product integration for weakly singular integrals.
 
-Every singular integral of the package is taken on the unit interval by
-one rule family, ``unit_rule``:
+See Diethelm, The Analysis of Fractional Differential Equations (2010),
+ch. 7, for product integration of Abel kernels. Two rules serve the
+package's singular integrals. The unit rules, ``unit_rule``,
 
     sum W f(w) ~ int_0^1 w^(p-1) (1-w)^b f(w) dw,
 
-a 10-node Gauss-Jacobi panel (``gauss_jacobi``, Golub-Welsch) for
+are a 10-node Gauss-Jacobi panel (``gauss_jacobi``, Golub-Welsch) for
 w^(p-1) at 0, 12-node Gauss-Legendre bands doubling from 2^-depth to 1/2
 and the 12-node Gauss-Jacobi end panel ``jacobi_end_rule(b)`` on [1/2, 1]:
 10 + 12 depth nodes, each panel's count sized to its distance from the
-nearest singularity. See Diethelm, The Analysis of Fractional
-Differential Equations (2010), ch. 7, for product integration of Abel
-kernels. Its users differ only in (p, b, depth):
+nearest singularity. Their users differ only in (p, b, depth):
 
 - ``gauss_ladder``, for int_0^1 w^(p-1) (1-w)^b f(xi w) dw at many xi
   with f cut at (-inf, -gap]: each point takes the depth its own branch
-  point w = -gap/xi needs. It serves the node values of the solver's
-  tables: those of the analytic factors H_n (p = 1, b = s - 1) and
-  those of the Caputo residual's R, over the order-1 table (p = s,
-  b = -s). It also serves the representation formula behind
-  ``raw_value`` for data whose g has no junction branch (p = 1,
-  b = s - 1);
+  point w = -gap/xi needs. It serves the node values of the Caputo
+  residual's table R, over the order-1 table (p = s, b = -s), and the
+  representation formula behind ``raw_value`` for data whose g has no
+  junction branch (p = 1, b = s - 1);
 - ``raw_value`` for data with a junction branch, whose integrand
   carries w^(1-s) at w = 0: one rule of depth 40 (490 nodes) at every
   point;
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
   singular point x_s at one endpoint.
 
+``abel_ladder`` takes int_0^1 (1-w)^(s-1) f(xi w) dw, the node values of
+the solver's tables of the analytic factors H_n, by product integration
+on the tables' own panel ladder (``ladder_edges``): 12-node
+Gauss-Legendre panels that every point shares, so f is evaluated once at
+their nodes, and an 18-node Gauss-Jacobi remainder per point.
+
 ``gauss_ladder`` and ``apply_rule`` apply their rules to many points,
-one call of the integrand per block of 8192 values. Polynomial data
-take ``poly_abel_integral``, exact. The unit rules depend only
-on (p, b, depth) and the end panels only on their exponent. They are
-built on first use, kept in bounded module-level caches and handed out
-as read-only arrays, so one rule serves every integrand and every
-thread.
+one call of the integrand per block of 8192 values; ``abel_ladder``
+calls it once. Polynomial data take ``poly_abel_integral``, exact. The
+unit rules depend only on (p, b, depth), the end panels only on their
+exponent and the remainder rule only on s. They are built on first use,
+kept in bounded module-level caches and handed out as read-only arrays,
+so one rule serves every integrand and every thread.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ __all__ = [
     "kernel_identity_check",
     "poly_abel_integral",
     "gauss_ladder",
+    "abel_ladder",
+    "ladder_edges",
     "apply_rule",
     "unit_rule",
     "gauss_jacobi",
@@ -106,6 +111,15 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 # 12 nodes leave ~5e-19. integrate_singular's first band is [0, 2^-12].
 _START_NODES = 10
 _END_NODES = 12
+# abel_ladder's Gauss-Jacobi remainder on [e_(k-1), xi], xi in ladder panel
+# k: at most W_(k-1) + W_k = 3 W_(k-1) long, while f's cut lies e_(k-1) +
+# gap = W_(k-1) + gap/2 left of it. In u = (xi - t)/l the cut sits at
+# u >= 4/3, 2u - 1 >= 5/3, so rho >= 3 and 18 nodes leave 3^-36 ~ 7e-18.
+# Its shared panels j <= k - 2 take the 12-node bands: f's cut lies at
+# least W_j left of panel j (rho >= 3 + sqrt 8) and the kernel's branch
+# point t = xi >= e_k at least 2 W_j right of it (rho >= 5 + sqrt 24), so
+# 12 nodes leave ~5e-19
+_REMAINDER_NODES = 18
 _SINGULAR_DEPTH = 12
 # values of f per block of an apply_rule call; bounds its memory
 _BLOCK_NODES = 8192
@@ -160,14 +174,14 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     10 + 12 (depth - 1) + 12 nodes, increasing, depending on (p, b,
     depth) only; both arrays are read-only and built on first use. The
     cache holds 32 rules: a run at one s needs one per depth class of
-    the nodes of its H_n tables and one per depth class of the nodes of
-    its residual table R, plus ``integrate_singular``'s and, for data
-    with a junction branch, ``raw_value``'s depth-40 rule (14 in the
-    README's five runs together, all at s = 1/2: depths 1 to 7 of each
-    table's rule; branch-free ``raw_value`` reads share the table rules).
-    The start panel is cached per p and the end panel per b: the table,
-    residual and ``raw_value`` rules of one s take two of each (p = 1, s
-    and b = s - 1, -s), and p = 1 serves every s.
+    the nodes of its residual table R and, for branch-free data, one per
+    depth class of its ``raw_value`` points, plus ``integrate_singular``'s
+    and, for data with a junction branch, ``raw_value``'s depth-40 rule
+    (10 in the README's five runs together, all at s = 1/2: depths 1 to
+    7 of R's rule and 1 to 3 of ``raw_value``'s). The H_n tables take no
+    unit rule (``abel_ladder``). The start panel is cached per p and the
+    end panel per b: the residual and ``raw_value`` rules of one s take
+    two of each (p = s, 1 and b = -s, s - 1), and p = 1 serves every s.
     """
     edge = 0.5**depth
     x, g = _jacobi_start_rule(p)  # w = edge (1 + x)/2
@@ -207,6 +221,15 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.concatenate([-half[::-1], half]), np.concatenate([weights[::-1], weights]))
 
 
+def _known_points(xi, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """xi as a float array and the indices of its points other than NaN;
+    refuses a point below 0, outside the ladder rules' domain."""
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0.0):
+        raise ValueError(f"{name} integrates from 0 to xi >= 0, got xi = {np.nanmin(xi)!r}")
+    return xi, np.flatnonzero(~np.isnan(xi))
+
+
 def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarray:
     """int_0^1 w^(p-1) (1-w)^b f(xi w) dw for each xi >= 0 of an array.
 
@@ -217,17 +240,98 @@ def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarra
     60: 22 nodes up to xi = gap/2, 12 more per doubling of xi beyond.
     f is called once per block of ``_apply_rules``, whatever the depths.
     Each point's depth depends on its own xi only, so a value does not
-    depend on the other points of the call.
+    depend on the other points of the call. A NaN point reads NaN; a
+    point below 0 is refused with a ``ValueError``.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi, known = _known_points(xi, "gauss_ladder")
     with np.errstate(divide="ignore"):  # xi = 0 takes depth 1
-        depth = np.clip(np.ceil(np.log2(2.0 * xi / gap)), 1, _MAX_DEPTH).astype(int)
+        depth = np.clip(np.ceil(np.log2(2.0 * xi[known] / gap)), 1, _MAX_DEPTH).astype(int)
     classes = []
     for d in range(depth.min(initial=_MAX_DEPTH), depth.max(initial=0) + 1):
-        at = np.flatnonzero(depth == d)
+        at = known[depth == d]
         if at.size:
             classes.append((at, *unit_rule(p, b, d)))
-    return _apply_rules(f, xi, classes)
+    out = _apply_rules(f, xi, classes)
+    out[np.isnan(xi)] = math.nan
+    return out
+
+
+def ladder_edges(gap: float, reach: float) -> np.ndarray:
+    """The edges of the panel ladder from 0, up to the first at or beyond
+    ``reach`` and at least two: e_0 = 0 and e_(j+1) = e_j + 2^j gap/2, so
+    panel j = [e_j, e_(j+1)] is W_j = 2^j gap/2 wide and e_j = (2^j - 1)
+    gap/2. The sums are taken in this order for every reach, so a ladder
+    grown in steps has the same edges, bit for bit, as one built at once.
+    """
+    edges, width = [0.0], 0.5 * gap
+    while len(edges) < 2 or edges[-1] < reach:
+        edges.append(edges[-1] + width)
+        width *= 2.0
+    return np.array(edges)
+
+
+@functools.lru_cache(maxsize=32)
+def _abel_remainder_rule(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights g with sum g f(u) ~ int_0^1 u^(s-1) f(u) du:
+    ``gauss_jacobi(18, 0, s - 1)`` mapped to [0, 1]. Built on first use
+    per s; both arrays are read-only."""
+    x, g = gauss_jacobi(_REMAINDER_NODES, 0.0, s - 1.0)  # u = (1 + x)/2
+    return _read_only(0.5 * (1.0 + x), 0.5**s * g)
+
+
+def abel_ladder(f, xi: np.ndarray, s: float, gap: float) -> np.ndarray:
+    """int_0^1 (1-w)^(s-1) f(xi w) dw for each xi >= 0 of an array, by
+    product integration on the panel ladder (``ladder_edges``).
+
+    f's only singularity is a cut (-inf, -gap]. With t = xi w the integral
+    is xi^-s int_0^xi f(t) (xi-t)^(s-1) dt. For xi in panel k let
+    e = e_(max(k-1, 0)) and l = xi - e; then it is
+
+        xi^-s sum_(j<=k-2) sum_m W_jm (xi - t_jm)^(s-1) f(t_jm)
+          + (l/xi)^s sum_i g_i f(xi - l u_i),
+
+    with (t_jm, W_jm) the 12-node Gauss-Legendre rule on ladder panel j
+    and (u_i, g_i) the 18-node Gauss-Jacobi rule for u^(s-1) on [0, 1]
+    (``_abel_remainder_rule``); up to xi = e_2 the first sum is empty and
+    (l/xi)^s = 1. The shared nodes t_jm are the same for every point, so f
+    is evaluated once at each of them and at 18 remainder nodes per
+    point, in one call: a build of the nodes of K panels takes O(K) values
+    of f, where a depth rule per point takes O(K^2). See
+    ``_REMAINDER_NODES`` for the node counts. Each point's sums run over
+    its own panel's nodes only, so a value depends on its xi and the
+    fixed ladder alone, not on the other points of the call. At xi = 0 it
+    is f(0) times the rule's weight sum, 1/s to rounding. A NaN point
+    reads NaN; a point below 0 is refused with a ``ValueError``.
+    """
+    xi, known = _known_points(xi, "abel_ladder")
+    out = np.full(xi.shape, math.nan)
+    if not known.size:
+        return out
+    x = xi[known]
+    edges = ladder_edges(gap, x.max())
+    panel = np.searchsorted(edges, x, side="right") - 1  # x in [e_k, e_(k+1))
+    start = edges[np.maximum(panel - 1, 0)]
+    ell = x - start
+    # the shared panels 0 .. k - 2 of the farthest point, 12 nodes each
+    shared = max(int(panel.max()) - 1, 0)
+    gx, gw = _gauss_legendre()
+    lo, hi = edges[:shared, None], edges[1 : shared + 1, None]
+    half = 0.5 * (hi - lo)
+    t = (0.5 * (lo + hi) + half * gx).ravel()
+    u, g = _abel_remainder_rule(s)
+    tail = (x[:, None] - ell[:, None] * u).ravel()
+    fv = np.asarray(f(np.concatenate([t, tail])), dtype=float)
+    weighted = fv[: t.size] * (half * gw).ravel()
+    total = np.sum(fv[t.size :].reshape(x.size, u.size) * g, axis=1)
+    far = panel >= 2  # where l < xi
+    total[far] *= (ell[far] / x[far]) ** s
+    for k in range(2, int(panel.max()) + 1):
+        at = np.flatnonzero(panel == k)
+        m = gx.size * (k - 1)
+        kernel = (x[at, None] - t[:m]) ** (s - 1.0)
+        total[at] += x[at] ** -s * np.sum(kernel * weighted[:m], axis=1)
+    out[known] = total
+    return out
 
 
 def apply_rule(f, xi: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:

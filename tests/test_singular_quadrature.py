@@ -10,11 +10,13 @@ from scipy.integrate import quad
 
 from caputo_density import singular_quadrature
 from caputo_density.singular_quadrature import (
+    abel_ladder,
     apply_rule,
     gauss_jacobi,
     gauss_ladder,
     integrate_singular,
     kernel_identity_check,
+    ladder_edges,
     poly_abel_integral,
     unit_rule,
 )
@@ -340,3 +342,73 @@ def test_unit_rule_builds_its_start_panel_once_per_p(monkeypatch):
     assert calls.count((10, 0.0, p - 1.0)) == 1
     for a in singular_quadrature._jacobi_start_rule(p):
         assert not a.flags.writeable
+
+
+LADDER_RULES = {
+    "gauss_ladder": lambda f, xi: gauss_ladder(f, xi, 1.0, -0.5, 1.0),
+    "abel_ladder": lambda f, xi: abel_ladder(f, xi, 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_RULES))
+def test_ladder_rules_read_nan_as_nan_and_refuse_points_below_0(name):
+    rule = LADDER_RULES[name]
+    f = lambda z: np.ones_like(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rule(f, np.array([0.5, np.nan]))
+        assert got[0] == rule(f, np.array([0.5]))[0] and np.isnan(got[1])
+        assert np.isnan(rule(f, np.array([np.nan]))).all()
+    with pytest.raises(ValueError, match="xi >= 0"):
+        rule(f, np.array([0.5, -1e-300]))
+
+
+def test_ladder_edges_grow_bit_for_bit():
+    # e_j = (2^j - 1) gap/2, summed in one order whatever the reach
+    gap = 0.1
+    full = ladder_edges(gap, 1e6)
+    assert full[-2] < 1e6 <= full[-1] and ladder_edges(gap, 0.0).size == 2
+    for reach in (0.0, 0.05, 0.3, 77.0):
+        part = ladder_edges(gap, reach)
+        assert np.array_equal(part, full[: part.size]) and part[-1] >= reach
+    np.testing.assert_allclose(full, (2.0 ** np.arange(full.size) - 1) * gap / 2, rtol=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.002, 0.02, 0.5, 0.98, 0.998])
+def test_abel_ladder_meets_its_margin(s):
+    # f(z) = (z + gap)^(-1/2), cut at -gap: int_0^1 (1-w)^(s-1) f(xi w) dw
+    # = gap^(-1/2) 2F1(1/2, 1; 1 + s; -xi/gap)/s (Euler's integral). The
+    # points lie in ladder panels 0, 1, 2, 8 and 32, mid-panel and at the
+    # right end, where the remainder [e_(k-1), xi] is longest against its
+    # distance to the cut. A remainder rule cut below its node count for
+    # that margin fails the bound
+    gap = 0.375
+    edges = ladder_edges(gap, 2.0**34 * gap)
+    xi = np.array([edges[k] + q * (edges[k + 1] - edges[k])
+                   for k in (0, 1, 2, 8, 32) for q in (0.5, 1.0 - 2.0**-10)])
+    got = abel_ladder(lambda z: (z + gap) ** -0.5, xi, s, gap)
+    with mpmath.workdps(40):
+        sm, g = mpmath.mpf(s), mpmath.mpf(gap)
+        ref = np.array([float(mpmath.hyp2f1(0.5, 1, 1 + sm, -mpmath.mpf(x) / g) / (sm * mpmath.sqrt(g)))
+                        for x in xi])
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), np.abs(got / ref - 1.0)
+
+
+def test_abel_ladder_rows_depend_on_their_point_alone():
+    # panels 0 to 20 in one call: each point's value is what a call for that
+    # point alone gives, bit for bit, and f is called once, at 18 remainder
+    # nodes per point and the 12 nodes of each shared panel
+    gap, s = 1e-3, 0.3
+    xi = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 120)])
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return np.sqrt(z + gap)
+
+    batched = abel_ladder(f, xi, s, gap)
+    edges = ladder_edges(gap, xi.max())
+    assert sizes == [18 * xi.size + 12 * (edges.size - 3)]
+    for x, value in zip(xi, batched):
+        assert value == abel_ladder(f, np.array([x]), s, gap)[0]
+    assert np.array_equal(abel_ladder(f, xi[::-1], s, gap)[::-1], batched)

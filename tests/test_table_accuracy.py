@@ -364,8 +364,8 @@ def test_raw_value_rows_do_not_depend_on_the_batch():
         assert np.array_equal(sol.raw_value(xs[::-1])[::-1], batched), name
 
 
-def _forcing_evaluations(sol, xs) -> int:
-    """How many values of g one raw_value call over xs takes."""
+def _forcing_evaluations(sol, xs, read=ExtensionSolution.raw_value) -> int:
+    """How many values of the forcing one ``read`` call over xs takes."""
     count = 0
     forcing = sol._forcing
 
@@ -376,7 +376,7 @@ def _forcing_evaluations(sol, xs) -> int:
 
     sol._forcing = counted
     try:
-        sol.raw_value(xs)
+        read(sol, xs)
     finally:
         del sol._forcing
     return count
@@ -390,7 +390,7 @@ def test_raw_rule_is_sized_to_the_junction_branch(s):
     assert any(ramp.junction_polynomial)
     assert unit_rule(1.0, s - 1.0, _RAW_DEPTH)[0].size == 490
     assert _forcing_evaluations(ramp, xs) == 490 * xs.size
-    # branch-free data take gauss_ladder's depth per point, as the table nodes do
+    # branch-free data take gauss_ladder's depth per point, as R's table nodes do
     bump = solve_extension(builtin_profile("bump"), s)
     assert not any(bump.junction_polynomial)
     gap = bump.b - bump.profile.breakpoints[-2]
@@ -401,6 +401,19 @@ def test_raw_rule_is_sized_to_the_junction_branch(s):
     # far points take deeper rules
     far = bump.b + np.array([8.0, 1e3])
     assert _forcing_evaluations(bump, far) == (10 + 12 * 5 + 12) + (10 + 12 * 12 + 12)
+
+
+def test_table_builds_evaluate_the_forcing_once_per_ladder_node():
+    # a build of K panels takes 18 remainder nodes at each of its 24 K
+    # table nodes, 12 at each shared panel 0 .. K - 2 (the farthest node
+    # is the last edge, in panel K) and G_reg(b) once for xi = 0:
+    # 432 K + 12 (K - 1) + 1
+    h0 = lambda sol, xi: sol.smooth_factor(0, xi)
+    psi = solve_extension(quadratic_bump_profile(), 0.5)  # the README fit's psi, 7 panels
+    assert _forcing_evaluations(psi, 9.0, h0) == 3097
+    bump = solve_extension(builtin_profile("bump"), 0.5)  # 33 panels
+    assert _forcing_evaluations(bump, 1e9, h0) == 14641
+    assert [sol._state[0].size - 1 for sol in (psi, bump)] == [7, 33]
 
 
 def test_cached_table_and_raw_value_rules_are_read_only():
