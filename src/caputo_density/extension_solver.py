@@ -41,6 +41,7 @@ import numpy as np
 from .piecewise import PiecewisePoly, polyder, polyval, taylor_shift
 from .singular_quadrature import (
     _MAX_DEPTH,
+    _read_only,
     abel_ladder,
     apply_rule,
     gauss_ladder,
@@ -128,29 +129,26 @@ def _cheb_fit() -> tuple[np.ndarray, np.ndarray]:
 
     Interpolation is linear in the values: row k of the matrix maps the
     node values to coefficient k. The points are the 24 Chebyshev points
-    of the second kind, cos(pi j/23) from -1 to 1, and the matrix is the
-    least-squares fit of the identity on the Chebyshev-Vandermonde matrix
-    of degree 23, column-scaled as numpy's ``chebfit`` scales it: both
-    arrays equal ``chebpts2(24)`` and ``chebfit(chebpts2(24), eye(24),
-    23)`` bit for bit, strides included, so a table's coefficients do not
-    change with the code that builds it. Built on first use; both arrays
-    are read-only.
+    of the second kind, x_j = cos(pi (23 - j)/23) from -1 to 1, equal to
+    numpy's ``chebpts2(24)`` bit for bit. At these points interpolation
+    is a discrete cosine transform (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 3): fit[k, j] = (2/23) T_k(x_j), halved
+    in columns j = 0, 23 and in rows k = 0, 23, so no linear solve is
+    needed. T_k(x_j) = cos(pi m/23) with m = k (23 - j) mod 46 is
+    x_(|23 - m|), one of the rounded points, the index folded by exact
+    integer arithmetic; cos of the rounded angle pi k (23 - j)/23 would
+    add its rounding. Each entry is within 1.3e-17 of the exact matrix
+    (40-digit mpmath), where numpy's least-squares ``chebfit`` errs by
+    up to 3.9e-16, so the two differ in the last bits. Built on first
+    use; both arrays are read-only.
     """
     nodes = np.cos(np.linspace(-np.pi, 0, _CHEB_POINTS))
-    # T_k(nodes) by T_k = 2x T_(k-1) - T_(k-2), one row per degree
-    lhs = np.empty((_CHEB_POINTS, _CHEB_POINTS))
-    lhs[0] = nodes * 0 + 1
-    lhs[1] = nodes
-    x2 = 2 * nodes
-    for k in range(2, _CHEB_POINTS):
-        lhs[k] = lhs[k - 1] * x2 - lhs[k - 2]
-    scl = np.sqrt(np.square(lhs).sum(1))
-    rcond = _CHEB_POINTS * np.finfo(float).eps
-    fit = np.linalg.lstsq(lhs.T / scl, np.eye(_CHEB_POINTS), rcond)[0]
-    fit = (fit.T / scl).T
-    for a in (nodes, fit):
-        a.flags.writeable = False
-    return nodes, fit
+    n = _CHEB_POINTS - 1
+    k, j = np.ogrid[: n + 1, : n + 1]
+    fit = nodes[np.abs(n - k * (n - j) % (2 * n))] * 2.0 / n
+    fit[:, [0, n]] *= 0.5
+    fit[[0, n]] *= 0.5
+    return _read_only(nodes, fit)
 
 
 def _clenshaw(x: np.ndarray, c: np.ndarray, panel: np.ndarray | None = None) -> np.ndarray:
@@ -234,6 +232,11 @@ class ExtensionSolution:
     take one rule per s there. The rules live in the pure, bounded,
     read-only caches of ``singular_quadrature`` and are shared by every
     solution.
+    The forcing at b, g(b) = G_reg(b), is taken once per solution
+    (``g_at_b``) for the order-0 node at xi = 0, the order-1 boundary
+    sum and the kappa fit. A table's coefficients are its node values
+    times the closed-form matrix of ``_cheb_fit``; no least-squares
+    solve runs.
     Evaluators accept scalars or arrays, and a NaN point reads NaN
     without keeping the tables from growing to the other points.
     ``value``, ``derivative`` and ``caputo_value`` read a table once per
@@ -279,6 +282,15 @@ class ExtensionSolution:
             raise ValueError("g is defined on [b, infinity)")
         out = self._forcing(0, xa - self.b, branch=True)
         return out if isinstance(x, np.ndarray) else float(out)
+
+    @functools.cached_property
+    def g_at_b(self) -> float:
+        """g(b), taken once per solution. It equals G_reg(b) bit for bit: the
+        junction branch of order 0, (x - b)^(1-s) times a polynomial, drops
+        at b, and both sums take the last piece by the same power rule. The
+        order-0 table node at xi = 0, the order-1 boundary sum and the kappa
+        fit's candidates read it."""
+        return self._forcing(0, 0.0)
 
     def _forcing(self, i: int, xi, branch: bool = False):
         """G_reg^(i)(b + xi), or g^(i)(b + xi) if ``branch``: -(-s)_i
@@ -337,11 +349,12 @@ class ExtensionSolution:
         s = self.s
         boundary = 0.0
         for i in range(n):
-            boundary += _ctilde(s, n, i) * self._forcing(i, 0.0) * xi**i
+            at_b = self._forcing(i, 0.0) if i else self.g_at_b
+            boundary += _ctilde(s, n, i) * at_b * xi**i
         integral = abel_ladder(lambda z: self._forcing(n, z), xi, s, self._branch_gap)
         out = self._sin_factor * (xi**n * integral + boundary)
         if n == 0:
-            out[xi == 0.0] = self._sin_factor * self._forcing(0, 0.0) / s
+            out[xi == 0.0] = self._sin_factor * self.g_at_b / s
         return out
 
     def _build_panels(

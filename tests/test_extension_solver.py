@@ -94,6 +94,43 @@ def test_golden_oracle_bump(bump_solution, oracle_grid):
     assert err.max() <= 1e-6
 
 
+def test_bump_oracle_matches_mpmath():
+    # the closed form as written, at 50 digits; in floats its terms cancel like x^2
+    def closed(x):
+        x = mpmath.mpf(x)
+        return (
+            27 * mpmath.pi
+            + mpmath.sqrt(x - 1) * (52 - 48 * x)
+            + mpmath.asin(1 / mpmath.sqrt(x)) * (96 * x**2 - 144 * x)
+            - mpmath.asin(1 / mpmath.sqrt(4 * x - 3)) * (96 * x**2 - 144 * x + 54)
+        ) / (27 * mpmath.pi)
+
+    near = np.linspace(1.01, 5.0, 400)
+    far = np.geomspace(5.0, 1e9, 200)
+    with mpmath.workdps(50):
+        for x, got in zip(near, bump_extension_value(near)):
+            assert abs(mpmath.mpf(float(got)) - closed(x)) <= 5e-16, x
+        for x, got in zip(far, bump_extension_value(far)):
+            want = closed(x)
+            assert abs(mpmath.mpf(float(got)) - want) <= 1e-12 * abs(want), x
+    assert float(bump_extension_value(1.0)) == 0.0
+
+
+@pytest.mark.parametrize("s", [0.002, 0.5, 0.998])
+def test_forcing_at_b_is_g_value_bit_for_bit(s):
+    from caputo_density.blowup import Psi0Profile, build_psi
+    from caputo_density.piecewise import PiecewisePoly
+
+    cubic = PiecewisePoly.single([0.0, 1.0, 0.5, -0.4], 0.0, 1.0)
+    solutions = [build_psi(s, Psi0Profile.default_quadratic())]
+    solutions += [solve_extension(prof, s) for prof in (ramp_profile(), quadratic_bump_profile(), cubic)]
+    for sol in solutions:
+        want = sol.g_value(sol.b)
+        assert type(sol.g_at_b) is float
+        assert np.float64(sol.g_at_b).tobytes() == np.float64(want).tobytes()
+        assert sol.g_at_b is sol.g_at_b  # taken once
+
+
 def test_value_matches_data_left_of_b(bump_solution):
     assert bump_solution.value(0.5) == pytest.approx(1.0 / 9.0, rel=1e-12)
     assert bump_solution.value(1.0) == 0.0

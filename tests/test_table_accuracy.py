@@ -171,14 +171,34 @@ def test_clenshaw_equals_numpy_bit_for_bit():
         assert np.array_equal(_clenshaw(x, c), np.polynomial.chebyshev.chebval(x, c)), length
 
 
-def test_cheb_fit_equals_numpy_bit_for_bit():
+def test_cheb_fit_is_the_exact_interpolation_matrix():
+    # the DCT-I matrix (2/23) T_k(x_j), halved in the end rows and columns,
+    # at 40 digits; numpy's least-squares chebfit errs by up to 3.85e-16
     nodes, fit = _cheb_fit()
-    want_nodes = np.polynomial.chebyshev.chebpts2(24)
-    want_fit = np.polynomial.chebyshev.chebfit(want_nodes, np.eye(24), 23)
-    for got, want in ((nodes, want_nodes), (fit, want_fit)):
-        assert got.shape == want.shape and got.strides == want.strides
-        assert got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
+    assert nodes.tobytes() == np.polynomial.chebyshev.chebpts2(24).tobytes()
+    assert fit.shape == (24, 24) and not nodes.flags.writeable and not fit.flags.writeable
+    with mpmath.workdps(40):
+        for k in range(24):
+            for j in range(24):
+                want = mpmath.mpf(2) / 23 * mpmath.cos(mpmath.pi * k * (23 - j) / 23)
+                want /= (2 if k in (0, 23) else 1) * (2 if j in (0, 23) else 1)
+                assert abs(mpmath.mpf(float(fit[k, j])) - want) <= 3e-17, (k, j)
+    vander = np.polynomial.chebyshev.chebvander(nodes, 23)
+    assert np.max(np.abs(fit @ vander - np.eye(24))) <= 2e-15
+
+
+def test_blowup_and_extend_make_no_least_squares_solve(monkeypatch, tmp_path):
+    from caputo_density import blowup
+    from caputo_density.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    _cheb_fit.cache_clear()  # rebuilt below, under the patch
+    blowup._solved_psi.cache_clear()
+    assert main(["blowup", "--j-list", "4,8", "--out", str(tmp_path / "b.csv")]) == 0
+    assert main(["extend", "--profile", "ramp", "--grid", "1.01:5:20", "--out", str(tmp_path / "e.csv")]) == 0
 
 
 def _per_point_chebval(sol, n, xi):
