@@ -256,7 +256,7 @@ class BlowupMember(Combination):
 def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Slope and intercept of the least-squares line through (x, y), in
     closed form about the means of x and y."""
-    x_mean, y_mean = x.sum() / x.size, y.sum() / y.size
+    x_mean, y_mean = np.mean(x), np.mean(y)
     dx = x - x_mean
     slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
     return slope, float(y_mean - slope * x_mean)
@@ -293,7 +293,7 @@ def estimate_kappa(s: float, profile: Psi0Profile) -> KappaEstimate:
     kappa = _line(eps, vals * eps ** (-s))[1]
     fit_exponent = _line(np.log(eps), np.log(np.abs(vals)))[0]
 
-    kappa_a = psi.g_at_b / s
+    kappa_a = psi._g_at_b / s
     kappa_b = sin_pi(s) / math.pi * kappa_a
     match_a = abs(kappa - kappa_a) <= 0.01 * abs(kappa_a)
     match_b = abs(kappa - kappa_b) <= 0.01 * abs(kappa_b)

@@ -233,7 +233,7 @@ class ExtensionSolution:
     read-only caches of ``singular_quadrature`` and are shared by every
     solution.
     The forcing at b, g(b) = G_reg(b), is taken once per solution
-    (``g_at_b``) for the order-0 node at xi = 0, the order-1 boundary
+    (``_g_at_b``) for the order-0 node at xi = 0, the order-1 boundary
     sum and the kappa fit. A table's coefficients are its node values
     times the closed-form matrix of ``_cheb_fit``; no least-squares
     solve runs.
@@ -284,7 +284,7 @@ class ExtensionSolution:
         return out if isinstance(x, np.ndarray) else float(out)
 
     @functools.cached_property
-    def g_at_b(self) -> float:
+    def _g_at_b(self) -> float:
         """g(b), taken once per solution. It equals G_reg(b) bit for bit: the
         junction branch of order 0, (x - b)^(1-s) times a polynomial, drops
         at b, and both sums take the last piece by the same power rule. The
@@ -349,12 +349,12 @@ class ExtensionSolution:
         s = self.s
         boundary = 0.0
         for i in range(n):
-            at_b = self._forcing(i, 0.0) if i else self.g_at_b
+            at_b = self._forcing(i, 0.0) if i else self._g_at_b
             boundary += _ctilde(s, n, i) * at_b * xi**i
         integral = abel_ladder(lambda z: self._forcing(n, z), xi, s, self._branch_gap)
         out = self._sin_factor * (xi**n * integral + boundary)
         if n == 0:
-            out[xi == 0.0] = self._sin_factor * self.g_at_b / s
+            out[xi == 0.0] = self._sin_factor * self._g_at_b / s
         return out
 
     def _build_panels(

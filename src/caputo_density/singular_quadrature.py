@@ -36,10 +36,7 @@ calls it once. Polynomial data take ``poly_abel_integral``, exact. The
 unit rules depend only on (p, b, depth), the end panels only on their
 exponent and the remainder rule only on s. They are built on first use,
 kept in bounded module-level caches and handed out as read-only arrays,
-so one rule serves every integrand and every thread. The far-field
-series of ``poly_abel_integral`` (``_far_terms``) is memoized the same
-way, per (piece coefficients, piece length, exponent), as a tuple of
-floats: a solution sums the same few data pieces at every forcing call.
+so one rule serves every integrand and every thread.
 """
 
 from __future__ import annotations
@@ -96,11 +93,8 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     diag[0] = (b - a) / (ab + 2.0)
     if n > 1:
         off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    jacobi = np.zeros((n, n))
-    flat = jacobi.reshape(-1)  # a view: the diagonals are strided slices
-    flat[:: n + 1] = diag
-    flat[1 :: n + 1] = flat[n :: n + 1] = np.sqrt(off)
-    x, vectors = np.linalg.eigh(jacobi)
+    off = np.sqrt(off)
+    x, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     mu0 = 2.0 ** (ab + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(ab + 2.0)
     return x, mu0 * vectors[0] ** 2
 
@@ -486,31 +480,19 @@ def _far_piece(coeffs, length: float, v, e: float) -> np.ndarray:
 
         v^e length sum_n (-e)_n/n! y^n sum_k c_k length^k/(k + n + 1),
 
-    y = length/v, by Horner's rule over the terms of ``_far_terms``: the
-    same terms for every point, so a value does not depend on the other
-    points.
+    y = length/v, by Horner's rule up to the first n where (-e)_n/n! 8^-n
+    < 2^-54, relative to sum_k |c_k| length^k/(k + 1): the same terms for
+    every point, so a value does not depend on the other points.
     """
     y = length / v
-    terms = _far_terms(tuple(coeffs.tolist()), length, e)
-    acc = np.full_like(y, terms[-1])
-    for t in reversed(terms[:-1]):
-        acc *= y
-        acc += t
-    return v**e * length * acc
-
-
-@functools.lru_cache(maxsize=256)
-def _far_terms(coeffs: tuple[float, ...], length: float, e: float) -> tuple[float, ...]:
-    """The series terms of ``_far_piece``, (-e)_n/n! sum_k c_k length^k/(k + n
-    + 1), up to the first n where (-e)_n/n! 8^-n < 2^-54, relative to sum_k
-    |c_k| length^k/(k + 1). They depend on the piece and e alone, and
-    every forcing call of a solution meets the same few pieces, so they
-    are computed once per (piece, e) and kept, bounded, as immutable
-    tuples."""
-    scaled = np.array(coeffs) * length ** np.arange(len(coeffs))
+    scaled = coeffs * length ** np.arange(coeffs.size)
     terms, rising, n = [], 1.0, 0
     while not abs(rising) * _FAR_RATIO**-n < 2.0**-54:
         terms.append(rising * sum(c / (k + n + 1) for k, c in enumerate(scaled)))
         n += 1
         rising *= (n - 1 - e) / n
-    return tuple(terms)
+    acc = np.full_like(y, terms[-1])
+    for t in reversed(terms[:-1]):
+        acc *= y
+        acc += t
+    return v**e * length * acc

@@ -126,9 +126,9 @@ def test_forcing_at_b_is_g_value_bit_for_bit(s):
     solutions += [solve_extension(prof, s) for prof in (ramp_profile(), quadratic_bump_profile(), cubic)]
     for sol in solutions:
         want = sol.g_value(sol.b)
-        assert type(sol.g_at_b) is float
-        assert np.float64(sol.g_at_b).tobytes() == np.float64(want).tobytes()
-        assert sol.g_at_b is sol.g_at_b  # taken once
+        assert type(sol._g_at_b) is float
+        assert np.float64(sol._g_at_b).tobytes() == np.float64(want).tobytes()
+        assert sol._g_at_b is sol._g_at_b  # taken once
 
 
 def test_value_matches_data_left_of_b(bump_solution):

@@ -143,34 +143,6 @@ def test_poly_abel_array_call_equals_the_scalar_loop_bit_for_bit(e):
     assert np.array_equal(got, want, equal_nan=True) and np.isnan(got[40])
 
 
-def test_far_piece_memo_equals_the_series_bit_for_bit():
-    # the uncached series of _far_piece, term by term as it was summed per call
-    def series(coeffs, length, v, e):
-        y = length / v
-        scaled = coeffs * length ** np.arange(coeffs.size)
-        terms, rising, n = [], 1.0, 0
-        while not abs(rising) * 8.0**-n < 2.0**-54:
-            terms.append(rising * sum(c / (k + n + 1) for k, c in enumerate(scaled)))
-            n += 1
-            rising *= (n - 1 - e) / n
-        acc = np.full_like(y, terms[-1])
-        for t in reversed(terms[:-1]):
-            acc *= y
-            acc += t
-        return v**e * length * acc
-
-    rng = np.random.default_rng(30)
-    for _ in range(200):
-        coeffs = rng.standard_normal(rng.integers(1, 5)) * 10.0 ** rng.uniform(-3, 3)
-        length = 10.0 ** rng.uniform(-3, 3)
-        e = -rng.uniform(0.0, 5.0)
-        v = length * rng.uniform(8.0, 1e4, 9)
-        want = series(coeffs, length, v, e)
-        for _ in range(2):  # a miss, then a hit
-            got = singular_quadrature._far_piece(coeffs, length, v, e)
-            assert got.tobytes() == want.tobytes()
-
-
 def test_poly_abel_partial_upper_limit():
     # phi'(t) = 1 on [0, 1]: int_0^x (x-t)^(-s) dt = x^(1-s)/(1-s) for x <= 1
     s = 0.5
