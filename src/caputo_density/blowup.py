@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ _PSI_CACHE_SIZE = 8
 _KAPPA_EPS = 2.0 ** -np.arange(5, 15)
 
 
-@dataclass(frozen=True, eq=False)
 class Psi0Profile:
     """Admissible prescribed data for the blow-up construction.
 
@@ -64,13 +62,17 @@ class Psi0Profile:
     at construction. C^1 matching is verified at interior breakpoints.
     Profiles compare and hash by their data's fingerprint, so equal data
     share one cached psi, and data equal to data that passed the checks
-    lately are admitted without a second sample.
+    lately are admitted without a second sample. ``data`` is read-only:
+    the caches key on it.
     """
 
-    data: PiecewisePoly
-
-    def __post_init__(self) -> None:
+    def __init__(self, data: PiecewisePoly):
+        self._data = data
         _check_psi0(self)
+
+    @property
+    def data(self) -> PiecewisePoly:
+        return self._data
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Psi0Profile)
@@ -117,7 +119,6 @@ def build_psi(s: float, profile: Psi0Profile) -> ExtensionSolution:
     return _solved_psi(fractional_order(s), profile)
 
 
-@dataclass(frozen=True, eq=False)
 class Combination:
     """u(x) = c0 + sum_i A_i psi(alpha_i x + beta_i), alpha_i > 0; psi is None without terms.
 
@@ -129,17 +130,13 @@ class Combination:
     each point's row on its own, so no value depends on the batch.
     """
 
-    psi: ExtensionSolution | None
-    A: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    c0: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("A", "alpha", "beta"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(-1)
+    def __init__(self, psi: ExtensionSolution | None, A, alpha, beta, c0: float = 0.0):
+        self.psi = psi
+        for name, values in (("A", A), ("alpha", alpha), ("beta", beta)):
+            arr = np.array(values, dtype=float).reshape(-1)
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
+        self.c0 = c0
         if not (self.A.size == self.alpha.size == self.beta.size and np.all(self.alpha > 0.0)):
             raise ValueError("need one A, one alpha > 0 and one beta per term")
 
@@ -206,13 +203,11 @@ class Combination:
 class BlowupMember(Combination):
     """One rescaling v_j(x) = j^s psi(x/j + 1), causal from -j."""
 
-    j: int
-
     def __init__(self, j: int, psi: ExtensionSolution):
         if j < 1 or int(j) != j:
             raise ValueError("j must be a positive integer")
         super().__init__(psi, [j**psi.s], [1.0 / j], [1.0])
-        object.__setattr__(self, "j", j)
+        self.j = j
 
     # the same evaluator, bound here too so that traces name member residuals
     caputo_value = Combination.caputo_value
@@ -262,19 +257,18 @@ def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(y_mean - slope * x_mean)
 
 
-@dataclass(frozen=True)
 class KappaEstimate:
     """Fitted limit constant with the two analytic candidates and diagnostics."""
 
-    kappa: float
-    fit_exponent: float
-    kappa_a: float
-    kappa_b: float
-    matched: str | None
-
-    def __post_init__(self) -> None:
-        if not self.kappa > 0.0:
+    def __init__(self, kappa: float, fit_exponent: float, kappa_a: float, kappa_b: float,
+                 matched: str | None):
+        if not kappa > 0.0:
             raise ValueError("kappa must be strictly positive")
+        self.kappa = kappa
+        self.fit_exponent = fit_exponent
+        self.kappa_a = kappa_a
+        self.kappa_b = kappa_b
+        self.matched = matched
 
 
 def estimate_kappa(s: float, profile: Psi0Profile) -> KappaEstimate:
@@ -307,13 +301,14 @@ def estimate_kappa(s: float, profile: Psi0Profile) -> KappaEstimate:
     )
 
 
-@dataclass(frozen=True)
 class BlowupConvergence:
     """Sup-errors of v_j against kappa x^s per j, with the empirical rate."""
 
-    j_list: tuple[int, ...]
-    sup_errors: tuple[float, ...]
-    rate_exponent: float
+    def __init__(self, j_list: tuple[int, ...], sup_errors: tuple[float, ...],
+                 rate_exponent: float):
+        self.j_list = j_list
+        self.sup_errors = sup_errors
+        self.rate_exponent = rate_exponent
 
 
 def check_convergence_inputs(j_list, interval) -> tuple[tuple[int, ...], tuple[float, float]]:

@@ -13,8 +13,6 @@ near t = x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .piecewise import PiecewisePoly
@@ -24,12 +22,12 @@ from .special_functions import fractional_order, gamma
 __all__ = ["caputo_derivative", "caputo_residual", "ResidualReport"]
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """Per-point Caputo residual table with its max-abs summary."""
 
-    xs: np.ndarray
-    values: np.ndarray
+    def __init__(self, xs: np.ndarray, values: np.ndarray):
+        self.xs = xs
+        self.values = values
 
     @property
     def max_abs(self) -> float:

@@ -15,13 +15,11 @@ missed.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,11 +77,13 @@ MAX_COORDINATE = 1e30
 MIN_SPAN = 1e-145
 
 
-@dataclass
 class RunConfig:
-    """Fully resolved, seed-free run parameters (validated per command)."""
+    """Fully resolved, seed-free run parameters (validated per command).
 
-    command: str
+    ``RunConfig(command, **settings)``: the settings are the annotated class
+    attributes, which hold their defaults; any other keyword is a TypeError.
+    """
+
     s: float = 0.5
     profile: str | None = None
     poly: str | None = None
@@ -101,6 +101,13 @@ class RunConfig:
     residual_tol: float = 1e-4
     out: str = "-"
 
+    def __init__(self, command: str, **settings):
+        self.command = command
+        for key, value in settings.items():
+            if key not in RunConfig.__annotations__:
+                raise TypeError(f"RunConfig has no setting {key!r}")
+            setattr(self, key, value)
+
     def as_dict(self) -> dict:
         """The command and those of its own settings that are set."""
         fields = {"command": self.command}
@@ -112,7 +119,7 @@ class RunConfig:
     @functools.cached_property
     def hash(self) -> str:
         """The config hash of the command's outputs, computed on first read:
-        a command changes no setting after its config is checked."""
+        a command sets no setting after it starts writing its outputs."""
         # the output destination does not change what is computed
         payload = {k: v for k, v in self.as_dict().items() if k != "out"}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -283,9 +290,10 @@ def _cmd_derivative(config: RunConfig) -> int:
         values = sol.caputo_value(grid)
     else:
         if config.poly is None:
-            # the config, and so its hash, names the profile and where its data ends
+            # the config, and so its hash (not read yet), names the profile and
+            # where its data ends
             b = float(max(grid)) if config.b is None else config.b
-            config = dataclasses.replace(config, profile=_profile_name(config), b=b)
+            config.profile, config.b = name, b
         profile = _resolve_profile(config)
         if np.any(grid > profile.hi):
             raise ValueError("grid extends beyond the data; use `extend` for x > b")
@@ -533,7 +541,10 @@ def _resolve_config(command: str, values: dict) -> RunConfig:
     config = RunConfig(command=command)
     if path := values.pop("config", None):
         with open(path, encoding="utf-8") as fh:
-            fields = json.load(fh)
+            try:
+                fields = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"--config {path} is not valid JSON: {exc}") from None
         if not isinstance(fields, dict):
             raise ValueError("--config must hold a JSON object")
         # only the subcommand's own flags, not the subcommand; null keeps a default

@@ -28,7 +28,6 @@ Every result is a ``Combination`` of affine rescalings of psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,7 +183,6 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-@dataclass(frozen=True, eq=False, kw_only=True)
 class JetCombination(Combination):
     """v = sum_i c_i v_{j_i} with a prescribed jet at p.
 
@@ -196,11 +194,15 @@ class JetCombination(Combination):
     alpha = 1/j.
     """
 
-    p: float
-    m: int
-    jet_residual: float
-    condition_number: float
-    fd_jet_errors: tuple[float, ...]
+    def __init__(self, psi, A, alpha, beta, c0: float = 0.0, *, p: float, m: int,
+                 jet_residual: float, condition_number: float,
+                 fd_jet_errors: tuple[float, ...]):
+        super().__init__(psi, A, alpha, beta, c0)
+        self.p = p
+        self.m = m
+        self.jet_residual = jet_residual
+        self.condition_number = condition_number
+        self.fd_jet_errors = fd_jet_errors
 
     @property
     def R(self) -> float:
@@ -440,7 +442,6 @@ def as_target(f):
 # -- full pipeline ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ApproximationReport:
     """Everything a density run certifies, for reporting and CI gating.
 
@@ -450,16 +451,20 @@ class ApproximationReport:
     (None for the fit and for m = 0).
     """
 
-    target: str
-    k: int
-    eps_requested: float
-    epsilon_achieved: float
-    errors_per_derivative: tuple[float, ...]
-    residual_max: float
-    initial_point: float
-    terms: int
-    coefficient_mass: float
-    delta: float | None = None
+    def __init__(self, target: str, k: int, eps_requested: float, epsilon_achieved: float,
+                 errors_per_derivative: tuple[float, ...], residual_max: float,
+                 initial_point: float, terms: int, coefficient_mass: float,
+                 delta: float | None = None):
+        self.target = target
+        self.k = k
+        self.eps_requested = eps_requested
+        self.epsilon_achieved = epsilon_achieved
+        self.errors_per_derivative = errors_per_derivative
+        self.residual_max = residual_max
+        self.initial_point = initial_point
+        self.terms = terms
+        self.coefficient_mass = coefficient_mass
+        self.delta = delta
 
     @property
     def ok(self) -> bool:

@@ -30,6 +30,12 @@ def test_default_profile_is_admissible(psi0_default):
     assert data.derivative_value(0.3) < 0.0
 
 
+def test_profile_data_cannot_be_rebound(psi0_default):
+    # the psi cache keys on the profile's data fingerprint
+    with pytest.raises(AttributeError):
+        psi0_default.data = PiecewisePoly([0.0, 1.0], [[0.0]], left_tail=0.0)
+
+
 def test_flat_profile_rejected():
     # derivative identically zero on [0, 3/4) violates strict decrease
     with pytest.raises(ValueError, match="strictly decreasing"):

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -303,7 +302,8 @@ def test_nan_misses_the_gates(tmp_path, capsys, monkeypatch):
 
     def nan_residual(*args, **kwargs):
         approx, rep = real(*args, **kwargs)
-        return approx, dataclasses.replace(rep, residual_max=float("nan"))
+        rep.residual_max = float("nan")
+        return approx, rep
 
     monkeypatch.setattr(cli, "approximate_function", nan_residual)
     code, stdout, _ = run_cli(
@@ -601,6 +601,21 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, fields, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text,decoder", [
+    ('{"s": 0.5,', "Expecting property name enclosed in double quotes: line 1 column 11 (char 10)"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["truncated", "empty"])
+def test_config_rejects_invalid_json(tmp_path, capsys, text, decoder):
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    code, stdout, err = run_cli(
+        capsys, "extend", "--config", str(path), "--out", str(tmp_path / "o.csv")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: --config {path} is not valid JSON: {decoder}\n"
+
+
 # -- fuzzed up-front validation -------------------------------------------------
 # Every value drawn below is invalid, so no run may reach a solve (they are
 # replaced by _no_solve) or allocate a grid: each must exit 2 with one line.
@@ -667,7 +682,7 @@ _BAD_ARGV = st.sampled_from(
     [(command, flag) for command, flags in _BAD_FLAGS.items() for flag in flags]
 ).flatmap(lambda cf: _BAD_FLAGS[cf[0]][cf[1]].map(lambda value: [cf[0], cf[1], value]))
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+_CONFIG_KEYS = set(RunConfig.__annotations__)
 _NOT_A_NUMBER = st.one_of(
     st.text(max_size=5), st.booleans(), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
@@ -705,6 +720,13 @@ def _foreign_config(command: str):
     own = {flag[2:].replace("-", "_") for flag in _BAD_FLAGS[command]} | {"out"}
     return st.sampled_from(sorted(_CONFIG_KEYS - own)).map(
         lambda key: json.dumps({key: _VALID_VALUE[key]}))
+
+
+def test_config_settings_are_the_flags():
+    assert _CONFIG_KEYS == set().union(*cli._FLAGS.values())
+    assert RunConfig(command="extend", tol=1e-3).tol == 1e-3
+    with pytest.raises(TypeError, match="nosuch"):
+        RunConfig(command="extend", nosuch=1)
 
 
 def _run_checked(argv) -> tuple[int, str, str]:
@@ -865,6 +887,17 @@ def test_cli_import_leaves_hashlib_unimported():
     src = os.path.dirname(os.path.dirname(caputo_density.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, caputo_density.cli; print('hashlib' in sys.modules, '_hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_copy_unimported():
+    # building a dataclass costs about 0.6 ms at import; the package's value classes are plain
+    src = os.path.dirname(os.path.dirname(caputo_density.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, caputo_density.cli; print('dataclasses' in sys.modules, 'copy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
     assert done.returncode == 0, done.stderr
