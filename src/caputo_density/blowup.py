@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .extension_solver import ExtensionSolution, _check_order, _reach, solve_extension
-from .piecewise import PiecewisePoly, taylor_shift
+from .piecewise import PiecewisePoly, polyder, polyval, taylor_shift
 from .profiles import quadratic_bump_profile
 from .singular_quadrature import integrate_singular, poly_abel_integral
 from .special_functions import fractional_order, gamma, sin_pi
@@ -45,11 +45,12 @@ __all__ = [
 
 DEFAULT_J_LIST = (2, 4, 8, 16, 32, 64)
 DEFAULT_INTERVAL = (0.5, 2.0)
-_DENSE_SAMPLE = 1000
 # solved psi per (s, profile), and the psi_0 data admitted by Psi0Profile's
 # checks: the least recently used go first beyond this many, which still
 # holds every order of a sweep
 _PSI_CACHE_SIZE = 8
+# psi_0's slopes must match to this at a breakpoint; psi_0'(3/4-) may reach it
+_C1_TOL = 1e-9
 # the kappa fit's eps grid, 2^-5 down to 2^-14
 _KAPPA_EPS = 2.0 ** -np.arange(5, 15)
 
@@ -58,11 +59,12 @@ class Psi0Profile:
     """Admissible prescribed data for the blow-up construction.
 
     Constant on (-inf, 0], identically zero on [3/4, 1], with strictly
-    negative derivative on [0, 3/4); all three checked on a dense sample
-    at construction. C^1 matching is verified at interior breakpoints.
+    negative derivative on [0, 3/4); all three checked exactly, piece by
+    piece, at construction. C^1 matching is verified at interior
+    breakpoints.
     Profiles compare and hash by their data's fingerprint, so equal data
     share one cached psi, and data equal to data that passed the checks
-    lately are admitted without a second sample. ``data`` is read-only:
+    lately are admitted without a second check. ``data`` is read-only:
     the caches key on it.
     """
 
@@ -89,22 +91,37 @@ class Psi0Profile:
 
 @functools.lru_cache(maxsize=_PSI_CACHE_SIZE)
 def _check_psi0(profile: Psi0Profile) -> None:
-    """Psi0Profile's checks, once per data fingerprint while it stays cached."""
+    """Psi0Profile's checks, once per data fingerprint while it stays cached.
+
+    The pieces have degree <= 3, so each condition is checked exactly,
+    piece by piece. A piece reaching into [3/4, 1] must have coefficients
+    about 3/4 within 1e-12 of zero. On a piece's part of [0, 3/4) the
+    derivative, a quadratic, is largest at an end or at its vertex, so it
+    is tested there; at 3/4 itself it may vanish, to the C^1 tolerance.
+    """
     data = profile.data
     bp = data.breakpoints
     if bp[0] != 0.0 or bp[-1] != 1.0:
         raise ValueError("psi_0 data must span exactly [0, 1]")
-    ts = np.linspace(0.75, 1.0, _DENSE_SAMPLE // 4)
-    if np.max(np.abs(data.value(ts))) > 1e-12:
+    pieces = tuple(zip(bp[:-1], bp[1:], data.coeffs))
+    if any(hi > 0.75 and np.abs(taylor_shift(c, 0.75 - lo)).max() > 1e-12
+           for lo, hi, c in pieces):
         raise ValueError("psi_0 must vanish on [3/4, 1]")
-    ts = np.linspace(0.0, 0.75, _DENSE_SAMPLE, endpoint=False)
-    if np.max(data.derivative_value(ts)) >= 0.0:
-        raise ValueError("psi_0 must be strictly decreasing on [0, 3/4)")
+    for lo, hi, c in pieces:
+        if lo >= 0.75:
+            break
+        slope, end = polyder(c), min(hi, 0.75) - lo
+        inner = [0.0]
+        if slope[2] != 0.0 and 0.0 < -slope[1] / (2.0 * slope[2]) < end:
+            inner.append(-slope[1] / (2.0 * slope[2]))
+        if (polyval(np.array(inner), slope).max() >= 0.0
+                or polyval(end, slope) >= (_C1_TOL if hi >= 0.75 else 0.0)):
+            raise ValueError("psi_0 must be strictly decreasing on [0, 3/4)")
     for j, tau in enumerate(bp[1:-1]):
         # the left piece's slope at tau: its coefficient of (x - tau)
         left = taylor_shift(data.coeffs[j], tau - bp[j])[1]
         right = float(data.derivative_value(float(tau)))
-        if abs(left - right) > 1e-9:
+        if abs(left - right) > _C1_TOL:
             raise ValueError(f"psi_0 is not C^1 at breakpoint {tau}")
 
 
@@ -137,7 +154,7 @@ class Combination:
             arr.flags.writeable = False
             setattr(self, name, arr)
         self.c0 = c0
-        if not (self.A.size == self.alpha.size == self.beta.size and np.all(self.alpha > 0.0)):
+        if not (self.A.size == self.alpha.size == self.beta.size and (self.alpha > 0.0).all()):
             raise ValueError("need one A, one alpha > 0 and one beta per term")
 
     @classmethod
@@ -167,7 +184,7 @@ class Combination:
     @property
     def initial_point(self) -> float:
         """min_i (a_psi - beta_i)/alpha_i; -1 for a bare constant."""
-        return float(np.min((self.psi.a - self.beta) / self.alpha)) if self.A.size else -1.0
+        return float(((self.psi.a - self.beta) / self.alpha).min()) if self.A.size else -1.0
 
     def _apply(self, f, power: float, c0: float, x):
         """c0 + sum_i A_i alpha_i^power f(alpha_i x + beta_i), one f call for all pairs."""
@@ -177,8 +194,8 @@ class Combination:
         if self.A.size and flat.size:
             # term-major: each term's points reach psi in the caller's order
             y = self.alpha[:, None] * flat + self.beta[:, None]
-            vals = np.ascontiguousarray(np.reshape(f(y.ravel()), y.shape).T)
-            out += np.sum(vals * (self.A * self.alpha**power), axis=1)
+            vals = np.ascontiguousarray(f(y.ravel()).reshape(y.shape).T)
+            out += (vals * (self.A * self.alpha**power)).sum(axis=1)
         return out.reshape(xa.shape) if isinstance(x, np.ndarray) else float(out[0])
 
     def value(self, x):
@@ -251,7 +268,7 @@ class BlowupMember(Combination):
 def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Slope and intercept of the least-squares line through (x, y), in
     closed form about the means of x and y."""
-    x_mean, y_mean = np.mean(x), np.mean(y)
+    x_mean, y_mean = x.sum() / x.size, y.sum() / y.size
     dx = x - x_mean
     slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
     return slope, float(y_mean - slope * x_mean)
@@ -348,7 +365,7 @@ def check_blowup_convergence(
     alpha = 1.0 / np.asarray(j_list, dtype=float)
     members = psi.value((alpha[:, None] * xs + 1.0).ravel()).reshape(alpha.size, xs.size)
     members *= np.array([j**s for j in j_list])[:, None]
-    sups = np.max(np.abs(members - target), axis=1)
+    sups = np.abs(members - target).max(axis=1)
     return BlowupConvergence(
         j_list=j_list,
         sup_errors=tuple(float(e) for e in sups),

@@ -31,7 +31,7 @@ class ResidualReport:
 
     @property
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
 
 def _own_caputo(u, a: float, s: float):
@@ -77,7 +77,7 @@ def caputo_derivative(
     flat = xs.ravel()
     out = np.where(np.isnan(flat), np.nan, 0.0)
     live = flat > a
-    if np.any(live):
+    if live.any():
         out[live] = _caputo_right_of(u, a, s, flat[live], u_prime)
     return out.reshape(xs.shape) if isinstance(x, np.ndarray) else float(out[0])
 
@@ -91,7 +91,7 @@ def _caputo_right_of(u, a: float, s: float, xs: np.ndarray, u_prime) -> np.ndarr
     if isinstance(u, PiecewisePoly):
         if a > u.lo:
             raise ValueError("initial point must not be inside the data's memory")
-        if np.any(xs > u.hi):
+        if (xs > u.hi).any():
             raise ValueError(
                 "data ends before x; solve the extension to differentiate beyond it"
             )
@@ -115,6 +115,6 @@ def caputo_residual(u, a: float, s: float, grid, **kwargs) -> ResidualReport:
     xs = np.asarray(grid, dtype=float)
     if xs.size == 0:
         raise ValueError("residual grid must be nonempty")
-    if np.any(xs <= a):
+    if (xs <= a).any():
         raise ValueError("all residual grid points must lie right of the initial point")
     return ResidualReport(xs=xs, values=caputo_derivative(u, a, s, xs, **kwargs))

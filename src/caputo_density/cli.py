@@ -285,7 +285,7 @@ def _cmd_derivative(config: RunConfig) -> int:
     if name in FIXED_SPAN:
         profile = builtin_profile(name, config.a, config.b)
         sol = solve_extension(profile, config.s)
-        if np.any(grid <= profile.lo):
+        if (grid <= profile.lo).any():
             raise ValueError("grid points must lie right of the initial point")
         values = sol.caputo_value(grid)
     else:
@@ -295,7 +295,7 @@ def _cmd_derivative(config: RunConfig) -> int:
             b = float(max(grid)) if config.b is None else config.b
             config.profile, config.b = name, b
         profile = _resolve_profile(config)
-        if np.any(grid > profile.hi):
+        if (grid > profile.hi).any():
             raise ValueError("grid extends beyond the data; use `extend` for x > b")
         values = caputo_derivative(profile, profile.lo, config.s, grid)
     _write_csv(config.out, config, ["x", "caputo"], [grid, values])
@@ -308,7 +308,7 @@ def _cmd_extend(config: RunConfig) -> int:
         raise ValueError(f"data span --b - --a = {span:g} is below {MIN_SPAN:g}, too short "
                          "for the forcing")
     grid = _parse_grid(config.grid or "1.01:5:200")
-    if np.any(grid <= profile.hi):
+    if (grid <= profile.hi).any():
         raise ValueError("extend grid points must lie strictly right of b")
     sol = solve_extension(profile, config.s)
     u = sol.value(grid)
@@ -316,13 +316,13 @@ def _cmd_extend(config: RunConfig) -> int:
     residual = sol.caputo_value(grid)
     _write_csv(config.out, config, ["x", "u", "g", "residual"], [grid, u, g, residual])
 
-    residual_max = float(np.max(np.abs(residual)))
+    residual_max = float(np.abs(residual).max())
     fields = {"residual_max": residual_max}
     # --poly (no name) has no oracle
     name = _profile_name(config)
     oracle = builtin_extension_oracle(name) if name and config.s == 0.5 else None
     if oracle is not None:
-        fields["oracle_deviation"] = float(np.max(np.abs(u - oracle(grid))))
+        fields["oracle_deviation"] = float(np.abs(u - oracle(grid)).max())
     failures = []
     # written so that a NaN misses the gate
     if not residual_max <= config.tol:
@@ -540,11 +540,15 @@ def _parse_argv(argv: list[str]) -> tuple[str | None, dict | None]:
 def _resolve_config(command: str, values: dict) -> RunConfig:
     config = RunConfig(command=command)
     if path := values.pop("config", None):
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 fields = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"--config {path} is not valid JSON: {exc}") from None
+        except OSError as exc:
+            raise ValueError(f"--config {path} cannot be read: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"--config {path} is not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--config {path} is not valid JSON: {exc}") from None
         if not isinstance(fields, dict):
             raise ValueError("--config must hold a JSON object")
         # only the subcommand's own flags, not the subcommand; null keeps a default

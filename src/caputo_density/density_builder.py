@@ -114,7 +114,7 @@ def _fornberg_table(z: float, x: np.ndarray, m: int) -> np.ndarray:
     n = x.size
     if not 0 <= m < n:
         raise ValueError(f"derivative order must lie in 0..{n - 1} for {n} nodes, got {m}")
-    if not (np.all(np.isfinite(x)) and np.all(np.diff(np.sort(x)) > 0.0)):
+    if not (np.isfinite(x).all() and (np.diff(x[x.argsort()]) > 0.0).all()):
         raise ValueError("finite-difference nodes must be finite and distinct")
     c = np.zeros((n, m + 1))
     c1, c4 = 1.0, x[0] - z
@@ -178,7 +178,7 @@ def jet_matrix(members, points, m: int) -> np.ndarray:
     y = np.array([x / member.j + 1.0 for member in members for x in points])
     columns = []
     for l in range(m + 1):
-        scale = np.repeat([member.j ** (s - l) for member in members], len(points))
+        scale = np.array([member.j ** (s - l) for member in members]).repeat(len(points))
         columns.append(scale * psi.derivative(l, y))
     return np.stack(columns, axis=1)
 
@@ -206,23 +206,23 @@ class JetCombination(Combination):
 
     @property
     def R(self) -> float:
-        return float(np.max(1.0 / self.alpha))
+        return float((1.0 / self.alpha).max())
 
     @property
     def vanishing_radius(self) -> float:
         """v is identically zero on [-vanishing_radius, 0]."""
-        return float(np.min(1.0 / self.alpha)) / 4.0
+        return float((1.0 / self.alpha).min()) / 4.0
 
 
 def _solve_single_point(matrix: np.ndarray, m: int):
     """Min-norm least squares for M^T c = e_{m+1} with column equilibration."""
-    scale = np.max(np.abs(matrix), axis=0)
+    scale = np.abs(matrix).max(axis=0)
     scale[scale == 0.0] = 1.0
     scaled = matrix / scale
     target = np.zeros(m + 1)
     target[m] = 1.0
     coef, *_ = np.linalg.lstsq(scaled.T, target / scale, rcond=_JET_RCOND)
-    residual = float(np.max(np.abs(matrix.T @ coef - target)))
+    residual = float(np.abs(matrix.T @ coef - target).max())
     cond = float(np.linalg.cond(scaled))
     return coef, residual, cond
 
@@ -252,7 +252,7 @@ def prescribe_jet(s: float, profile: Psi0Profile, m: int) -> JetCombination:
     for i, p in enumerate(DEFAULT_POOL_P):
         rows = np.ascontiguousarray(matrix[i :: len(DEFAULT_POOL_P)])
         coef, residual, cond = _solve_single_point(rows, m)
-        solves.append((residual, float(np.sum(np.abs(coef))), float(p), coef, cond))
+        solves.append((residual, float(np.abs(coef).sum()), float(p), coef, cond))
     # residuals below the tolerance are rounding noise, so they do not rank
     feasible = [solve for solve in solves if solve[0] <= JET_TOL]
     if feasible:
@@ -314,7 +314,7 @@ def monomial_ck_errors(
 
 def _monomial_errors(jet, m: int, k: int, delta, xs: np.ndarray) -> np.ndarray:
     monomial = PolyTarget([0.0] * m + [1.0])
-    return np.asarray(_ck_grid_error(monomial, _monomial(jet, m, delta), k, xs)[1])
+    return _ck_grid_error(monomial, _monomial(jet, m, delta), k, xs)[1]
 
 
 def approximate_monomial(
@@ -353,15 +353,15 @@ def approximate_monomial(
     screen = np.linspace(0.0, 1.0, GRID_POINTS)[::_SCREEN_STRIDE]
     best_screened, best_delta = math.inf, 1.0
     for delta in _DELTAS:
-        screened = float(np.sum(_monomial_errors(jet, m, k, delta, screen)))
+        screened = float(_monomial_errors(jet, m, k, delta, screen).sum())
         if screened < eps:
             sups = monomial_ck_errors(jet, m, k, delta)
-            if float(np.sum(sups)) < eps:
+            if float(sups.sum()) < eps:
                 return _certified(target, _monomial(jet, m, delta), k, eps, sups, delta)
         if screened < best_screened:
             best_screened, best_delta = screened, delta
     # quote the full grid's error, which the screen may have skipped
-    achieved = float(np.sum(monomial_ck_errors(jet, m, k, best_delta)))
+    achieved = float(monomial_ck_errors(jet, m, k, best_delta).sum())
     raise DeltaUnderflowError(
         f"monomial m={m}: delta underflowed below {DELTA_FLOOR:g}; the best "
         f"delta tried, {best_delta:g}, gives C^{k} error {achieved:.3e} (budget "
@@ -378,7 +378,7 @@ class PolyTarget:
 
     def __init__(self, coefficients):
         self.coefficients = np.asarray(coefficients, dtype=float)
-        if not np.all(np.isfinite(self.coefficients)):
+        if not np.isfinite(self.coefficients).all():
             raise ValueError("target coefficients must be finite")
         self.description = "poly[" + ",".join(f"{c:g}" for c in self.coefficients) + "]"
 
@@ -414,7 +414,7 @@ class SampledTarget:
         ys = np.asarray(ys, dtype=float)
         if xs.size != ys.size or xs.size < 4:
             raise ValueError("need matching x/y samples, at least 4")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("target samples must be finite")
         outside = xs[(xs < 0.0) | (xs > 1.0)]
         if outside.size:
@@ -475,16 +475,15 @@ class ApproximationReport:
 CombinedApproximant = Combination
 
 
-def _ck_grid_error(target, approx, k: int, xs: np.ndarray) -> tuple[float, list[float]]:
-    sups = []
-    for l in range(k + 1):
-        sups.append(float(np.max(np.abs(approx.derivative(l, xs) - target.eval(xs, l)))))
-    return float(np.sum(sups)), sups
+def _ck_grid_error(target, approx, k: int, xs: np.ndarray) -> tuple[float, np.ndarray]:
+    sups = np.array([np.abs(approx.derivative(l, xs) - target.eval(xs, l)).max()
+                     for l in range(k + 1)])
+    return float(sups.sum()), sups
 
 
 def residual_max(u: Combination) -> float:
     """max |D^s u| over 200 uniform points of [0, 1]."""
-    return float(np.max(np.abs(u.caputo_value(np.linspace(0.0, 1.0, RESIDUAL_POINTS)))))
+    return float(np.abs(u.caputo_value(np.linspace(0.0, 1.0, RESIDUAL_POINTS))).max())
 
 
 def _certified(
@@ -496,12 +495,12 @@ def _certified(
         target=getattr(target, "description", type(target).__name__),
         k=k,
         eps_requested=eps,
-        epsilon_achieved=float(np.sum(sups)),
+        epsilon_achieved=float(sups.sum()),
         errors_per_derivative=tuple(float(e) for e in sups),
         residual_max=residual_max(u),
         initial_point=u.initial_point,
         terms=int(u.A.size),
-        coefficient_mass=float(np.sum(np.abs(u.A))),
+        coefficient_mass=float(np.abs(u.A).sum()),
         delta=delta,
     )
 
@@ -516,7 +515,7 @@ def _fit(target, k: int, psi, pool) -> CombinedApproximant:
     y = (alpha[:, None] * x + beta[:, None]).ravel()  # term-major
     blocks = []
     for l in range(k + 1):
-        columns = np.reshape(psi.derivative(l, y), (alpha.size, x.size)).T * alpha**l
+        columns = psi.derivative(l, y).reshape(alpha.size, x.size).T * alpha**l
         blocks.append(np.column_stack([np.full(x.size, float(l == 0)), columns]))
     matrix = np.concatenate(blocks)
     norms = np.linalg.norm(matrix, axis=0)

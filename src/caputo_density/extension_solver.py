@@ -189,7 +189,7 @@ def _read_table(edges: np.ndarray, coefs: np.ndarray, xi: np.ndarray) -> np.ndar
     bit and does not depend on the other points of the call, nor on
     panels right of the point's own.
     """
-    panel = np.searchsorted(edges[1:-1], xi, side="right")
+    panel = edges[1:-1].searchsorted(xi, side="right")
     e0, e1 = edges[panel], edges[panel + 1]
     return _clenshaw((2.0 * xi - e0 - e1) / (e1 - e0), coefs, panel)
 
@@ -266,7 +266,7 @@ class ExtensionSolution:
         poly[0] = 0.0
         self._poly = poly
         # g carries a junction branch exactly when P does; raw_value sizes its rule by it
-        self._branched = bool(np.any(poly))
+        self._branched = bool(poly.any())
 
         # (panel edges, {order n or _CAPUTO: coefficients}); replaced whole, never mutated
         self._state = (ladder_edges(self._branch_gap, 0.0), {})
@@ -278,7 +278,7 @@ class ExtensionSolution:
         """g(x) = -int_a^b phi'(t)(x-t)^(-s) dt for x >= b, in closed form."""
         xa = np.asarray(x, dtype=float)
         _reach(xa - self.b, self._max_xi)  # refused before any piece is summed
-        if np.any(xa < self.b):
+        if (xa < self.b).any():
             raise ValueError("g is defined on [b, infinity)")
         out = self._forcing(0, xa - self.b, branch=True)
         return out if isinstance(x, np.ndarray) else float(out)
@@ -303,7 +303,7 @@ class ExtensionSolution:
         """
         s = self.s
         e = -s - i
-        if e == round(e) and any(np.any(c[round(-e) - 1:]) for *_, c in self._g_pieces):
+        if e == round(e) and any(c[round(-e) - 1:].any() for *_, c in self._g_pieces):
             # -s - i rounds to -i (r = i - 1) or to -(i + 1) (r = i)
             end, rounded = (0, i) if e == -i else (1, i + 1)
             raise ValueError(
@@ -383,7 +383,7 @@ class ExtensionSolution:
             vals = gauss_ladder(h1, nodes, self.s, -self.s, self._branch_gap)
         else:
             vals = self._smooth_factor_quad(key, nodes)
-        return np.sum(vals.reshape(-1, 1, _CHEB_POINTS) * fit, axis=2)
+        return (vals.reshape(-1, 1, _CHEB_POINTS) * fit).sum(axis=2)
 
     def _grow(self, key: int | str, xi_max: float) -> tuple[np.ndarray, dict]:
         """The state with table ``key`` built and [0, xi_max] covered.
@@ -432,7 +432,7 @@ class ExtensionSolution:
         xi < 0, where a table would extrapolate, before any table grows."""
         _check_order(n)
         xa = np.atleast_1d(np.asarray(xi, dtype=float))
-        if np.any(xa < 0.0):
+        if (xa < 0.0).any():
             raise ValueError("smooth factors are defined for xi >= 0")
         return self._eval_table(n, xa)
 
@@ -441,9 +441,9 @@ class ExtensionSolution:
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xa)
         left = xa <= self.b
-        if np.any(left):
+        if left.any():
             out[left] = self.profile.value(xa[left])
-        if np.any(~left):
+        if not left.all():
             xi = xa[~left] - self.b
             h0 = self._eval_table(0, xi)  # read first: it refuses +inf
             out[~left] = self.value_at_b + polyval(xi, self._poly) + xi**self.s * h0
@@ -461,10 +461,10 @@ class ExtensionSolution:
         if n == 0:
             return self.value(y)
         ya = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(ya <= self.b):
+        if (ya <= self.b).any():
             raise ValueError("derivatives are defined on (b, infinity)")
         xi = ya - self.b
-        if np.any(xi < _JUNCTION_GUARD):
+        if (xi < _JUNCTION_GUARD).any():
             raise JunctionProximityError(
                 f"derivative order {n} requested at y-b={np.nanmin(xi):.2e} < {_JUNCTION_GUARD}"
             )
@@ -500,7 +500,7 @@ class ExtensionSolution:
         _reach(xa - self.b, self._max_xi)  # refused before any quadrature
         out = np.empty_like(xa)
         ext = xa > self.b
-        if not np.all(ext):
+        if not ext.all():
             out[~ext] = self.value(xa[~ext])
         s = self.s
         xi = xa[ext] - self.b
@@ -543,10 +543,10 @@ class ExtensionSolution:
         _reach(xi, self._max_xi)  # refused before any table grows
         out = np.empty_like(xa)
         ext = xa > self.b
-        if not np.all(ext):  # in x, where x - a is exact near a = 0
+        if not ext.all():  # in x, where x - a is exact near a = 0
             *pieces, (tau_lo, _, last) = self.profile.derivative_pieces()
             out[~ext] = poly_abel_integral((*pieces, (tau_lo, math.inf, last)), xa[~ext], -self.s)
-        if np.any(ext):
+        if ext.any():
             out[ext] = self._eval_table(_CAPUTO, xi[ext]) - self._forcing(0, xi[ext])
         out /= gamma(1.0 - self.s)
         return out if isinstance(x, np.ndarray) else float(out[0])

@@ -87,9 +87,9 @@ class PiecewisePoly:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.isfinite(bp)):
+        if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(bp) <= 0.0):
+        if (np.diff(bp) <= 0.0).any():
             raise ValueError("breakpoints must be strictly increasing")
         rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in coeffs]
         if len(rows) != bp.size - 1:
@@ -99,14 +99,14 @@ class PiecewisePoly:
         full = np.zeros((len(rows), MAX_DEGREE + 1))
         for j, row in enumerate(rows):
             full[j, : row.size] = row
-        if not np.all(np.isfinite(full)):
+        if not np.isfinite(full).all():
             raise ValueError("coefficients must be finite")
         self.breakpoints = bp
         self.coeffs = full
         value0 = float(full[0, 0])
         self.left_tail = value0 if left_tail is None else float(left_tail)
 
-        scale = max(1.0, float(np.max(np.abs(full))))
+        scale = max(1.0, float(np.abs(full).max()))
         if abs(self.left_tail - value0) > _CONTINUITY_TOL * scale:
             raise ValueError("left tail does not match the first piece value")
         for j in range(full.shape[0] - 1):
@@ -137,14 +137,14 @@ class PiecewisePoly:
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         """The piece of each x: the first left of lo, the last right of hi."""
-        return np.searchsorted(self.breakpoints[1:-1], x, side="right")
+        return self.breakpoints[1:-1].searchsorted(x, side="right")
 
     def _locate(self, x):
         """x clamped to hi, its offset in its piece and that piece's
         coefficients; x beyond the last breakpoint is rejected."""
         xa = np.asarray(x, dtype=float)
         span = self.hi - self.lo
-        if np.any(xa > self.hi + 1e-12 * span):
+        if (xa > self.hi + 1e-12 * span).any():
             raise ValueError("evaluation beyond the last breakpoint")
         xa = np.minimum(xa, self.hi)
         idx = self._piece_index(xa)

@@ -77,24 +77,26 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     squared first components of its eigenvectors. Exact for polynomials of
     degree <= 2n-1; a, b > -1. The k = 0 diagonal and k = 1 off-diagonal
     entries are written in their cancelled forms, which stay finite at
-    a + b = 0 and a + b = -1.
+    a + b = 0 and a + b = -1; the general forms are taken only beyond
+    them, where every denominator is positive since a + b > -2.
     """
     if n < 1 or not (a > -1.0 and b > -1.0):
         raise ValueError(f"gauss_jacobi needs n >= 1 and a, b > -1, got {n}, {a}, {b}")
     ab = a + b
     k = np.arange(n, dtype=float)
     two_k = 2.0 * k + ab
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diag = (b * b - a * a) / (two_k * (two_k + 2.0))
-        off = (
-            4.0 * k * (k + a) * (k + b) * (k + ab)
-            / (two_k**2 * (two_k + 1.0) * (two_k - 1.0))
-        )[1:]
+    diag = np.empty(n)
     diag[0] = (b - a) / (ab + 2.0)
+    diag[1:] = (b * b - a * a) / (two_k[1:] * (two_k[1:] + 2.0))
+    off = np.empty(n - 1)
     if n > 1:
         off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    off = np.sqrt(off)
-    x, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    k, two_k = k[2:], two_k[2:]
+    off[1:] = 4.0 * k * (k + a) * (k + b) * (k + ab) / (two_k**2 * (two_k + 1.0) * (two_k - 1.0))
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[1 :: n + 1] = jacobi.flat[n :: n + 1] = np.sqrt(off)
+    x, vectors = np.linalg.eigh(jacobi)
     mu0 = 2.0 ** (ab + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(ab + 2.0)
     return x, mu0 * vectors[0] ** 2
 
@@ -222,12 +224,13 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _known_points(xi, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """xi as a float array and the indices of its points other than NaN;
-    refuses a point below 0, outside the ladder rules' domain."""
+    """xi, a 1-d array of points, as floats and the indices of its points
+    other than NaN; refuses a point below 0, outside the ladder rules'
+    domain."""
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0.0):
+    if (xi < 0.0).any():
         raise ValueError(f"{name} integrates from 0 to xi >= 0, got xi = {np.nanmin(xi)!r}")
-    return xi, np.flatnonzero(~np.isnan(xi))
+    return xi, (~np.isnan(xi)).nonzero()[0]
 
 
 def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarray:
@@ -245,7 +248,7 @@ def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarra
     """
     xi, known = _known_points(xi, "gauss_ladder")
     with np.errstate(divide="ignore"):  # xi = 0 takes depth 1
-        depth = np.clip(np.ceil(np.log2(2.0 * xi[known] / gap)), 1, _MAX_DEPTH).astype(int)
+        depth = np.ceil(np.log2(2.0 * xi[known] / gap)).clip(1, _MAX_DEPTH).astype(int)
     classes = []
     for d in range(depth.min(initial=_MAX_DEPTH), depth.max(initial=0) + 1):
         at = known[depth == d]
@@ -309,7 +312,7 @@ def abel_ladder(f, xi: np.ndarray, s: float, gap: float) -> np.ndarray:
         return out
     x = xi[known]
     edges = ladder_edges(gap, x.max())
-    panel = np.searchsorted(edges, x, side="right") - 1  # x in [e_k, e_(k+1))
+    panel = edges.searchsorted(x, side="right") - 1  # x in [e_k, e_(k+1))
     start = edges[np.maximum(panel - 1, 0)]
     ell = x - start
     # the shared panels 0 .. k - 2 of the farthest point, 12 nodes each
@@ -322,14 +325,14 @@ def abel_ladder(f, xi: np.ndarray, s: float, gap: float) -> np.ndarray:
     tail = (x[:, None] - ell[:, None] * u).ravel()
     fv = np.asarray(f(np.concatenate([t, tail])), dtype=float)
     weighted = fv[: t.size] * (half * gw).ravel()
-    total = np.sum(fv[t.size :].reshape(x.size, u.size) * g, axis=1)
+    total = (fv[t.size :].reshape(x.size, u.size) * g).sum(axis=1)
     far = panel >= 2  # where l < xi
     total[far] *= (ell[far] / x[far]) ** s
     for k in range(2, int(panel.max()) + 1):
-        at = np.flatnonzero(panel == k)
+        at = (panel == k).nonzero()[0]
         m = gx.size * (k - 1)
         kernel = (x[at, None] - t[:m]) ** (s - 1.0)
-        total[at] += x[at] ** -s * np.sum(kernel * weighted[:m], axis=1)
+        total[at] += x[at] ** -s * (kernel * weighted[:m]).sum(axis=1)
     out[known] = total
     return out
 
@@ -365,7 +368,7 @@ def _apply_rules(f, xi: np.ndarray, classes) -> np.ndarray:
         start = 0
         for at, nodes, weights in block:
             stop = start + at.size * nodes.size
-            out[at] = np.sum(fv[start:stop].reshape(at.size, nodes.size) * weights, axis=1)
+            out[at] = (fv[start:stop].reshape(at.size, nodes.size) * weights).sum(axis=1)
             start = stop
     return out
 
@@ -391,7 +394,7 @@ def integrate_singular(f, lo: float, hi: float, exponent: float, singular_end: s
     w, W = unit_rule(p, 0.0, _SINGULAR_DEPTH)
     span = hi - lo
     t = lo + span * w if singular_end == "left" else hi - span * w
-    return float(span**p * np.sum(np.asarray(f(t), dtype=float) * W))
+    return float(span**p * (np.asarray(f(t), dtype=float) * W).sum())
 
 
 def kernel_identity_check(s: float, tau: float, x: float) -> float:
@@ -433,18 +436,18 @@ def poly_abel_integral(pieces, x, e: float):
         while size and coeffs[size - 1] == 0.0:
             size -= 1
         live = xa > tau_lo  # a NaN point is not live and stays NaN
-        if not size or not np.any(live):
+        if not size or not live.any():
             continue
         xs = xa[live]
         v, length = xs - tau_lo, tau_hi - tau_lo
         far = v >= _FAR_RATIO * length  # never for a piece continued to inf
         near = ~far
         part = np.empty_like(v)
-        if np.any(far):
+        if far.any():
             part[far] = _far_piece(coeffs[:size], length, v[far], e)
         part[near] = _near_piece(coeffs[:size], xs[near], v[near], tau_lo, tau_hi, e)
         total[live] += part
-    return total.reshape(np.shape(x)) if isinstance(x, np.ndarray) else float(total[0])
+    return total.reshape(x.shape) if isinstance(x, np.ndarray) else float(total[0])
 
 
 def _near_piece(coeffs, xs, v, tau_lo: float, tau_hi: float, e: float) -> np.ndarray:

@@ -82,6 +82,58 @@ def test_profile_checks_run_once_per_data_fingerprint(monkeypatch):
     assert (info.currsize, info.hits) == (1, 1)
 
 
+def _hermite(lo, hi, v_lo, d_lo, v_hi, d_hi):
+    """Coefficients about lo of the cubic with these values and slopes at lo, hi."""
+    h = hi - lo
+    return [v_lo, d_lo, (3.0 * (v_hi - v_lo) / h - 2.0 * d_lo - d_hi) / h,
+            (d_lo + d_hi - 2.0 * (v_hi - v_lo) / h) / h**2]
+
+
+def test_short_rising_pieces_rejected():
+    # the default bump with [0.4501, 0.4506] replaced by two C^1 cubics whose
+    # slope climbs to +0.43 at 0.45035: no point of a 1000-point sample of
+    # [0, 3/4) falls in the rise, but each piece's slope is checked exactly
+    q = lambda x: (16.0 / 9.0) * (x - 0.75) ** 2
+    dq = lambda x: (32.0 / 9.0) * (x - 0.75)
+    x0, mid, x1 = 0.4501, 0.45035, 0.4506
+    data = PiecewisePoly(
+        [0.0, x0, mid, x1, 0.75, 1.0],
+        [
+            [1.0, -8.0 / 3.0, 16.0 / 9.0],
+            _hermite(x0, mid, q(x0), dq(x0), q(mid), 0.43),
+            _hermite(mid, x1, q(mid), 0.43, q(x1), dq(x1)),
+            [q(x1), dq(x1), 16.0 / 9.0],
+            [0.0],
+        ],
+        left_tail=1.0,
+    )
+    assert data.derivative_value(mid) == pytest.approx(0.43)
+    sample = np.linspace(0.0, 0.75, 1000, endpoint=False)
+    assert data.derivative_value(sample).max() < 0.0
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        Psi0Profile(data)
+
+
+def test_short_bump_beyond_three_quarters_rejected():
+    # a C^1 bump of height 1e-6 on [0.8003, 0.8009], between two points of a
+    # 250-point sample of [3/4, 1]: its coefficients about 3/4 do not vanish
+    lo, mid, hi = 0.8003, 0.8006, 0.8009
+    data = PiecewisePoly(
+        [0.0, 0.75, lo, mid, hi, 1.0],
+        [
+            [1.0, -8.0 / 3.0, 16.0 / 9.0],
+            [0.0],
+            _hermite(lo, mid, 0.0, 0.0, 1e-6, 0.0),
+            _hermite(mid, hi, 1e-6, 0.0, 0.0, 0.0),
+            [0.0],
+        ],
+        left_tail=1.0,
+    )
+    assert np.abs(data.value(np.linspace(0.75, 1.0, 250))).max() <= 1e-12
+    with pytest.raises(ValueError, match="vanish"):
+        Psi0Profile(data)
+
+
 def test_wrong_span_rejected():
     with pytest.raises(ValueError, match="span"):
         Psi0Profile(PiecewisePoly([0.0, 0.5], [[1.0, -2.0]], left_tail=1.0))

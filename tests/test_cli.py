@@ -554,6 +554,65 @@ def test_cli_runs_leave_numpy_ma_unimported(tmp_path):
     assert lines[-1] == "0 0 False False"
 
 
+# the five README commands, as the README runs them
+README_COMMANDS = (
+    "derivative --profile linear --s 0.5 --grid 0.1:2:40",
+    "extend --profile appendix-es1 --grid 1.01:5:200",
+    "blowup --j-list 4,8,16,32,64",
+    "approximate --f sin --k 1 --eps 5e-2",
+    "approximate --m 1 --k 0 --eps 1e-2",
+)
+
+# numpy's Python-level wrappers (np.any, np.sum, np.max, np.searchsorted, ...)
+# live in fromnumeric.py, in numpy 1.24 and 2.x alike, and each costs
+# 0.4-1.1 us over the ndarray method it forwards to: on every table read,
+# rule build and forcing call. The package calls the methods. numpy < 1.25
+# enters a wrapper through a generated dispatch frame, which is skipped.
+_COUNT_FROMNUMERIC = """
+import json, os, sys
+import caputo_density
+from caputo_density.cli import main
+pkg = os.path.dirname(caputo_density.__file__) + os.sep
+relay = ("<__array_function__ internals>", "overrides.py")
+calls = []
+def profile(frame, event, arg):
+    code = frame.f_code
+    if (event != "call" or os.path.basename(code.co_filename) != "fromnumeric.py"
+            or code.co_name.endswith("_dispatcher")):
+        return
+    caller = frame.f_back
+    while caller is not None and caller.f_code.co_filename.endswith(relay):
+        caller = caller.f_back
+    if caller is not None and caller.f_code.co_filename.startswith(pkg):
+        site = os.path.basename(caller.f_code.co_filename)
+        calls[-1].append(f"{site}:{caller.f_lineno} np.{code.co_name}")
+exits = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    calls.append([])
+    sys.setprofile(profile)
+    try:
+        exits.append(main(argv.split() + ["--out", os.path.join(sys.argv[2], f"{i}.csv")]))
+    finally:
+        sys.setprofile(None)
+print(json.dumps([exits, calls]))
+"""
+
+
+def test_readme_commands_call_no_fromnumeric_wrapper(tmp_path):
+    # one fresh interpreter runs all five, so every cache starts cold and
+    # every rule and table build is seen
+    src = os.path.dirname(os.path.dirname(caputo_density.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_FROMNUMERIC, json.dumps(README_COMMANDS), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    exits, calls = json.loads(done.stdout.splitlines()[-1])
+    assert exits == [0] * len(README_COMMANDS)
+    assert dict(zip(README_COMMANDS, calls)) == {argv: [] for argv in README_COMMANDS}
+
+
 @pytest.mark.parametrize("command,field,value", [
     ("approximate", "k", 1.5), ("approximate", "m", True), ("blowup", "j_list", [4, 8]),
     ("blowup", "interval", 3), ("blowup", "j_list", "2,4,x"),
@@ -614,6 +673,23 @@ def test_config_rejects_invalid_json(tmp_path, capsys, text, decoder):
     assert code == 2
     assert stdout == ""
     assert err == f"error: --config {path} is not valid JSON: {decoder}\n"
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+    (None, "cannot be read: No such file or directory"),
+], ids=["utf16-bom", "missing"])
+def test_config_rejects_unreadable_file(tmp_path, capsys, content, message):
+    path = tmp_path / "c.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, stdout, err = run_cli(
+        capsys, "extend", "--config", str(path), "--out", str(tmp_path / "o.csv")
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: --config {path} {message}\n"
 
 
 # -- fuzzed up-front validation -------------------------------------------------
