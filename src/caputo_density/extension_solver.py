@@ -47,6 +47,7 @@ from .singular_quadrature import (
     gauss_ladder,
     ladder_edges,
     poly_abel_integral,
+    residual_ladder,
     unit_rule,
 )
 from .special_functions import fractional_order, gamma, sin_pi
@@ -215,7 +216,9 @@ class ExtensionSolution:
     widths gap/2, gap, 2 gap, ..., and every built table grows along it
     when a point lies beyond the covered range, only as far as it. Every read
     refuses, before any growth, a point at +inf or more than 2^59 gaps
-    right of b, which no ``gauss_ladder`` rule reaches. A table is read in one
+    right of b, beyond the deepest ``gauss_ladder`` rule of ``raw_value``:
+    the tables' own rules have no such limit, but the refusal keeps every
+    table point within reach of that independent check. A table is read in one
     Clenshaw sweep over all points of a call, each gathering its own
     panel's coefficients. The panel edges and the tables are one state,
     grown aside and swapped in one step under a lock, and every read
@@ -225,13 +228,15 @@ class ExtensionSolution:
     The node values of the H_n tables are ``abel_ladder`` integrals,
     product integration on the tables' own ladder: a build evaluates the
     forcing once per shared ladder node and at 18 remainder nodes per
-    table node. Those of R are ``gauss_ladder`` integrals, one
-    ``unit_rule`` per s and depth class, and ``raw_value`` is one too for
-    branch-free data, so the FD certificate and the kappa fit check the
-    H_n tables with an independent rule; data with a junction branch
-    take one rule per s there. The rules live in the pure, bounded,
-    read-only caches of ``singular_quadrature`` and are shared by every
-    solution.
+    table node. Those of R are ``residual_ladder`` integrals on the same
+    ladder: a build reads the order-1 table once per shared ladder node
+    and at 24 remainder nodes per table node (16 below 3 gap/2), O(K)
+    reads for K panels. ``raw_value`` is a ``gauss_ladder`` integral,
+    one ``unit_rule`` per s and depth class, for branch-free data, so
+    the FD certificate and the kappa fit check the H_n tables with an
+    independent rule; data with a junction branch take one rule per s
+    there. The rules live in the pure, bounded, read-only caches of
+    ``singular_quadrature`` and are shared by every solution.
     The forcing at b, g(b) = G_reg(b), is taken once per solution
     (``_g_at_b``) for the order-0 node at xi = 0, the order-1 boundary
     sum and the kappa fit. A table's coefficients are its node values
@@ -257,7 +262,8 @@ class ExtensionSolution:
                                for t0, t1, c in profile.derivative_pieces())
         tau, _, last = self._g_pieces[-1]
         self._reg_pieces = (*self._g_pieces[:-1], (tau, math.inf, last))
-        # the reach of gauss_ladder's deepest rule; every read refuses points beyond
+        # the reach of raw_value's deepest gauss_ladder rule; every read refuses
+        # points beyond, so that raw_value can check any table point
         self._max_xi = 2.0 ** (_MAX_DEPTH - 1) * self._branch_gap
         # sin(pi s)/pi, the normalization of the representation formula
         self._sin_factor = sin_pi(s) / math.pi
@@ -363,9 +369,9 @@ class ExtensionSolution:
         """Chebyshev coefficients of table ``key``, one row per panel [lo, hi].
 
         One call takes the nodes of every panel: ``_smooth_factor_quad``
-        for H_n, or for R ``gauss_ladder`` over ``unit_rule(s, -s, depth)``
-        of the order-1 table in ``tables``, the state being built, whose
-        ``edges`` cover every panel. Reading that table directly, not
+        for H_n, or for R ``residual_ladder`` over the order-1 table in
+        ``tables``, the state being built, whose ``edges`` cover every
+        panel and which it reads once, at every node of the call. Reading that table directly, not
         through ``smooth_factor``, keeps ``_grow`` from re-entering its
         lock. Their rows are independent, so each node's value is what a
         call for that panel alone gives. The fit applies the fixed matrix
@@ -380,7 +386,7 @@ class ExtensionSolution:
         nodes = (mid + half * ref).ravel()
         if key == _CAPUTO:
             h1 = lambda z: _read_table(edges, tables[1], z)
-            vals = gauss_ladder(h1, nodes, self.s, -self.s, self._branch_gap)
+            vals = residual_ladder(h1, nodes, self.s, self._branch_gap)
         else:
             vals = self._smooth_factor_quad(key, nodes)
         return (vals.reshape(-1, 1, _CHEB_POINTS) * fit).sum(axis=2)
@@ -389,13 +395,13 @@ class ExtensionSolution:
         """The state with table ``key`` built and [0, xi_max] covered.
 
         New panels continue the ladder (``ladder_edges``, which
-        ``abel_ladder`` reads too), panel k being 2^k gap/2 wide, up to
-        the first edge at or beyond xi_max, and every built table gets
-        them; then table ``key`` is built over all panels if it is new,
-        after order 1 if it is R. Order 1 is always built, and so grown,
-        before R, which reads it. The grown state is built aside and
-        swapped in under the lock in one step; readers never lock and
-        always see a whole state.
+        ``abel_ladder`` and ``residual_ladder`` read too), panel k being
+        2^k gap/2 wide, up to the first edge at or beyond xi_max, and
+        every built table gets them; then table ``key`` is built over all
+        panels if it is new, after order 1 if it is R. Order 1 is always
+        built, and so grown, before R, which reads it. The grown state is
+        built aside and swapped in under the lock in one step; readers
+        never lock and always see a whole state.
         """
         with self._grow_lock:
             edges, tables = self._state
@@ -489,7 +495,7 @@ class ExtensionSolution:
           It is applied by ``apply_rule``, one call of g per block of
           at most 8192 values;
         - branch-free data (psi_0, the bump) make one ``gauss_ladder``
-          call, the depth rule of R's table nodes: g(b + xi w) is then
+          call, a depth rule per point: g(b + xi w) is then
           analytic at w = 0 and cut only at w = -gap/xi, so a point takes
           22 nodes up to xi = gap/2 and 12 more per doubling beyond.
 
@@ -534,9 +540,11 @@ class ExtensionSolution:
         its table per point, built or grown as the H_n tables are. R is
         analytic on [0, inf) with H_1's cut (-inf, -gap] and no other, so
         its panels keep the margin of the H_n tables; its node values are
-        ``gauss_ladder`` sums over ``unit_rule(s, -s, depth)`` of the
-        order-1 table. A value does not depend on the other points of the
-        array nor on earlier reads.
+        ``residual_ladder`` sums over the order-1 table, product
+        integration on the same ladder with panel 0's w^(s-1) mass in
+        closed form, so a build of K panels reads H_1 O(K) times. A value
+        does not depend on the other points of the array nor on earlier
+        reads.
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         xi = xa - self.b

@@ -1,8 +1,8 @@
 """Gauss-Jacobi product integration for weakly singular integrals.
 
 See Diethelm, The Analysis of Fractional Differential Equations (2010),
-ch. 7, for product integration of Abel kernels. Two rules serve the
-package's singular integrals. The unit rules, ``unit_rule``,
+ch. 7, for product integration of Abel kernels. Two kinds of rule serve
+the package's singular integrals. The unit rules, ``unit_rule``,
 
     sum W f(w) ~ int_0^1 w^(p-1) (1-w)^b f(w) dw,
 
@@ -14,27 +14,31 @@ nearest singularity. Their users differ only in (p, b, depth):
 
 - ``gauss_ladder``, for int_0^1 w^(p-1) (1-w)^b f(xi w) dw at many xi
   with f cut at (-inf, -gap]: each point takes the depth its own branch
-  point w = -gap/xi needs. It serves the node values of the Caputo
-  residual's table R, over the order-1 table (p = s, b = -s), and the
-  representation formula behind ``raw_value`` for data whose g has no
-  junction branch (p = 1, b = s - 1);
+  point w = -gap/xi needs. It serves the representation formula behind
+  ``raw_value`` for data whose g has no junction branch (p = 1,
+  b = s - 1);
 - ``raw_value`` for data with a junction branch, whose integrand
   carries w^(1-s) at w = 0: one rule of depth 40 (490 nodes) at every
   point;
 - ``integrate_singular``, for int_lo^hi f(t) |x_s - t|^e dt with the
   singular point x_s at one endpoint.
 
+The ladder rules take product integration on the solver's own panel ladder
+(``ladder_edges``), with nodes that every point shares, so f is
+evaluated once at them and at a few remainder nodes per point:
 ``abel_ladder`` takes int_0^1 (1-w)^(s-1) f(xi w) dw, the node values of
-the solver's tables of the analytic factors H_n, by product integration
-on the tables' own panel ladder (``ladder_edges``): 12-node
-Gauss-Legendre panels that every point shares, so f is evaluated once at
-their nodes, and an 18-node Gauss-Jacobi remainder per point.
+the solver's tables of the analytic factors H_n (12-node Gauss-Legendre
+panels and an 18-node Gauss-Jacobi remainder), and ``residual_ladder``
+int_0^xi t^(s-1) (xi-t)^(-s) f(t) dt, those of the Caputo residual's
+table R over the order-1 table (panel 0's t^(s-1) mass in closed form,
+Gauss-Legendre panels and a 24-node Gauss-Jacobi remainder).
 
 ``gauss_ladder`` and ``apply_rule`` apply their rules to many points,
-one call of the integrand per block of 8192 values; ``abel_ladder``
-calls it once. Polynomial data take ``poly_abel_integral``, exact. The
-unit rules depend only on (p, b, depth), the end panels only on their
-exponent and the remainder rule only on s. They are built on first use,
+one call of the integrand per block of 8192 values; ``abel_ladder`` and
+``residual_ladder`` call it once. Polynomial data take
+``poly_abel_integral``, exact. The unit rules depend only on (p, b,
+depth), the end panels only on their exponent and the ladders' Gauss-Jacobi
+rules only on s. They are built on first use,
 kept in bounded module-level caches and handed out as read-only arrays,
 so one rule serves every integrand and every thread.
 """
@@ -42,12 +46,13 @@ so one rule serves every integrand and every thread.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .piecewise import MAX_DEGREE
-from .special_functions import fractional_order
+from .special_functions import fractional_order, reflection
 
 __all__ = [
     "integrate_singular",
@@ -55,6 +60,7 @@ __all__ = [
     "poly_abel_integral",
     "gauss_ladder",
     "abel_ladder",
+    "residual_ladder",
     "ladder_edges",
     "apply_rule",
     "unit_rule",
@@ -122,11 +128,31 @@ _END_NODES = 12
 # point t = xi >= e_k at least 2 W_j right of it (rho >= 5 + sqrt 24), so
 # 12 nodes leave ~5e-19
 _REMAINDER_NODES = 18
+# residual_ladder's rules for int_0^xi t^(s-1) (xi-t)^(-s) f(t) dt, xi in
+# ladder panel k, where t = 0 is a branch point of the kernel too. Panel 0
+# = [0, gap/2], shared for k >= 2, takes its t^(s-1) mass in closed form and
+# the rest by a Gauss-Jacobi rule for t^s: f's cut and the kernel's branch
+# point t = xi >= e_2 lie two widths from it (rho >= 5 + sqrt 24), so
+# _START_NODES leave ~1e-20. Panel 1 = [gap/2, 3 gap/2], shared for k >= 3,
+# lies one half-width right of t = 0: rho = 2 + sqrt 3, and 16 nodes leave
+# 3.73^-32 ~ 5e-19. Panel j >= 2 lies e_j = W_j - gap/2 >= 3 W_j/4 right of
+# it (rho >= 4.79 at j = 2, rising to 3 + sqrt 8) and takes the 12-node
+# bands, ~5e-17 at j = 2. The remainder [e_(k-1), xi] is at most 3 W_(k-1)
+# long with t = 0 at u >= 7/6 in u = (xi - t)/l (k = 2; 4/3 as k grows), so
+# rho >= 2.2 and 24 nodes leave ~3e-17. Up to xi = e_2 one rule for
+# t^s (xi-t)^(-s) on [0, xi] has f's cut at least 4/3 of its half-width
+# left of it, rho >= 4.4, and 16 nodes leave ~2e-21. No rule has more than
+# 25 nodes, beyond which LAPACK's eigensolver switches to divide and
+# conquer and a Golub-Welsch build takes more memory
+_PANEL_ONE_NODES = 16
+_RESIDUAL_REMAINDER_NODES = 24
+_RESIDUAL_NEAR_NODES = 16
 _SINGULAR_DEPTH = 12
 # values of f per block of an apply_rule call; bounds its memory
 _BLOCK_NODES = 8192
 # deepest gauss_ladder rule (730 nodes): it resolves points up to 2^59
-# gaps right of b, and ExtensionSolution refuses reads beyond
+# gaps right of b, and ExtensionSolution refuses reads beyond, so that
+# raw_value can check a table value wherever a table reaches
 _MAX_DEPTH = 60
 # poly_abel_integral takes a piece by its binomial series at distances v of
 # at least this many piece lengths; _far_piece truncates the series at
@@ -175,15 +201,14 @@ def unit_rule(p: float, b: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
     exactly: in floating point (s - 1) + 1 need not be s. b > -1.
     10 + 12 (depth - 1) + 12 nodes, increasing, depending on (p, b,
     depth) only; both arrays are read-only and built on first use. The
-    cache holds 32 rules: a run at one s needs one per depth class of
-    the nodes of its residual table R and, for branch-free data, one per
-    depth class of its ``raw_value`` points, plus ``integrate_singular``'s
-    and, for data with a junction branch, ``raw_value``'s depth-40 rule
-    (10 in the README's five runs together, all at s = 1/2: depths 1 to
-    7 of R's rule and 1 to 3 of ``raw_value``'s). The H_n tables take no
-    unit rule (``abel_ladder``). The start panel is cached per p and the
-    end panel per b: the residual and ``raw_value`` rules of one s take
-    two of each (p = s, 1 and b = -s, s - 1), and p = 1 serves every s.
+    cache holds 32 rules: a run at one s needs, for branch-free data, one
+    per depth class of its ``raw_value`` points, and for data with a
+    junction branch ``raw_value``'s depth-40 rule, plus
+    ``integrate_singular``'s (3 in the README's five runs together, all
+    at s = 1/2: depths 1 to 3 of ``raw_value``'s). The tables, H_n and
+    R, take no unit rule (``abel_ladder``, ``residual_ladder``). The
+    start panel is cached per p and the end panel per b: the ``raw_value``
+    rules of every s share p = 1 and take b = s - 1.
     """
     edge = 0.5**depth
     x, g = _jacobi_start_rule(p)  # w = edge (1 + x)/2
@@ -240,7 +265,10 @@ def gauss_ladder(f, xi: np.ndarray, p: float, b: float, gap: float) -> np.ndarra
     point at w = -gap/xi. Each point takes ``unit_rule(p, b, depth)``
     with the least depth whose first panel [0, 2^-depth] is no wider
     than half that distance, ceil(log2(2 xi/gap)), at least 1 and at most
-    60: 22 nodes up to xi = gap/2, 12 more per doubling of xi beyond.
+    60: 22 nodes up to xi = gap/2, 12 more per doubling of xi beyond, so
+    points out to K ladder panels take O(K^2) values of f, where the
+    ladder rules take O(K). It serves ``raw_value``'s branch-free data,
+    whose points are few, and stays independent of the tables.
     f is called once per block of ``_apply_rules``, whatever the depths.
     Each point's depth depends on its own xi only, so a value does not
     depend on the other points of the call. A NaN point reads NaN; a
@@ -333,6 +361,110 @@ def abel_ladder(f, xi: np.ndarray, s: float, gap: float) -> np.ndarray:
         m = gx.size * (k - 1)
         kernel = (x[at, None] - t[:m]) ** (s - 1.0)
         total[at] += x[at] ** -s * (kernel * weighted[:m]).sum(axis=1)
+    out[known] = total
+    return out
+
+
+@functools.cache
+def _panel_one_rule() -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_jacobi(16, 0, 0)``, the Gauss-Legendre rule of
+    ``residual_ladder``'s panel 1 on [-1, 1]. Built on first use; both
+    arrays are read-only."""
+    return _read_only(*gauss_jacobi(_PANEL_ONE_NODES, 0.0, 0.0))
+
+
+@functools.lru_cache(maxsize=32)
+def _residual_rules(s: float) -> tuple[np.ndarray, ...]:
+    """The three Gauss-Jacobi rules of ``residual_ladder`` at order s, each
+    as nodes v on [0, 1] and weights:
+
+    - panel 0's, for t^s: sum c f(v) ~ int_0^1 v^(s-1) (f(v) - f(0)) dv,
+      the weights G/(1 + x) 2^-s folding in 1/v;
+    - the remainder's, for u^(-s): sum g f(u) ~ int_0^1 u^(-s) f(u) du;
+    - the near rule's, for v^s (1-v)^(-s): sum c f(v) ~ int_0^1
+      v^(s-1) (1-v)^(-s) (f(v) - f(0)) dv, its weights G/(1 + x) free of xi.
+
+    Built on first use per s; every array is read-only.
+    """
+    x0, g0 = gauss_jacobi(_START_NODES, 0.0, s)  # v = (1 + x)/2
+    xr, gr = gauss_jacobi(_RESIDUAL_REMAINDER_NODES, 0.0, -s)
+    xn, gn = gauss_jacobi(_RESIDUAL_NEAR_NODES, -s, s)
+    return _read_only(0.5 * (1.0 + x0), 0.5**s * g0 / (1.0 + x0),
+                      0.5 * (1.0 + xr), 0.5 ** (1.0 - s) * gr,
+                      0.5 * (1.0 + xn), gn / (1.0 + xn))
+
+
+def residual_ladder(f, xi: np.ndarray, s: float, gap: float) -> np.ndarray:
+    """int_0^xi t^(s-1) (xi-t)^(-s) f(t) dt for each xi >= 0 of an array, by
+    product integration on the panel ladder (``ladder_edges``).
+
+    f's only singularity is a cut (-inf, -gap]; the kernel has branch
+    points at t = 0 and t = xi. For xi in panel k >= 2, with
+    F(t) = (xi-t)^(-s) f(t) and l = xi - e_(k-1), it is
+
+        e_1^s [F(0)/s + sum_i c_i (F(e_1 v_i) - F(0))]
+          + sum_(1<=j<=k-2) sum_m W_jm t_jm^(s-1) (xi - t_jm)^(-s) f(t_jm)
+          + l^(1-s) sum_i g_i (xi - l u_i)^(s-1) f(xi - l u_i):
+
+    panel 0's t^(s-1) mass F(0) e_1^s/s in closed form and the rest,
+    int_0^e_1 t^s (F(t) - F(0))/t dt, by a Gauss-Jacobi rule for t^s;
+    Gauss-Legendre rules (t_jm, W_jm) of 16 nodes on panel 1 and 12 on
+    each panel beyond; a Gauss-Jacobi rule for (xi-t)^(-s) on the
+    remainder [e_(k-1), xi]. Up to xi = e_2 it is
+
+        f(0) pi/sin(pi s) + sum_i c_i (f(xi v_i) - f(0)),
+
+    one Gauss-Jacobi rule for t^s (xi-t)^(-s) on [0, xi], which at xi = 0
+    is f(0) pi/sin(pi s) exactly. (``_residual_rules``; see
+    ``_RESIDUAL_REMAINDER_NODES`` for the node counts.) The nodes of f(0),
+    panel 0 and the shared panels are the same for every point, so f is
+    evaluated once at each of them, at 24 remainder nodes per point beyond
+    e_2 and 16 near nodes per point before it, in one call: a build of the
+    nodes of K panels takes O(K) values of f, where a depth rule per point
+    takes O(K^2). Each point's sums run over its own panel's nodes only,
+    so a value depends on its xi and the fixed ladder alone, not on the
+    other points of the call. A NaN point reads NaN; a point below 0 is
+    refused with a ``ValueError``.
+    """
+    xi, known = _known_points(xi, "residual_ladder")
+    out = np.full(xi.shape, math.nan)
+    if not known.size:
+        return out
+    x = xi[known]
+    edges = ladder_edges(gap, x.max())
+    panel = edges.searchsorted(x, side="right") - 1  # x in [e_k, e_(k+1))
+    top = int(panel.max())
+    v0, c0, u, g, v, c = _residual_rules(s)
+    near, far = (panel < 2).nonzero()[0], (panel >= 2).nonzero()[0]
+    xf, kf = x[far], panel[far]
+    # the nodes every point beyond e_2 shares: panel 0's, then those of
+    # panels 1 .. top - 2 of the farthest point, 16 on panel 1 and 12 on
+    # each beyond
+    t0 = edges[1] * v0 if far.size else v0[:0]
+    lo, hi = edges[1 : max(top - 1, 1), None], edges[2 : max(top, 2), None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    (x1, w1), (gx, gw) = _panel_one_rule(), _gauss_legendre()
+    t = np.concatenate([(mid[:1] + half[:1] * x1).ravel(), (mid[1:] + half[1:] * gx).ravel()])
+    w = np.concatenate([(half[:1] * w1).ravel(), (half[1:] * gw).ravel()])
+    ell = xf - edges[kf - 1]
+    tail = xf[:, None] - ell[:, None] * u
+    nodes = [np.zeros(1), t0, t, (x[near, None] * v).ravel(), tail.ravel()]
+    fv = np.asarray(f(np.concatenate(nodes)), dtype=float)
+    stops = itertools.accumulate(a.size for a in nodes)
+    (f_0,), f_t0, f_t, f_near, f_tail = (fv[stop - a.size : stop] for a, stop in zip(nodes, stops))
+    total = np.empty(x.size)
+    total[near] = f_0 * reflection(s) + ((f_near.reshape(near.size, v.size) - f_0) * c).sum(axis=1)
+    if far.size:
+        F0 = xf**-s * f_0
+        F = (xf[:, None] - t0) ** -s * f_t0
+        far_total = edges[1] ** s * (F0 / s + ((F - F0[:, None]) * c0).sum(axis=1))
+        weighted = w * t ** (s - 1.0) * f_t
+        for k in range(3, top + 1):
+            at = (kf == k).nonzero()[0]
+            m = x1.size + gx.size * (k - 3)  # panels 1 .. k - 2
+            far_total[at] += ((xf[at, None] - t[:m]) ** -s * weighted[:m]).sum(axis=1)
+        far_total += ell ** (1.0 - s) * (tail ** (s - 1.0) * f_tail.reshape(tail.shape) * g).sum(axis=1)
+        total[far] = far_total
     out[known] = total
     return out
 

@@ -345,7 +345,8 @@ def test_reads_at_inf_are_refused_before_any_growth():
         "derivative": lambda x: sol.derivative(1, x),
         "g_value": lambda x: sol.g_value(x),
     }
-    # gauss_ladder's deepest rule resolves points up to 2^59 gaps right of b
+    # raw_value's deepest gauss_ladder rule resolves points up to 2^59 gaps
+    # right of b, and every read, table reads included, refuses points beyond
     reach = 2.0**59 * (sol.b - sol.profile.breakpoints[-2])
     refused = [(np.inf, r"\+inf"), (np.array([2.0, np.inf, 1.5]), r"\+inf"),
                (sol.b + 2.0 * reach, r"reaches 2\^59 gaps"),

@@ -1,16 +1,19 @@
-"""The tabulated Caputo residual against the per-point ladder it replaces.
+"""The tabulated Caputo residual against a per-point ladder.
 
 Beyond b, D^s u sums the junction polynomial's terms in closed form and
 R(xi) = int_0^1 w^(s-1) (1-w)^(-s) H_1(xi w) dw, read from a Chebyshev
 table on the panels of the H_n tables. The reference below takes R per
 point by ``gauss_ladder`` over the tabulated H_1, the formula the table's
-node values come from. Each bound is ten times the largest distance
+node values came from before they were taken on the panel ladder
+(``residual_ladder``), so it is an independent rule over the same H_1.
+Each bound is ten times the largest distance
 measured on 300 points from 1e-6 to 64 gaps right of b, rounded up to
 one digit; the extension integrals themselves, before the division by
 Gamma(1 - s), differ by at most 5.7e-13 (ramp, s = 0.998) and, for the
 bump and psi_0, 6.2e-15. With the unit rules' panels sized to their
-margins they differ by at most 6.3e-13 and 4.3e-15, and every bound
-still holds.
+margins they differ by at most 6.3e-13 and 4.3e-15, and with R's node
+values taken on the panel ladder by at most 1.2e-12 (ramp, s = 0.998)
+and 3.3e-15; every bound still holds.
 """
 
 import json
@@ -99,7 +102,7 @@ def test_covered_residual_makes_one_table_read_per_point_and_term(monkeypatch):
     fit, _ = approximate_function(SinTarget(), 1, 5e-2, 0.5, Psi0Profile.default_quadratic())
     density_builder.residual_max(fit)  # the tables now cover every argument
     ladders, reads = [], []
-    ladder, read = extension_solver.gauss_ladder, ExtensionSolution._eval_table
+    ladder, read = extension_solver.residual_ladder, ExtensionSolution._eval_table
 
     def counted_ladder(*args):
         ladders.append(args[1].size)
@@ -109,11 +112,30 @@ def test_covered_residual_makes_one_table_read_per_point_and_term(monkeypatch):
         reads.append(xi.size)
         return read(self, key, xi)
 
-    monkeypatch.setattr(extension_solver, "gauss_ladder", counted_ladder)
+    monkeypatch.setattr(extension_solver, "residual_ladder", counted_ladder)
     monkeypatch.setattr(ExtensionSolution, "_eval_table", counted_read)
     density_builder.residual_max(fit)
     assert ladders == []
     assert sum(reads) == density_builder.RESIDUAL_POINTS * fit.A.size == 1000
+
+
+def test_residual_reads_the_order_1_table():
+    # R's node values come from H_1's table alone: 1e-9 added to one
+    # coefficient of one panel of it, before R is built, shows in the
+    # residual on that panel's points, where the solution's own is rounding
+    x = 1.0 + np.linspace(2.0, 3.8, 50)  # in the bump's ladder panel 4, [1.875, 3.875] right of b
+    sol = solve_extension(builtin_profile("bump"), 0.5)
+    sol.smooth_factor(1, x.max() - sol.b)
+    assert np.abs(sol.caputo_value(x)).max() <= 1e-14
+    sol = solve_extension(builtin_profile("bump"), 0.5)
+    sol.smooth_factor(1, x.max() - sol.b)
+    edges, tables = sol._state
+    panel = int(edges.searchsorted(x[0] - sol.b, side="right")) - 1
+    assert (edges[panel] <= x - sol.b).all() and (x - sol.b < edges[panel + 1]).all()
+    order_1 = tables[1].copy()
+    order_1[panel, 0] += 1e-9
+    sol._state = (edges, {**tables, 1: order_1})
+    assert np.abs(sol.caputo_value(x)).min() >= 1e-11
 
 
 def _in_threads(jobs, timeout: float = 60.0) -> list:

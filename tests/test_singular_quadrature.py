@@ -18,6 +18,7 @@ from caputo_density.singular_quadrature import (
     kernel_identity_check,
     ladder_edges,
     poly_abel_integral,
+    residual_ladder,
     unit_rule,
 )
 from caputo_density.special_functions import beta, reflection
@@ -301,7 +302,7 @@ def test_unit_rule_panels_meet_their_margin(family, s):
 @pytest.mark.parametrize("d", [0.25, 5e-3, 5e-5])
 def test_abel_unit_rule_near_branch_point(s, d):
     # H_1((x-b) w) has a branch point at w = -gap/(x-b); d = 5e-5 is x - b
-    # at 2e4 gaps. gauss_ladder picks the residual's depth for it
+    # at 2e4 gaps. gauss_ladder picks its depth for it
     got = gauss_ladder(lambda z: (z + d) ** -s, np.array([1.0]), s, -s, d)[0]
     ref = _unit_reference(s, -s, s, d)
     assert abs(got - ref) <= 1e-14 * abs(ref)
@@ -347,6 +348,7 @@ def test_unit_rule_builds_its_start_panel_once_per_p(monkeypatch):
 LADDER_RULES = {
     "gauss_ladder": lambda f, xi: gauss_ladder(f, xi, 1.0, -0.5, 1.0),
     "abel_ladder": lambda f, xi: abel_ladder(f, xi, 0.5, 1.0),
+    "residual_ladder": lambda f, xi: residual_ladder(f, xi, 0.5, 1.0),
 }
 
 
@@ -392,6 +394,51 @@ def test_abel_ladder_meets_its_margin(s):
         ref = np.array([float(mpmath.hyp2f1(0.5, 1, 1 + sm, -mpmath.mpf(x) / g) / (sm * mpmath.sqrt(g)))
                         for x in xi])
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), np.abs(got / ref - 1.0)
+
+
+@pytest.mark.parametrize("s", [0.002, 0.02, 0.5, 0.98, 0.998])
+def test_residual_ladder_meets_its_margin(s):
+    # f(t) = (t + gap)^(-1/2), cut at -gap: int_0^xi t^(s-1) (xi-t)^(-s) f(t) dt
+    # = gap^(-1/2) B(s, 1-s) 2F1(1/2, s; 1; -xi/gap) (Euler's integral). The
+    # points lie in ladder panels 0, 1, 2, 8 and 32, mid-panel and at the
+    # right end, where the remainder [e_(k-1), xi] is longest against its
+    # distance to t = 0, the kernel's branch point that panels 0 and 1 lie
+    # nearest to
+    gap = 0.375
+    edges = ladder_edges(gap, 2.0**34 * gap)
+    xi = np.array([edges[k] + q * (edges[k + 1] - edges[k])
+                   for k in (0, 1, 2, 8, 32) for q in (0.5, 1.0 - 2.0**-10)])
+    got = residual_ladder(lambda z: (z + gap) ** -0.5, xi, s, gap)
+    with mpmath.workdps(40):
+        sm, g = mpmath.mpf(s), mpmath.mpf(gap)
+        ref = np.array([float(mpmath.beta(sm, 1 - sm) / mpmath.sqrt(g)
+                              * mpmath.hyp2f1(0.5, sm, 1, -mpmath.mpf(x) / g)) for x in xi])
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), np.abs(got / ref - 1.0)
+
+
+def test_residual_ladder_rows_depend_on_their_point_alone():
+    # panels 0 to 20 in one call: each point's value is what a call for that
+    # point alone gives, bit for bit; f is called once, at 0, at the shared
+    # nodes (10 on panel 0, 16 on panel 1, 12 on each panel 2 .. top - 2),
+    # and at 16 near nodes per point below e_2 and 24 remainder nodes per
+    # point beyond; at xi = 0 the value is f(0) pi/sin(pi s)
+    gap, s = 1e-3, 0.3
+    xi = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 120)])
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return np.sqrt(z + gap)
+
+    batched = residual_ladder(f, xi, s, gap)
+    edges = ladder_edges(gap, xi.max())
+    top = edges.size - 2  # the panel of xi.max()
+    near = int((xi < edges[2]).sum())
+    assert sizes == [1 + 10 + 16 + 12 * (top - 3) + 16 * near + 24 * (xi.size - near)]
+    assert batched[0] == np.sqrt(gap) * reflection(s)
+    for x, value in zip(xi, batched):
+        assert value == residual_ladder(f, np.array([x]), s, gap)[0]
+    assert np.array_equal(residual_ladder(f, xi[::-1], s, gap)[::-1], batched)
 
 
 def test_abel_ladder_rows_depend_on_their_point_alone():

@@ -23,6 +23,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from caputo_density import extension_solver
 from caputo_density.extension_solver import (
     _RAW_DEPTH,
     ExtensionSolution,
@@ -410,7 +411,7 @@ def test_raw_rule_is_sized_to_the_junction_branch(s):
     assert any(ramp.junction_polynomial)
     assert unit_rule(1.0, s - 1.0, _RAW_DEPTH)[0].size == 490
     assert _forcing_evaluations(ramp, xs) == 490 * xs.size
-    # branch-free data take gauss_ladder's depth per point, as R's table nodes do
+    # branch-free data take gauss_ladder's depth per point
     bump = solve_extension(builtin_profile("bump"), s)
     assert not any(bump.junction_polynomial)
     gap = bump.b - bump.profile.breakpoints[-2]
@@ -433,6 +434,37 @@ def test_table_builds_evaluate_the_forcing_once_per_ladder_node():
     assert _forcing_evaluations(psi, 9.0, h0) == 3097
     bump = solve_extension(builtin_profile("bump"), 0.5)  # 33 panels
     assert _forcing_evaluations(bump, 1e9, h0) == 14641
+    assert [sol._state[0].size - 1 for sol in (psi, bump)] == [7, 33]
+
+
+def _order_1_reads(monkeypatch, sol, xi_max: float) -> int:
+    """How many points the build of R up to b + xi_max reads the order-1
+    table at, order 1 built first to cover them."""
+    sol.smooth_factor(1, xi_max)
+    table, count = sol._state[1][1], 0
+    read = extension_solver._read_table
+
+    def counted(edges, coefs, z):
+        nonlocal count
+        count += z.size if coefs is table else 0
+        return read(edges, coefs, z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(extension_solver, "_read_table", counted)
+        sol.caputo_value(sol.b + xi_max)
+    return count
+
+
+def test_residual_builds_read_the_order_1_table_once_per_ladder_node(monkeypatch):
+    # R's build of K panels reads H_1 at 16 near nodes at each of its 47
+    # table nodes below e_2, at 24 remainder nodes at each of the other
+    # 24 K - 47, and once at 0, at panel 0's 10 nodes, at panel 1's 16 and
+    # at 12 on each shared panel 2 .. K - 2: 588 K - 385, where a depth
+    # rule per node took 9324 and 168 744
+    psi = solve_extension(quadratic_bump_profile(), 0.5)  # the README fit's psi, 7 panels
+    assert _order_1_reads(monkeypatch, psi, 9.0) == 3731
+    bump = solve_extension(builtin_profile("bump"), 0.5)  # 33 panels
+    assert _order_1_reads(monkeypatch, bump, 1e9) == 19019
     assert [sol._state[0].size - 1 for sol in (psi, bump)] == [7, 33]
 
 
